@@ -371,6 +371,9 @@ def pulse_bandwidth(record: OutputRecord, window=None) -> float:
     half = power.max() / 2.0
     above = np.nonzero(power >= half)[0]
     lo, hi = above[0], above[-1]
+    if lo == 0 or hi == len(power) - 1:
+        raise ValueError("the spectrum stays above half maximum at the edge of the "
+                         "frequency grid; the record is sampled too coarsely")
     # linear interpolation through the half crossings
     f_lo = np.interp(half, [power[lo - 1], power[lo]], [freqs[lo - 1], freqs[lo]])
     f_hi = np.interp(half, [power[hi + 1], power[hi]], [freqs[hi + 1], freqs[hi]])

@@ -8,7 +8,8 @@ are consecutive slices of that record.  During a schedule the |e> level
 accumulates the integrated detuning as phase and |f> accumulates twice that
 (number-operator coupling); the noise is far slower than any pulse, so
 phases are applied per step window rather than integrated through pulse
-shapes.
+shapes.  Each realization's phase per step window is handed to the schedule
+interpreter in protocol, which runs all realizations in one batched pass.
 
 Channels on the photon register (loss on fed-back bins, the lumped control
 depolarizer) are exact Kraus maps.  The budget composes everything in the
@@ -211,31 +212,8 @@ def _dephased_vectors(steps, noise: OneOverFSpec, realizations: int):
     dt = 1.0 / noise.sample_rate
     bounds = np.rint(np.cumsum([0.0] + [s.duration for s in steps]) / dt).astype(int)
     phases = _phase_segments(noise, realizations, int(bounds[-1]))
-    n = sum(1 for s in steps if s.kind == "emit")
-    vectors = np.zeros((realizations, 2 ** n), dtype=complex)
-    for r in range(realizations):
-        psi = np.zeros((3,) + (2,) * n, dtype=complex)
-        psi[(0,) + (0,) * n] = 1.0
-        for i, step in enumerate(steps):
-            if step.kind == "rotation":
-                psi = np.tensordot(protocol._rotation_matrix(step), psi, axes=(1, 0))
-            elif step.kind == "emit":
-                psi = protocol._apply_emit(psi, step.photon)
-            elif step.kind == "cz_feedback":
-                sel = [slice(None)] * psi.ndim
-                sel[0] = 1
-                sel[step.photon] = 1
-                psi[tuple(sel)] *= -1.0
-            phi = phases[r, bounds[i + 1]] - phases[r, bounds[i]]
-            psi[1] *= np.exp(1j * phi)
-            psi[2] *= np.exp(2j * phi)
-        stray = np.linalg.norm(psi[1:])
-        if stray > 1e-9:
-            raise ValueError(
-                f"emitter left with {stray:.3e} amplitude outside |g>; "
-                "the schedule is missing its disentangling pulses")
-        vectors[r] = psi[0].reshape(-1)
-    return vectors
+    psi = protocol._run(steps, np.diff(phases[:, bounds], axis=1))
+    return protocol._photon_rows(psi)
 
 
 def dephased_protocol_run(steps, noise: OneOverFSpec,

@@ -155,12 +155,7 @@ class PureState:
 
     def photons(self, tol: float = 1e-9) -> np.ndarray:
         """Photon register amplitudes; the emitter must sit in |g>."""
-        stray = float(np.linalg.norm(self.amplitudes[1:]))
-        if stray > tol:
-            raise ValueError(
-                f"emitter left with {stray:.3e} amplitude outside |g>; "
-                "the schedule is missing its disentangling pulses")
-        return self.amplitudes[0].reshape(-1).copy()
+        return _photon_rows(self.amplitudes[None], tol)[0]
 
     def photon_density(self, tol: float = 1e-9) -> "DensityMatrix":
         vec = self.photons(tol=tol)
@@ -183,15 +178,8 @@ class DensityMatrix:
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("density matrix must be square")
+        qops.validate_density(matrix, tol=1e-10)
         self.n_photons = _photon_count(matrix.shape[0])
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(matrix).real - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {np.trace(matrix).real!r} is not 1")
-        if np.linalg.eigvalsh(matrix).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
         self.matrix = matrix
 
     @classmethod
@@ -200,12 +188,23 @@ class DensityMatrix:
         vector = vector / np.linalg.norm(vector)
         return cls(np.outer(vector, vector.conj()))
 
-    def to_json(self) -> str:
-        n = self.n_photons
-        labels = [f"{idx:0{n}b}" if n else "" for idx in range(self.matrix.shape[0])]
-        return json.dumps({"n_photons": n, "basis": labels,
-                           "real": self.matrix.real.tolist(),
-                           "imag": self.matrix.imag.tolist()}, sort_keys=True)
+    def to_json(self, extra: dict | None = None) -> str:
+        """The density-matrix schema (kind, dim, n_photons, basis labels, real,
+        imag) with extra keys merged in; from_json reads it back."""
+        n, dim = self.n_photons, self.matrix.shape[0]
+        payload = {"kind": "density_matrix", "dim": dim, "n_photons": n,
+                   "basis": [f"{idx:0{n}b}" if n else "" for idx in range(dim)],
+                   "real": self.matrix.real.tolist(), "imag": self.matrix.imag.tolist()}
+        if extra:
+            payload.update(extra)
+        return json.dumps(payload, sort_keys=True, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "DensityMatrix":
+        payload = json.loads(text)
+        if payload.get("kind") != "density_matrix":
+            raise ValueError("not a serialized density matrix")
+        return cls(np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"]))
 
 
 def _photon_count(dim: int) -> int:
@@ -255,35 +254,55 @@ def compile_and_run(steps) -> PureState:
     the disentangling block (an emitter-photon Bell pair, say) are legal
     here, and only the photons() accessor insists on a freed emitter.
     """
+    return PureState(_run(steps)[0])
+
+
+def _run(steps, kicks=None) -> np.ndarray:
+    """Amplitudes (R, 3, 2, ..., 2) of R runs of a schedule from |g> (x) vacuum.
+
+    This is the one interpreter of schedule semantics.  kicks, shape
+    (R, len(steps)), are emitter phases: after step i, row r's |e> amplitude
+    picks up exp(i kicks[r, i]) and its |f> amplitude exp(2i kicks[r, i]).
+    Without kicks there is one row and no phase.
+    """
     n = _validate(steps)
-    psi = np.zeros((3,) + (2,) * n, dtype=complex)
-    psi[(0,) + (0,) * n] = 1.0
-    for step in steps:
+    rows = 1 if kicks is None else kicks.shape[0]
+    psi = np.zeros((rows, 3) + (2,) * n, dtype=complex)
+    psi[(slice(None), 0) + (0,) * n] = 1.0
+    if kicks is not None:
+        e_kick = np.exp(1j * kicks).reshape(kicks.shape + (1,) * n)
+        f_kick = np.exp(2j * kicks).reshape(kicks.shape + (1,) * n)
+    for i, step in enumerate(steps):
         if step.kind == "rotation":
-            psi = np.tensordot(_rotation_matrix(step), psi, axes=(1, 0))
+            psi = np.moveaxis(np.tensordot(_rotation_matrix(step), psi, axes=(1, 1)), 0, 1)
         elif step.kind == "emit":
             psi = _apply_emit(psi, step.photon)
         elif step.kind == "cz_feedback":
-            sel = [slice(None)] * psi.ndim
-            sel[0] = 1
-            sel[step.photon] = 1
-            psi[tuple(sel)] *= -1.0
-    return PureState(psi)
+            psi[(slice(None), 1) + (slice(None),) * (step.photon - 1) + (1,)] *= -1.0
+        if kicks is not None:
+            psi[:, 1] *= e_kick[:, i]
+            psi[:, 2] *= f_kick[:, i]
+    return psi
 
 
 def _apply_emit(psi: np.ndarray, photon: int) -> np.ndarray:
     out = psi.copy()
-    src = [slice(None)] * psi.ndim
-    src[0] = 2
-    src[photon] = 0
-    dst = [slice(None)] * psi.ndim
-    dst[0] = 1
-    dst[photon] = 1
-    out[tuple(dst)] = psi[tuple(src)]
-    wipe = [slice(None)] * psi.ndim
-    wipe[0] = 2
-    out[tuple(wipe)] = 0.0
+    skip = (slice(None),) * (photon - 1)
+    out[(slice(None), 1) + skip + (1,)] = psi[(slice(None), 2) + skip + (0,)]
+    out[:, 2] = 0.0
     return out
+
+
+def _photon_rows(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Photon-register vectors (R, 2^n) of run amplitudes (R, 3, 2, ..., 2);
+    every row's emitter must sit in |g>."""
+    rows = psi.shape[0]
+    stray = float(np.linalg.norm(psi[:, 1:].reshape(rows, -1), axis=1).max())
+    if stray > tol:
+        raise ValueError(
+            f"emitter left with {stray:.3e} amplitude outside |g>; "
+            "the schedule is missing its disentangling pulses")
+    return psi[:, 0].reshape(rows, -1).copy()
 
 
 def _ghz_circuit(n: int):
@@ -390,9 +409,6 @@ def published_circuit(name: str, compensated: bool = True):
     return steps
 
 
-published_schedule = published_circuit
-
-
 def target_state(name: str) -> PureState:
     """Ideal state of a published circuit, leading amplitude made real."""
     state = compile_and_run(published_circuit(name))
@@ -452,10 +468,7 @@ def _fidelity_operand(state) -> np.ndarray:
         return state.matrix
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 2:
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-8:
-            raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(arr).min() < -1e-8:
-            raise ValueError("density matrix has a negative eigenvalue")
+        qops.validate_density(arr, tol=1e-8)
     return arr
 
 

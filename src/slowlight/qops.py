@@ -100,20 +100,26 @@ def stabilizer_operator(vertex: int, n: int, edges) -> np.ndarray:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u > css / np.arange(1, len(v) + 1))[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    """Euclidean projection of real vectors (along the last axis) onto the
+    probability simplex."""
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    above = u > css / np.arange(1, v.shape[-1] + 1)
+    last = v.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)[..., None]
+    theta = np.take_along_axis(css, last, axis=-1) / (last + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
 def project_density(rho: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) trace-one PSD matrix: eigenvalue simplex projection."""
-    herm = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    vals = project_simplex(vals.real)
-    return (vecs * vals) @ vecs.conj().T
+    """Nearest (Frobenius) trace-one PSD matrix to each matrix of a stack (or
+    to one matrix): eigenvalue simplex projection."""
+    vals, vecs = np.linalg.eigh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))
+    return (vecs * project_simplex(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def _rank_tol(vals: np.ndarray) -> float:
+    """np.linalg.matrix_rank tolerance of ascending eigenvalues: dim*eps*max."""
+    return len(vals) * np.finfo(float).eps * vals[-1]
 
 
 def _rank_one_overlap(vals: np.ndarray, vecs: np.ndarray, other: np.ndarray):
@@ -125,7 +131,7 @@ def _rank_one_overlap(vals: np.ndarray, vecs: np.ndarray, other: np.ndarray):
     the top eigenvector.
     """
     top = vals[-1]
-    if top > 0.0 and np.all(np.abs(vals[:-1]) <= len(vals) * np.finfo(float).eps * top):
+    if top > 0.0 and np.all(np.abs(vals[:-1]) <= _rank_tol(vals)):
         psi = vecs[:, -1]
         return float(top * np.real(np.vdot(psi, other @ psi)))
     return None
@@ -139,9 +145,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     of numerical rank one (every eigenvalue but the largest, lambda, within
     dim * eps * lambda of zero, the np.linalg.matrix_rank tolerance) is
     lambda |psi><psi| from its top eigenpair and gives lambda <psi|other|psi>.
-    Only when both matrices have higher rank does the general square-root
-    path run; there, clipped square roots of roundoff eigenvalues can bias
-    the result upward by about sqrt(eps) per such eigenvalue.
+    Otherwise sqrt(rho) is taken on rho's numerical support only, and square
+    roots are summed only of inner eigenvalues above the same tolerance, so
+    roundoff eigenvalues add nothing.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -157,19 +163,22 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         exact = _rank_one_overlap(*np.linalg.eigh(0.5 * (sigma + sigma.conj().T)), rho)
     if exact is not None:
         return exact
-    sq = (vecs * np.sqrt(np.clip(vals.real, 0.0, None))) @ vecs.conj().T
-    inner = sq @ sigma @ sq
+    support = vals > _rank_tol(vals)
+    half = vecs[:, support] * np.sqrt(vals[support])
+    inner = half.conj().T @ sigma @ half
     ivals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(ivals.real, 0.0, None))) ** 2)
+    return float(np.sum(np.sqrt(ivals[ivals > _rank_tol(ivals)])) ** 2)
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
+    """Raise ValueError unless rho is a density matrix to within tol."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"density matrix trace {np.trace(rho):!r} is not 1")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise ValueError("density matrix is not Hermitian")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > tol:
+        raise ValueError(f"density matrix trace {trace.real:.12g} is not 1")
     if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
         raise ValueError("density matrix has a negative eigenvalue")

@@ -109,6 +109,8 @@ def load_shots(path) -> ShotBatch:
     with open(path, "rb") as fh:
         raw = fh.read()
     head = struct.calcsize("<4sIQHH")
+    if len(raw) < head:
+        raise ValueError(f"shot file {path} is {head - len(raw)} bytes short of its header")
     magic, version, count, n_modes, flags = struct.unpack("<4sIQHH", raw[:head])
     if magic != _MAGIC:
         raise ValueError("not a shot batch file")
@@ -120,6 +122,11 @@ def load_shots(path) -> ShotBatch:
     n_qubit = sum(1 for b in bases if b)
     offset = head + n_modes
     n_het = n_modes - n_qubit
+    size = offset + count * (8 * n_het + (n_qubit if flags & 2 else 0))
+    if len(raw) != size:
+        gap = (f"{size - len(raw)} bytes short of" if len(raw) < size
+               else f"{len(raw) - size} bytes longer than")
+        raise ValueError(f"shot file {path} is {gap} the {size} its header declares")
     values = np.frombuffer(raw, dtype="<c8", count=count * n_het,
                            offset=offset).reshape(count, n_het)
     outcomes = None

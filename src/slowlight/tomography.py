@@ -32,10 +32,12 @@ because virtual-Z frame choices commute through the dispersive readout.
 :func:`gauge_fix_local_z` scans a 256 x 256 grid of frame angles and polishes
 the best point, reporting the frame in which the gate is closest to CZ.
 
-Confidence intervals come from a parametric bootstrap: each measured moment
-is refit from a normal distribution with the recorded mean and variance,
-resampled tables are inverted with warm starts from the base solution, and
-the fidelity percentiles give the interval.
+Confidence intervals come from a parametric bootstrap around the fitted
+model: moment vectors are drawn from normals centred on the moments of the
+fitted state with the recorded variances, the resampled tables are inverted
+with warm starts from the fitted state, and the percentiles of the refit
+fidelities, shifted down by their median's offset from the estimate (the
+bias), give the interval.
 """
 
 from __future__ import annotations
@@ -396,23 +398,6 @@ class _StateProblem:
         return DensityMatrix(0.5 * (rho + rho.conj().T)), info
 
 
-def _project_simplex_batch(vals: np.ndarray) -> np.ndarray:
-    rows, d = vals.shape
-    desc = np.sort(vals, axis=1)[:, ::-1]
-    css = np.cumsum(desc, axis=1)
-    cond = desc > (css - 1.0) / np.arange(1, d + 1)
-    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = (css[np.arange(rows), rho] - 1.0) / (rho + 1)
-    return np.maximum(vals - tau[:, None], 0.0)
-
-
-def _project_density_batch(mats: np.ndarray) -> np.ndarray:
-    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    vals, vecs = np.linalg.eigh(herm)
-    clipped = _project_simplex_batch(vals)
-    return (vecs * clipped[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-
-
 def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
                        x0: np.ndarray, stop_tol: float = 1e-7,
                        max_iters: int = 5000):
@@ -443,7 +428,7 @@ def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
     for it in range(1, max_iters + 1):
         x = ((b + sigma * (z - u)) @ basis / (2.0 * lam + sigma)) @ basis.T
         z_new = _coords_from_mats(
-            _project_density_batch(_mats_from_coords(x + u, dim)), dim)
+            qops.project_density(_mats_from_coords(x + u, dim)), dim)
         dual = np.linalg.norm(z_new - z, axis=1)
         z = z_new
         u += x - z
@@ -813,13 +798,13 @@ def _conjugate_signature(sig):
 
 def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
-    """Percentile bootstrap interval for the fidelity against a target state.
+    """Bias-shifted parametric bootstrap interval for the fidelity to a target.
 
-    Each moment is modelled as a normal around its measured mean with the
-    recorded variance of the mean; conjugate signature pairs are resampled
-    together so every synthetic table stays Hermitian.  Each resample is
-    refit by MLE, warm started at the base solution, and the sorted
-    fidelities give the 95 percent interval.
+    Moments are redrawn around the fitted model's moments D vec(rho_hat),
+    with the recorded variance of each mean and conjugate signature pairs
+    kept conjugate, and each resample is refit by MLE from rho_hat.  With
+    bias = median(F*) - F_hat, the 95 percent interval is the 2.5 and 97.5
+    percentiles of F* minus bias, so it always contains F_hat.
     """
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
@@ -833,7 +818,8 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     # draw every resampled target vector up front; conjugate pairing keeps
     # each synthetic table a Hermitian measurement record
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    drawn = _draw_hermitian_rows(problem.signatures, problem.targets,
+    model = problem.design @ base_rho.matrix.reshape(-1)
+    drawn = _draw_hermitian_rows(problem.signatures, model,
                                  problem.variances, resamples, rng)
 
     mats, _ = _solve_state_batch(problem, drawn, base_rho.matrix)
@@ -842,10 +828,12 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     ordered = np.sort(fidelities)
     low_idx = max(0, int(np.ceil(0.025 * resamples)) - 1)
     high_idx = min(resamples - 1, int(np.ceil(0.975 * resamples)) - 1)
-    low = float(ordered[low_idx])
-    high = float(ordered[high_idx])
+    bias = float(np.median(fidelities)) - float(estimate)
+    low = float(ordered[low_idx]) - bias
+    high = float(ordered[high_idx]) - bias
     return {
         "estimate": float(estimate),
+        "bias": bias,
         "low": low,
         "high": high,
         "width": high - low,
@@ -861,25 +849,12 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
 
 
 def state_to_json(state, extra: dict | None = None) -> str:
-    rho = _coerce_density(state)
-    payload = {
-        "kind": "density_matrix",
-        "basis": "time-bin number states, big endian, first emitted photon first",
-        "dim": int(rho.shape[0]),
-        "real": np.real(rho).tolist(),
-        "imag": np.imag(rho).tolist(),
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """A state in the DensityMatrix JSON schema; see DensityMatrix.to_json."""
+    return DensityMatrix(_coerce_density(state)).to_json(extra)
 
 
 def state_from_json(text: str) -> DensityMatrix:
-    payload = json.loads(text)
-    if payload.get("kind") != "density_matrix":
-        raise ValueError("not a serialized density matrix")
-    rho = np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"])
-    return DensityMatrix(rho)
+    return DensityMatrix.from_json(text)
 
 
 def chi_to_json(chi: np.ndarray, extra: dict | None = None) -> str:

@@ -11,8 +11,8 @@ import cmath
 import numpy as np
 import pytest
 
-from slowlight.dynamics import (FAR_DETUNED, LatticeSystem, cz_phase, emit_shaped,
-                                end_reflection, evolve, mirror_scatter,
+from slowlight.dynamics import (FAR_DETUNED, LatticeSystem, OutputRecord, cz_phase,
+                                emit_shaped, end_reflection, evolve, mirror_scatter,
                                 pulse_bandwidth, taper_echo_train,
                                 taper_reflection, taper_transmittance,
                                 transmitted_fraction)
@@ -183,6 +183,16 @@ def test_output_flux_is_gaussian_and_transform_limited(rec80):
     assert bw_main == pytest.approx(limit, rel=0.06)
     assert bw_main == pytest.approx(13.2e6, abs=0.6e6)
     assert pulse_bandwidth(rec80) < bw_main
+
+
+def test_bandwidth_rejects_a_spectrum_above_half_maximum_at_the_grid_edge():
+    # a field alternating sign every sample peaks at the Nyquist frequency,
+    # the first bin of the shifted spectrum
+    t = np.linspace(0.0, 1e-6, 4096)
+    a = np.where(np.arange(4096) % 2, -1.0, 1.0).astype(complex)
+    record = OutputRecord(t, a, None, None)
+    with pytest.raises(ValueError, match="half maximum at the edge"):
+        pulse_bandwidth(record)
 
 
 def test_mirror_far_detuned_is_identity(mirror_system, mirror_records, pulse80):

@@ -216,6 +216,44 @@ def test_density_matrix_validation():
         P.DensityMatrix(np.eye(3, dtype=complex) / 3.0)
 
 
+def test_validate_density_reports_its_own_trace_message():
+    with pytest.raises(ValueError, match="trace 2 is not 1"):
+        qops.validate_density(np.eye(2))
+
+
+def test_fidelity_is_exact_on_every_rank():
+    rng = np.random.default_rng(17)
+    for rank in range(1, 17):
+        g = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+        a = g @ g.conj().T
+        a /= np.trace(a).real
+        assert abs(qops.fidelity(a, a) - 1.0) < 1e-12
+
+
+def test_kicked_batch_equals_separate_runs():
+    steps = P.published_circuit("cluster4_2d")
+    kicks = np.random.default_rng(5).normal(scale=0.3, size=(7, len(steps)))
+    batch = P._run(steps, kicks)
+    for r in range(len(kicks)):
+        assert np.array_equal(batch[r], P._run(steps, kicks[r:r + 1])[0])
+
+
+def test_zero_kicks_reproduce_compile_and_run():
+    steps = P.published_circuit("cluster4_2d")
+    plain = P.compile_and_run(steps).amplitudes
+    kicked = P._run(steps, np.zeros((3, len(steps))))
+    for row in kicked:
+        assert np.array_equal(row, plain)
+
+
+def test_density_json_schema_round_trip():
+    dm = P.target_state("cluster2").photon_density()
+    back = P.DensityMatrix.from_json(dm.to_json(extra={"seed": 4}))
+    assert np.array_equal(back.matrix, dm.matrix)
+    doc = json.loads(dm.to_json())
+    assert (doc["kind"], doc["dim"], doc["n_photons"]) == ("density_matrix", 4, 2)
+
+
 def test_json_round_trip():
     state = P.target_state("cluster2")
     doc = json.loads(state.to_json())

@@ -173,6 +173,25 @@ def test_batch_io_round_trip(tmp_path):
         shots.load_shots(bad)
 
 
+def test_load_shots_rejects_a_truncated_file(tmp_path):
+    batch, _ = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8)
+    path = tmp_path / "batch.shot"
+    shots.save_shots(batch, path)
+    short = tmp_path / "short.shot"
+    short.write_bytes(path.read_bytes()[:-13])
+    with pytest.raises(ValueError, match="short.shot is 13 bytes short"):
+        shots.load_shots(short)
+
+
+def test_load_shots_rejects_trailing_bytes(tmp_path):
+    batch, _ = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8)
+    path = tmp_path / "batch.shot"
+    shots.save_shots(batch, path)
+    path.write_bytes(path.read_bytes() + bytes(5))
+    with pytest.raises(ValueError, match="5 bytes longer than"):
+        shots.load_shots(path)
+
+
 def test_moment_table_json_round_trip(bell_run):
     _, _, table = bell_run
     text = table.to_json()

@@ -221,9 +221,18 @@ def test_bootstrap_is_deterministic_and_ranked():
     assert rep_a["low"] == rep_b["low"] and rep_a["high"] == rep_b["high"]
     assert np.array_equal(rep_a["fidelities"], rep_b["fidelities"])
     ordered = np.sort(rep_a["fidelities"])
-    assert rep_a["low"] == ordered[int(np.ceil(0.025 * 200)) - 1]
-    assert rep_a["high"] == ordered[int(np.ceil(0.975 * 200)) - 1]
+    assert rep_a["low"] == ordered[int(np.ceil(0.025 * 200)) - 1] - rep_a["bias"]
+    assert rep_a["high"] == ordered[int(np.ceil(0.975 * 200)) - 1] - rep_a["bias"]
     assert len(rep_a["fidelities"]) == 200
+
+
+def test_bootstrap_interval_holds_its_estimate():
+    # the estimate sits on the edge of the state space here, so plain
+    # percentiles of the refits fall short of it
+    table = moments_from_state(BELL, variance=0.01, count=400)
+    rep = bootstrap_ci(table, np.outer(BELL, BELL.conj()), resamples=200, seed=3)
+    assert rep["low"] <= rep["estimate"] <= rep["high"]
+    assert rep["bias"] == np.median(rep["fidelities"]) - rep["estimate"]
 
 
 def test_bootstrap_interval_scales_with_budget():
