@@ -377,31 +377,41 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     het_col = {mode: i for i, mode in enumerate(het)}
     qub_col = {mode: i for i, mode in enumerate(qub)}
 
-    def factor(mode, entry, lo, hi):
-        if mode in het_col:
-            col = batch.values[lo:hi, het_col[mode]].astype(complex)
-            return {(1, 0): col.conj(), (0, 1): col,
-                    (1, 1): (col.real**2 + col.imag**2).astype(complex)}[entry]
-        return batch.outcomes[lo:hi, qub_col[mode]].astype(complex)
+    def half_products(modes, values, outcomes):
+        """Products of every half signature, first mode slowest as in *_sigs.
 
-    def half_products(sigs, first_mode, lo, hi):
-        stack = np.ones((len(sigs), hi - lo), dtype=complex)
-        for row, sig in enumerate(sigs):
-            for offset, entry in enumerate(sig):
-                if entry == (0, 0) or entry == 0:
-                    continue
-                stack[row] *= factor(first_mode + offset, entry, lo, hi)
+        Each mode contributes one factor row per option, [1, S*, S, |S|^2] for
+        a heterodyne mode and [1, outcome] for a qubit mode, so the stack
+        grows by broadcasting; a factor of 1 multiplies exactly.
+        """
+        ones = np.ones(values.shape[1], dtype=complex)
+        stack = ones[None, :]
+        for mode in modes:
+            if mode in het_col:
+                col = values[het_col[mode]]
+                rows = np.stack([ones, col.conj(), col,
+                                 (col.real**2 + col.imag**2).astype(complex)])
+            else:
+                rows = np.stack([ones, outcomes[qub_col[mode]]])
+            stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
         return stack
 
     n_left, n_right = len(left_sigs), len(right_sigs)
     sum_prod = np.zeros((n_left, n_right), dtype=complex)
     sum_sq = np.zeros((n_left, n_right))
+    left_modes = range(1, split + 1)
+    right_modes = range(split + 1, batch.n_modes + 1)
     for lo in range(0, batch.count, _CHUNK):
         hi = min(lo + _CHUNK, batch.count)
-        left = half_products(left_sigs, 1, lo, hi)
-        right = half_products(right_sigs, 1 + split, lo, hi)
+        values = np.ascontiguousarray(batch.values[lo:hi].T, dtype=complex)
+        outcomes = (np.ascontiguousarray(batch.outcomes[lo:hi].T, dtype=complex)
+                    if qub else None)
+        left = half_products(left_modes, values, outcomes)
+        right = half_products(right_modes, values, outcomes)
         sum_prod += left @ right.T
-        sum_sq += (np.abs(left) ** 2) @ (np.abs(right) ** 2).T
+        # rebinding frees the complex stacks before the squares are formed
+        left, right = np.abs(left), np.abs(right)
+        sum_sq += (left * left) @ (right * right).T
 
     raw = {}
     variances = {}

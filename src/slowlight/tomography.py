@@ -15,6 +15,14 @@ and the momentum restarted, so the logged objective never increases.  The
 projection onto physical states is the eigenvalue simplex projection from
 :mod:`slowlight.qops`.
 
+Each A_j is a Kronecker product of single-mode 2 x 2 maps with 0/1 entries,
+so the (4^n - 1) x 4^n design that maps vec(rho) to the moments is built
+once per mode count as a sparse matrix with 5^n - 2^n nonzeros, and every
+fit runs on it.  The gradient step is 1 / (2 lambda_max) of the weighted
+normal operator D+ W D, with lambda_max found by Lanczos iteration from a
+fixed start vector, so no 4^n x 4^n Hessian is ever formed for a state fit
+and the step is reproducible bit for bit.
+
 Process tomography reconstructs the chi matrix of the emitter-photon CZ gate,
 E(rho) = sum_nm chi_nm P_n rho P_m+, in the two-qubit Pauli product basis
 ordered II, IX, IY, IZ, XI, ..., ZZ (first factor emitter, second photon).
@@ -45,9 +53,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import qops
 from .noise import amplitude_damping_kraus
@@ -97,14 +107,16 @@ def moments_from_state(state, variance: float = 1.0, count: int = 1,
     n_modes = int(round(np.log2(rho.shape[0])))
     if rho.shape != (2**n_modes, 2**n_modes):
         raise ValueError("state dimension is not a power of two")
+    signatures, design = _design_for_modes(n_modes)
+    identity = tuple((0, 0) for _ in range(n_modes))
+    means = [complex(np.trace(rho))] + list(design @ rho.reshape(-1))
     entries = {}
-    for sig in qops.all_moment_signatures(n_modes):
-        op = qops.moment_operator(sig, n_modes)
+    for sig, mean in zip((identity,) + signatures, means):
         if variance_source is not None:
             var = variance_source.variance(sig)
         else:
             var = float(variance)
-        entries[sig] = (complex(np.trace(op @ rho)), var, int(count))
+        entries[sig] = (complex(mean), var, int(count))
     bases = (variance_source.mode_bases if variance_source is not None
              else ("",) * n_modes)
     return MomentTable(entries=entries, mode_bases=bases)
@@ -168,8 +180,21 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
 
 
 def _curvature_step(design, weights) -> float:
-    hessian = design.conj().T @ (design * weights[:, None])
-    lam = float(np.linalg.eigvalsh(hessian).max())
+    """Gradient step 1 / (2 lambda_max) of ||sqrt(w)(design @ x - m)||^2.
+
+    lambda_max of the normal operator D+ W D comes from Lanczos iteration on
+    matrix-vector products, for a sparse or a dense design alike, without
+    forming D+ W D.  ARPACK's default start vector is random, so the start is
+    fixed to make every fit that uses the step reproducible bit for bit.
+    """
+    dim = design.shape[1]
+    adjoint = design.conj().T
+    normal = spla.LinearOperator(
+        (dim, dim), matvec=lambda v: adjoint @ (weights * (design @ v)),
+        dtype=complex)
+    lam = float(spla.eigsh(normal, k=1, which="LA", tol=0,
+                           v0=np.ones(dim, dtype=complex),
+                           return_eigenvectors=False)[0])
     if lam <= 0.0:
         raise ValueError("design matrix has no weight")
     return 1.0 / (2.0 * lam)
@@ -191,13 +216,14 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters,
     """
     if step is None:
         step = _curvature_step(design, weights)
+    adjoint = design.conj().T
 
     def objective(x):
         resid = design @ x - targets
         return float(np.real(np.sum(weights * np.abs(resid) ** 2)))
 
     def gradient(x):
-        return 2.0 * (design.conj().T @ (weights * (design @ x - targets)))
+        return 2.0 * (adjoint @ (weights * (design @ x - targets)))
 
     x = project(x0)
     fx = objective(x)
@@ -248,24 +274,42 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters,
 # ---------------------------------------------------------------------------
 
 
+# one mode's moment map: row 2n + m for the signature (n, m), column 2i + j
+# for rho[i, j], so a row dotted with vec(rho) is Tr((a+)^n a^m rho)
+_MODE_MAP = sp.csr_matrix(np.array([
+    qops.single_mode_moment(n, m).T.reshape(-1) for n in (0, 1) for m in (0, 1)
+]))
+
+
 @lru_cache(maxsize=8)
 def _design_for_modes(n_modes: int):
-    """Rows of the moment design matrix, identity signature excluded.
+    """Sparse rows of the moment design matrix, identity signature excluded.
 
-    The unit-trace row is enforced by the projection already, and the huge
-    weight a floored zero variance would give it only wrecks the step size.
+    Row j is moment_operator(signature j).T.reshape(-1), so the design maps the
+    row-major vec(rho) to the moments Tr(A_j rho).  It is the Kronecker power
+    of the single-mode map, whose rows are indexed by the per-mode signature
+    codes and whose columns interleave (i_1, j_1, i_2, j_2, ...); rows are
+    then picked in signature order and columns reordered to row-major
+    (i_1, ..., i_n, j_1, ..., j_n).  The unit-trace row is enforced by the
+    projection already, and the huge weight a floored zero variance would give
+    it only wrecks the step size.  The cached matrix is read-only.
     """
-    identity = tuple((0, 0) for _ in range(n_modes))
-    kept = []
-    rows = []
-    for sig in qops.all_moment_signatures(n_modes):
-        if sig == identity:
-            continue
-        kept.append(sig)
-        rows.append(qops.moment_operator(sig, n_modes).T.reshape(-1))
-    design = np.asarray(rows)
-    design.setflags(write=False)
-    return tuple(kept), design
+    design = _MODE_MAP
+    for _ in range(n_modes - 1):
+        design = sp.kron(design, _MODE_MAP, format="csr")
+    # the identity is the only signature of total order 0, so it comes first
+    kept = tuple(qops.all_moment_signatures(n_modes)[1:])
+    rows = [sum((2 * n + m) << (2 * (n_modes - 1 - k))
+                for k, (n, m) in enumerate(sig)) for sig in kept]
+    columns = np.arange(4**n_modes).reshape((2, 2) * n_modes).transpose(
+        list(range(0, 2 * n_modes, 2)) + list(range(1, 2 * n_modes, 2)))
+    design = design[rows][:, columns.reshape(-1)]
+    # canonical (sorted, no duplicates) before freezing, so that scipy never
+    # has to tidy the shared arrays in place
+    design.sum_duplicates()
+    for array in (design.data, design.indices, design.indptr):
+        array.setflags(write=False)
+    return kept, design
 
 
 @lru_cache(maxsize=8)
@@ -326,11 +370,14 @@ class _StateProblem:
     The design depends only on the mode count and the weights only on the
     recorded variances, so a bootstrap can solve a thousand resampled target
     vectors against one problem instead of refactoring the quadratic each
-    time.  Alongside the complex design a real-coordinate copy is kept: the
-    unknown is Hermitian, so splitting each complex residual into its two
-    quadratures over an isometric real parametrization leaves objective,
-    projection and minimiser untouched while halving the arithmetic of the
-    batched refits.
+    time.  The complex design is the cached sparse matrix of
+    :func:`_design_for_modes`, and the step comes from Lanczos iteration on
+    its weighted normal operator.  The batched refits also need a dense
+    real-coordinate copy: the unknown is Hermitian, so splitting each complex
+    residual into its two quadratures over an isometric real parametrization
+    leaves objective, projection and minimiser untouched while halving their
+    arithmetic.  That copy and the eigendecomposition of its normal matrix
+    are built on first use, so a single fit never pays for them.
     """
 
     def __init__(self, table: MomentTable):
@@ -360,12 +407,17 @@ class _StateProblem:
         self.variances = variances
         self.weights = 1.0 / np.maximum(variances, max(floor, 1e-300))
         self.step = _curvature_step(self.design, self.weights)
-        _, _, to_vec = _hermitian_coords(self.dim)
-        design_z = self.design @ to_vec
-        self.design_real = np.ascontiguousarray(
-            np.vstack([np.real(design_z), np.imag(design_z)]))
         self.weights_real = np.concatenate([self.weights, self.weights])
         self._normal_eigs = None
+
+    @cached_property
+    def design_real(self) -> np.ndarray:
+        """Dense design over the real coordinates of :func:`_hermitian_coords`,
+        real-part rows stacked over imaginary-part rows."""
+        _, _, to_vec = _hermitian_coords(self.dim)
+        design_z = self.design @ to_vec
+        return np.ascontiguousarray(
+            np.vstack([np.real(design_z), np.imag(design_z)]))
 
     def normal_eigs(self):
         """Cached eigendecomposition of the real-coordinate normal matrix."""
@@ -485,18 +537,6 @@ def depolarized_chi(chi: np.ndarray, p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarization weight must be in [0, 1]")
     return (1.0 - p) * np.asarray(chi, dtype=complex) + p * np.eye(16) / 16.0
-
-
-def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Act with the process E(rho) = sum_nm chi_nm P_n rho P_m+."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for n in range(16):
-        left = _PAULIS_2Q[n] @ rho
-        for m in range(16):
-            c = chi[n, m]
-            if c != 0.0:
-                out += c * (left @ _PAULIS_2Q[m])
-    return out
 
 
 def chi_to_superop(chi: np.ndarray) -> np.ndarray:
@@ -804,7 +844,8 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     with the recorded variance of each mean and conjugate signature pairs
     kept conjugate, and each resample is refit by MLE from rho_hat.  With
     bias = median(F*) - F_hat, the 95 percent interval is the 2.5 and 97.5
-    percentiles of F* minus bias, so it always contains F_hat.
+    percentiles of F* minus bias, so it always contains F_hat.  ``sweeps`` is
+    the number of batched refit sweeps the resamples took to converge.
     """
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
@@ -822,7 +863,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     drawn = _draw_hermitian_rows(problem.signatures, model,
                                  problem.variances, resamples, rng)
 
-    mats, _ = _solve_state_batch(problem, drawn, base_rho.matrix)
+    mats, sweeps = _solve_state_batch(problem, drawn, base_rho.matrix)
     fidelities = np.array([qops.fidelity(m, target_rho) for m in mats])
 
     ordered = np.sort(fidelities)
@@ -838,6 +879,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
         "high": high,
         "width": high - low,
         "resamples": int(resamples),
+        "sweeps": int(sweeps),
         "seed": int(seed),
         "fidelities": fidelities,
     }

@@ -122,6 +122,34 @@ def test_qubit_correlated_moments():
     assert abs(x_table.mean((1, (0, 1))) - 0.5) < 3.0 * sigma(x_table, (1, (0, 1)))
 
 
+def test_moment_products_match_a_per_signature_loop():
+    """Every signature's per-shot product, formed one signature at a time as a
+    product of its mode factors, has the table's variance, and its mean where
+    no (1, 1) entry calls for dark deconvolution.  Mixed heterodyne and qubit
+    modes, over two chunks."""
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    batch, dark = shots.synthesize_shots(psi / np.linalg.norm(psi), 0.5, 70_000,
+                                         seed=6, qubit_bases={2: "x"})
+    table = shots.estimate_moments(batch, dark)
+    values = batch.values.astype(complex)
+    factors = {(0, 0): lambda s: 1.0, (1, 0): np.conj, (0, 1): lambda s: s,
+               (1, 1): lambda s: np.abs(s) ** 2}
+    for sig in table.signatures():
+        product = np.ones(batch.count, dtype=complex)
+        het = iter(range(values.shape[1]))
+        for entry in sig:
+            if isinstance(entry, tuple):
+                product = product * factors[entry](values[:, next(het)])
+            elif entry:
+                product = product * batch.outcomes[:, 0]
+        var = np.var(product, ddof=1)
+        assert abs(table.variance(sig) - var) <= 1e-10 * var
+        if (1, 1) not in sig:
+            assert abs(table.mean(sig) - product.mean()) < 1e-12
+        assert table.count(sig) == batch.count
+
+
 def test_reported_variance_matches_bootstrap(bell_run):
     batch, dark, table = bell_run
     rng = np.random.default_rng(11)

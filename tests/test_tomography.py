@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from slowlight import qops
 from slowlight.noise import ChannelStack, apply_channels
@@ -18,6 +19,9 @@ from slowlight.protocol import target_state
 from slowlight.shots import MomentTable, estimate_moments, synthesize_shots
 from slowlight.tomography import (
     PrepModel,
+    _curvature_step,
+    _design_for_modes,
+    _process_design,
     _solve_state_batch,
     _StateProblem,
     bootstrap_ci,
@@ -74,6 +78,13 @@ def test_single_photon_exact_recovery():
     rho, info = mle_state(moments_from_state(one))
     assert qops.fidelity(rho.matrix, np.outer(one, one.conj())) > 1.0 - 1e-8
     assert info["objective"] < 1e-10
+
+
+def test_five_mode_exact_recovery():
+    ideal = target_state("ring5").photon_density()
+    rho, info = mle_state(moments_from_state(ideal))
+    assert qops.fidelity(rho.matrix, ideal.matrix) >= 1.0 - 1e-6
+    assert info["kkt_residual"] < 1e-6
 
 
 def test_random_four_mode_pure_state_recovery():
@@ -135,6 +146,38 @@ def test_state_fit_input_validation(cluster_states):
     bad[sig] = (bad[sig][0], -1.0, 1)
     with pytest.raises(ValueError, match="non-negative"):
         mle_state(MomentTable(entries=bad, mode_bases=table.mode_bases))
+
+
+# ---------------------------------------------------------------------------
+# sparse moment design and curvature step
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
+def test_sparse_design_matches_dense_moment_rows(n_modes):
+    signatures, design = _design_for_modes(n_modes)
+    assert sp.issparse(design)
+    assert design.shape == (4**n_modes - 1, 4**n_modes)
+    assert design.nnz == 5**n_modes - 2**n_modes
+    assert not design.data.flags.writeable
+    if n_modes <= 5:
+        dense = np.array([qops.moment_operator(sig, n_modes).T.reshape(-1)
+                          for sig in signatures])
+        assert np.array_equal(design.toarray(), dense)
+        assert list(signatures) == qops.all_moment_signatures(n_modes)[1:]
+
+
+def test_curvature_step_is_reproducible_and_exact(noisy_table):
+    problem = _StateProblem(noisy_table)
+    process = _process_design(PrepModel(loss=0.1, thermal_pop=0.02,
+                                        readout_fidelity=0.97))
+    weights = np.linspace(0.5, 2.0, process.shape[0])
+    for design, w in ((problem.design, problem.weights), (process, weights)):
+        step = _curvature_step(design, w)
+        assert _curvature_step(design, w) == step
+        dense = design.toarray() if sp.issparse(design) else design
+        lam = np.linalg.eigvalsh(dense.conj().T @ (dense * w[:, None])).max()
+        assert abs(1.0 / (2.0 * step) - lam) <= 1e-12 * lam
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +263,7 @@ def test_bootstrap_is_deterministic_and_ranked():
     rep_b = bootstrap_ci(table, bell_rho, resamples=200, seed=3)
     assert rep_a["low"] == rep_b["low"] and rep_a["high"] == rep_b["high"]
     assert np.array_equal(rep_a["fidelities"], rep_b["fidelities"])
+    assert rep_a["sweeps"] == rep_b["sweeps"] < 5000
     ordered = np.sort(rep_a["fidelities"])
     assert rep_a["low"] == ordered[int(np.ceil(0.025 * 200)) - 1] - rep_a["bias"]
     assert rep_a["high"] == ordered[int(np.ceil(0.975 * 200)) - 1] - rep_a["bias"]
