@@ -172,6 +172,17 @@ class PureState:
         return json.dumps({"n_photons": self.n_photons, "basis": labels,
                            "amplitudes": entries}, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, text: str) -> "PureState":
+        """Read the schema to_json writes; the amplitudes come back bit for bit."""
+        payload = json.loads(text)
+        n = payload["n_photons"]
+        entries = np.asarray(payload["amplitudes"], dtype=float)
+        if entries.shape != (3 * 2 ** n, 2) or len(payload["basis"]) != len(entries):
+            raise ValueError(f"a {n}-photon state needs {3 * 2 ** n} amplitude pairs "
+                             f"and basis labels")
+        return cls((entries[:, 0] + 1j * entries[:, 1]).reshape((3,) + (2,) * n))
+
 
 class DensityMatrix:
     """Validated photon-register density matrix."""

@@ -10,7 +10,10 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slowlight import dynamics
 from slowlight.dynamics import (FAR_DETUNED, LatticeSystem, OutputRecord, cz_phase,
                                 emit_shaped, end_reflection, evolve, mirror_scatter,
                                 pulse_bandwidth, taper_echo_train,
@@ -134,6 +137,169 @@ def test_step_guard_names_limiting_rate():
     system = LatticeSystem(SPEC, G_UC)
     with pytest.raises(ValueError, match="too coarse"):
         evolve(system, "emitter", 1e-7, dt=1e-9)
+
+
+def test_step_bound_holds_inside_a_window_the_probes_miss():
+    # the 64 probe times of a 400 ns horizon lie 6.3 ns apart, so the
+    # 2 GHz window falls between two of them
+    window = (13e-9, 18e-9)
+
+    def detuning(t):
+        return np.where((window[0] <= t) & (t <= window[1]), TWO_PI * 2e9, 0.0)
+
+    system = LatticeSystem(SPEC, G_UC, emitter_detuning=detuning)
+    fastest = system.max_rate(np.linspace(*window, 11))
+    assert fastest == TWO_PI * 2e9
+    rec = evolve(system, "emitter", 400e-9)
+    assert rec.dt <= 0.05 / fastest
+    with pytest.raises(ValueError, match=r"too coarse.*2\.000e\+09 Hz"):
+        evolve(system, "emitter", 400e-9, dt=2e-11)
+
+
+@pytest.mark.parametrize("control", [
+    lambda t: 1.0 if t < 5e-9 else 0.0,
+    lambda t: np.zeros(3),
+])
+def test_controls_must_take_arrays_of_times(control):
+    system = LatticeSystem(SPEC, G_UC, coupling_scale=control)
+    with pytest.raises(TypeError, match="coupling_scale must accept an array of times"):
+        evolve(system, "emitter", 20e-9)
+
+
+def _oracle(system, initial, horizon, dt, samples=2000):
+    """Reference stage-by-stage RK4 loop: every stage applies H at its own
+    time, with each control called on a single float time."""
+    h0 = system._h0
+
+    def apply(t, psi):
+        out = h0 @ psi
+        g_e = float(system.coupling_scale(t)) * system.emitter_g + system.parasitic_g
+        out[0] += float(system.emitter_detuning(t)) * psi[0] + g_e * psi[1]
+        out[1] += g_e * psi[0]
+        dm = float(system.mirror_detuning(t))
+        if abs(dm) < FAR_DETUNED:
+            m, c = system.i_mirror, system.i_last
+            out[m] += dm * psi[m] + system.mirror_g * psi[c]
+            out[c] += system.mirror_g * psi[m]
+        return out
+
+    psi = np.zeros(system.dim, dtype=complex)
+    if isinstance(initial, str):
+        psi[{"emitter": system.i_emitter, "mirror": system.i_mirror}[initial]] = 1.0
+    else:
+        psi[:] = initial
+    n_steps = int(np.ceil(horizon / dt))
+    every = max(1, n_steps // samples)
+    i_out = system.i_taper2
+    kappa = system.waveguide.output_rate
+    fields = []
+    emitted = 0.0
+    flux_prev = kappa * abs(psi[i_out]) ** 2
+    t = 0.0
+    for step in range(n_steps + 1):
+        if step % every == 0 or step == n_steps:
+            fields.append(np.sqrt(kappa) * psi[i_out])
+        if step == n_steps:
+            break
+        k1 = apply(t, psi)
+        k2 = apply(t + 0.5 * dt, psi - 0.5j * dt * k1)
+        k3 = apply(t + 0.5 * dt, psi - 0.5j * dt * k2)
+        k4 = apply(t + dt, psi - 1j * dt * k3)
+        psi = psi - (1j * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        flux_now = kappa * abs(psi[i_out]) ** 2
+        emitted += 0.5 * dt * (flux_prev + flux_now)
+        flux_prev = flux_now
+    return np.array(fields), psi, emitted
+
+
+def _assert_matches_oracle(rec, system, initial, horizon, samples=2000):
+    a_out, final, emitted = _oracle(system, initial, horizon, rec.dt, samples)
+    assert rec.steps == int(np.ceil(horizon / rec.dt))
+    for got, want in ((rec.a_out, a_out), (rec.final_state, final)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert rec.emitted_energy == pytest.approx(emitted, rel=1e-12, abs=0.0)
+
+
+def _first_evolve(monkeypatch, fn, *args, **kwargs):
+    """Run fn and return the system, initial state and horizon of its first
+    evolve() call, with that call's record."""
+    calls = []
+
+    def recording(system, initial, horizon, *rest, **kw):
+        rec = evolve(system, initial, horizon, *rest, **kw)
+        calls.append((rec, system, initial, horizon))
+        return rec
+
+    monkeypatch.setattr(dynamics, "evolve", recording)
+    fn(*args, **kwargs)
+    return calls[0]
+
+
+def test_constant_controls_match_the_scalar_loop_and_cache_every_step():
+    system = LatticeSystem(SPEC, G_EF, TWO_PI * 1e6, G_MIRROR, coupling_scale=0.3,
+                           emitter_detuning=TWO_PI * 20e6,
+                           mirror_detuning=TWO_PI * 5e6)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    psi /= np.linalg.norm(psi)
+    rec = evolve(system, psi, 60e-9, samples=300)
+    assert rec.cached_steps == rec.steps
+    _assert_matches_oracle(rec, system, psi, 60e-9, samples=300)
+
+
+def test_mirror_switching_mid_run_matches_the_scalar_loop(monkeypatch, mirror_system):
+    # the mirror opens and closes while the emitter is idle, splitting a
+    # constant run between sample times
+    t_env, xi_env = erf_envelope(15e-9, 0.33, XI_PULSE, 30e-9, 0.1e-9)
+    rec, system, initial, horizon = _first_evolve(
+        monkeypatch, mirror_scatter, mirror_system, t_env, xi_env,
+        window=(47.3e-9, 151.7e-9), horizon=300e-9)
+    assert rec.steps // 2000 > 1
+    assert 0 < rec.cached_steps < rec.steps
+    _assert_matches_oracle(rec, system, initial, horizon)
+
+
+def test_cz_excited_branch_matches_the_scalar_loop(monkeypatch, mirror_system, pulse80):
+    rec, system, initial, horizon = _first_evolve(
+        monkeypatch, cz_phase, mirror_system, "e", *pulse80)
+    assert float(system.emitter_detuning(0.0)) == 0.0
+    assert 0 < rec.cached_steps < rec.steps
+    _assert_matches_oracle(rec, system, initial, horizon)
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(scale=st.floats(0.0, 1.0),
+       detunings=st.tuples(*[st.floats(-TWO_PI * 200e6, TWO_PI * 200e6)] * 2),
+       mirror_on=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_constant_controls_close_the_ledger_and_match_the_scalar_loop(
+        scale, detunings, mirror_on, seed):
+    d_e, d_m = detunings
+    system = LatticeSystem(SPEC, G_EF, 0.0, G_MIRROR, coupling_scale=scale,
+                           emitter_detuning=d_e,
+                           mirror_detuning=d_m if mirror_on else FAR_DETUNED)
+    # random amplitudes on the emitter, the mirror and the cells up to ten
+    # short of the taper: the packet reaches the load smoothly, as emitted
+    # pulses do, while weight placed on the taper itself would leave the
+    # output at once, faster than the step's trapezoid ledger resolves
+    rng = np.random.default_rng(seed)
+    psi = np.zeros(system.dim, dtype=complex)
+    inner = [*range(system.n_cells - 9), system.i_mirror]
+    psi[inner] = rng.standard_normal(len(inner)) + 1j * rng.standard_normal(len(inner))
+    psi /= np.linalg.norm(psi)
+    rec = evolve(system, psi, 100e-9, samples=40)
+    assert rec.emitted_energy > 0.01
+    assert abs(rec.emitted_energy + rec.remaining_norm - 1.0) < 1e-6
+    _assert_matches_oracle(rec, system, psi, 100e-9, samples=40)
+
+
+def test_device_pulse_caches_most_steps(rec80):
+    assert rec80.steps == int(np.ceil(rec80.t[-1] / rec80.dt))
+    assert rec80.cached_steps >= 0.7 * rec80.steps
+    by_hand = OutputRecord(rec80.t, rec80.a_out, None, None)
+    assert (by_hand.dt, by_hand.steps, by_hand.cached_steps) == (None, None, None)
 
 
 def test_envelope_validation():

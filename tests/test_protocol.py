@@ -268,6 +268,21 @@ def test_json_round_trip():
     assert doc2["basis"] == ["00", "01", "10", "11"]
 
 
+def test_pure_state_json_round_trip_is_bit_exact():
+    rng = np.random.default_rng(12)
+    for n in (0, 3):
+        amps = rng.standard_normal((3,) + (2,) * n) \
+            + 1j * rng.standard_normal((3,) + (2,) * n)
+        state = P.PureState(amps / np.linalg.norm(amps))
+        back = P.PureState.from_json(state.to_json())
+        assert back.n_photons == n
+        assert np.array_equal(back.amplitudes, state.amplitudes)
+    doc = json.loads(state.to_json())
+    doc["amplitudes"] = doc["amplitudes"][:-1]
+    with pytest.raises(ValueError, match="24 amplitude pairs"):
+        P.PureState.from_json(json.dumps(doc))
+
+
 def test_schedule_timing_metadata():
     steps = P.published_circuit("cluster4_2d")
     starts = P.schedule_times(steps)
