@@ -264,10 +264,9 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
 
     cz_gates defaults to one gate per fed-back photon listed.
     """
-    if isinstance(rho, protocol.DensityMatrix):
-        mat = rho.matrix
-    else:
-        mat = np.asarray(rho, dtype=complex)
+    mat = protocol.coerce_state(rho)
+    if mat.ndim == 1:
+        mat = np.outer(mat, mat.conj())
     n = protocol._photon_count(mat.shape[0])
     fed = sorted(set(fed_back_photons))
     for photon in fed:

@@ -158,9 +158,7 @@ class PureState:
         return _photon_rows(self.amplitudes[None], tol)[0]
 
     def photon_density(self, tol: float = 1e-9) -> "DensityMatrix":
-        vec = self.photons(tol=tol)
-        vec = vec / np.linalg.norm(vec)
-        return DensityMatrix(np.outer(vec, vec.conj()))
+        return DensityMatrix.from_pure(self.photons(tol=tol))
 
     def to_json(self) -> str:
         labels = []
@@ -216,6 +214,27 @@ class DensityMatrix:
         if payload.get("kind") != "density_matrix":
             raise ValueError("not a serialized density matrix")
         return cls(np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"]))
+
+
+def coerce_state(state) -> np.ndarray:
+    """The photon-register vector or density matrix of a state input.
+
+    A PureState gives its photon vector and a DensityMatrix its matrix.  A 1-D
+    array must have unit norm to within 1e-8 and is then divided by its norm,
+    as DensityMatrix.from_pure does; a 2-D array must pass
+    qops.validate_density at tol 1e-8.  Callers that need a matrix take the
+    outer product of a vector.
+    """
+    if isinstance(state, DensityMatrix):
+        return state.matrix
+    arr = state.photons() if isinstance(state, PureState) else np.asarray(state, dtype=complex)
+    if arr.ndim != 1:
+        qops.validate_density(arr, tol=1e-8)
+        return arr
+    norm = np.linalg.norm(arr)
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"state vector norm {norm:.12g} is not 1")
+    return arr / norm
 
 
 def _photon_count(dim: int) -> int:
@@ -438,12 +457,7 @@ def target_graph(name: str):
 
 def stabilizer_expectations(state, edges, n_photons: int | None = None) -> np.ndarray:
     """<X_v Z_neighbours> for every vertex of the graph, 1-based edges."""
-    if isinstance(state, PureState):
-        obj: np.ndarray = state.photons()
-    elif isinstance(state, DensityMatrix):
-        obj = state.matrix
-    else:
-        obj = np.asarray(state, dtype=complex)
+    obj = coerce_state(state)
     dim = obj.shape[0]
     n = _photon_count(dim)
     if n_photons is not None and n_photons != n:
@@ -465,22 +479,11 @@ def stabilizer_expectations(state, edges, n_photons: int | None = None) -> np.nd
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (squared convention) between states of any mix of
     pure vectors and density matrices."""
-    a = _fidelity_operand(rho)
-    b = _fidelity_operand(sigma)
+    a = coerce_state(rho)
+    b = coerce_state(sigma)
     if a.shape[0] != b.shape[0]:
         raise ValueError("states have different dimensions")
     return qops.fidelity(a, b)
-
-
-def _fidelity_operand(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        return state.photons()
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 2:
-        qops.validate_density(arr, tol=1e-8)
-    return arr
 
 
 def virtual_z_sweep(steps, phases) -> np.ndarray:

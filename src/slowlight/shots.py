@@ -31,7 +31,6 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from . import protocol
-from . import qops
 
 _CHUNK = 1 << 16
 _MAGIC = b"SHOT"
@@ -204,14 +203,9 @@ def _sample_chunk(psi, n_modes, bases, count, rng, n_noise):
 
 def _state_ensemble(rho):
     """(probabilities, pure-state vectors) of the sampled state."""
-    if isinstance(rho, protocol.PureState):
-        rho = rho.photons()
-    if isinstance(rho, protocol.DensityMatrix):
-        rho = rho.matrix
-    arr = np.asarray(rho, dtype=complex)
+    arr = protocol.coerce_state(rho)
     if arr.ndim == 1:
-        return np.array([1.0]), arr[None, :] / np.linalg.norm(arr)
-    qops.validate_density(arr)
+        return np.array([1.0]), arr[None, :]
     vals, vecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     keep = vals > 1e-12
     probs = vals[keep] / vals[keep].sum()

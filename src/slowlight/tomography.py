@@ -38,14 +38,16 @@ subspace inside the same monotone projected-gradient loop.
 A reconstructed chi is only defined up to local Z rotations on either qubit,
 because virtual-Z frame choices commute through the dispersive readout.
 :func:`gauge_fix_local_z` scans a 256 x 256 grid of frame angles and polishes
-the best point, reporting the frame in which the gate is closest to CZ.
+the best point with Newton steps, reporting the frame in which the gate is
+closest to CZ.
 
 Confidence intervals come from a parametric bootstrap around the fitted
 model: moment vectors are drawn from normals centred on the moments of the
 fitted state with the recorded variances, the resampled tables are inverted
 with warm starts from the fitted state, and the percentiles of the refit
-fidelities, shifted down by their median's offset from the estimate (the
-bias), give the interval.
+fidelities, shifted by their median's offset from the estimate, give the
+interval.  That shift only re-centres the interval on the estimate; it
+removes no bias of the estimate itself.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +63,7 @@ import scipy.sparse.linalg as spla
 
 from . import qops
 from .noise import amplitude_damping_kraus
-from .protocol import DensityMatrix, PureState
+from .protocol import DensityMatrix, _photon_count, coerce_state
 from .shots import MomentTable
 
 STOP_TOL = 1e-10
@@ -80,15 +82,9 @@ CORRELATOR_LABELS = tuple(
 )
 
 
-def _coerce_density(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        state = state.photon_density()
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    rho = np.asarray(state, dtype=complex)
-    if rho.ndim == 1:
-        return np.outer(rho, rho.conj())
-    return rho
+def _density(state) -> np.ndarray:
+    arr = coerce_state(state)
+    return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
 
 
 def moments_from_state(state, variance: float = 1.0, count: int = 1,
@@ -103,10 +99,8 @@ def moments_from_state(state, variance: float = 1.0, count: int = 1,
     per-shot variances are a property of the detection noise alone, so scaling
     the count rescales the variance of every mean by the usual 1/N law.
     """
-    rho = _coerce_density(state)
-    n_modes = int(round(np.log2(rho.shape[0])))
-    if rho.shape != (2**n_modes, 2**n_modes):
-        raise ValueError("state dimension is not a power of two")
+    rho = _density(state)
+    n_modes = _photon_count(rho.shape[0])
     signatures, design = _design_for_modes(n_modes)
     identity = tuple((0, 0) for _ in range(n_modes))
     means = [complex(np.trace(rho))] + list(design @ rho.reshape(-1))
@@ -312,72 +306,25 @@ def _design_for_modes(n_modes: int):
     return kept, design
 
 
-@lru_cache(maxsize=8)
-def _hermitian_coords(dim: int):
-    """Index arrays of the isometric real parametrization of Hermitian dim x dim.
-
-    Coordinates are the diagonal, then sqrt(2) times the real parts of the
-    upper triangle, then sqrt(2) times the imaginary parts, so Euclidean
-    lengths and hence projections agree exactly with the complex picture.
-    """
-    iu, ju = np.triu_indices(dim, k=1)
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    k = 0
-    for d in range(dim):
-        basis[k, d, d] = 1.0
-        k += 1
-    root = 1.0 / np.sqrt(2.0)
-    for a, b in zip(iu, ju):
-        basis[k, a, b] = root
-        basis[k, b, a] = root
-        k += 1
-    for a, b in zip(iu, ju):
-        basis[k, a, b] = 1j * root
-        basis[k, b, a] = -1j * root
-        k += 1
-    to_vec = basis.reshape(dim * dim, dim * dim).T.copy()
-    to_vec.setflags(write=False)
-    return iu, ju, to_vec
-
-
-def _mats_from_coords(z: np.ndarray, dim: int) -> np.ndarray:
-    iu, ju, _ = _hermitian_coords(dim)
-    rows = z.shape[0]
-    k = iu.size
-    mats = np.zeros((rows, dim, dim), dtype=complex)
-    mats[:, np.arange(dim), np.arange(dim)] = z[:, :dim]
-    upper = (z[:, dim:dim + k] + 1j * z[:, dim + k:]) / np.sqrt(2.0)
-    mats[:, iu, ju] = upper
-    mats[:, ju, iu] = upper.conj()
-    return mats
-
-
-def _coords_from_mats(mats: np.ndarray, dim: int) -> np.ndarray:
-    iu, ju, _ = _hermitian_coords(dim)
-    rows = mats.shape[0]
-    z = np.empty((rows, dim * dim))
-    z[:, :dim] = np.real(mats[:, np.arange(dim), np.arange(dim)])
-    upper = mats[:, iu, ju] * np.sqrt(2.0)
-    k = iu.size
-    z[:, dim:dim + k] = np.real(upper)
-    z[:, dim + k:] = np.imag(upper)
-    return z
-
-
 class _StateProblem:
     """Design, weights and curvature of one table, reusable across refits.
 
     The design depends only on the mode count and the weights only on the
     recorded variances, so a bootstrap can solve a thousand resampled target
     vectors against one problem instead of refactoring the quadratic each
-    time.  The complex design is the cached sparse matrix of
+    time.  The design is the cached sparse matrix of
     :func:`_design_for_modes`, and the step comes from Lanczos iteration on
-    its weighted normal operator.  The batched refits also need a dense
-    real-coordinate copy: the unknown is Hermitian, so splitting each complex
-    residual into its two quadratures over an isometric real parametrization
-    leaves objective, projection and minimiser untouched while halving their
-    arithmetic.  That copy and the eigendecomposition of its normal matrix
-    are built on first use, so a single fit never pays for them.
+    its weighted normal operator.
+
+    The unknown is Hermitian but the design acts on all of C^(d x d).  Its
+    rows come in conjugate pairs: the row of the signature with every
+    (n_k, m_k) swapped maps X to the conjugate of what the original row maps
+    X+ to, the pair carries one weight, and in every table and every
+    bootstrap draw (:func:`_draw_hermitian_rows`) its targets are conjugate.
+    So the objective is invariant under X -> X+, and a strictly convex
+    subproblem built on it has a Hermitian minimiser.  For the same reason
+    D+ W D commutes with X -> X+, so its spectrum is that of its restriction
+    to Hermitian matrices.
     """
 
     def __init__(self, table: MomentTable):
@@ -407,31 +354,6 @@ class _StateProblem:
         self.variances = variances
         self.weights = 1.0 / np.maximum(variances, max(floor, 1e-300))
         self.step = _curvature_step(self.design, self.weights)
-        self.weights_real = np.concatenate([self.weights, self.weights])
-        self._normal_eigs = None
-
-    @cached_property
-    def design_real(self) -> np.ndarray:
-        """Dense design over the real coordinates of :func:`_hermitian_coords`,
-        real-part rows stacked over imaginary-part rows."""
-        _, _, to_vec = _hermitian_coords(self.dim)
-        design_z = self.design @ to_vec
-        return np.ascontiguousarray(
-            np.vstack([np.real(design_z), np.imag(design_z)]))
-
-    def normal_eigs(self):
-        """Cached eigendecomposition of the real-coordinate normal matrix."""
-        if self._normal_eigs is None:
-            hess = self.design_real.T @ (self.design_real
-                                         * self.weights_real[:, None])
-            lam, basis = np.linalg.eigh(hess)
-            self._normal_eigs = (np.maximum(lam, 0.0), basis)
-        return self._normal_eigs
-
-    def objective(self, state, targets=None) -> float:
-        targets = self.targets if targets is None else targets
-        resid = self.design @ _coerce_density(state).reshape(-1) - targets
-        return float(np.real(np.sum(self.weights * np.abs(resid) ** 2)))
 
     def solve(self, targets=None, x0=None, stop_tol=STOP_TOL, max_iters=MAX_ITERS):
         targets = self.targets if targets is None else targets
@@ -443,7 +365,7 @@ class _StateProblem:
         if x0 is None:
             start = (np.eye(dim, dtype=complex) / dim).reshape(-1)
         else:
-            start = _coerce_density(x0).reshape(-1)
+            start = _density(x0).reshape(-1)
         x, info = _monotone_apg(self.design, self.weights, targets, project,
                                 start, stop_tol, max_iters, step=self.step)
         rho = x.reshape(dim, dim)
@@ -455,11 +377,16 @@ def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
                        max_iters: int = 5000):
     """Solve one state problem against many target vectors at once.
 
-    The batched refits use an operator-splitting iteration instead of the
-    scalar projected-gradient loop: the quadratic misfit is minimised exactly
-    every sweep in the cached eigenbasis of the normal matrix, the physical-
-    state constraint is handled by the simplex projection on a copy of the
-    iterate, and a scaled dual variable stitches the two copies together.
+    The batched refits use an operator-splitting iteration (ADMM) instead of
+    the scalar projected-gradient loop: the quadratic misfit is minimised
+    exactly every sweep in the eigenbasis of the normal matrix D+ W D, the
+    physical-state constraint is handled by the simplex projection on a copy
+    of the iterate, and a scaled dual variable stitches the two copies
+    together.  Iterates are rows of vec(rho), and the misfit step is one
+    product with (2 D+ W D + sigma)^-1, transposed for the row layout.  That
+    step minimises a strictly convex quadratic whose conjugate-paired rows
+    (see :class:`_StateProblem`) make it invariant under X -> X+, so from a
+    Hermitian start every iterate stays Hermitian, as the projection's are.
     The penalty weight starts a few times below the geometric mean of the
     curvature spectrum and is rebalanced whenever the feasibility and
     matching residuals drift apart, which keeps the sweep count flat across
@@ -467,34 +394,33 @@ def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
     ``stop_tol``, which puts the refit fidelities within about ``stop_tol``
     of the scalar solver's answers - far tighter than a percentile needs.
     """
-    dim = problem.dim
-    lam, basis = problem.normal_eigs()
+    dim, design = problem.dim, problem.design
+    normal = design.conj().T @ sp.diags(problem.weights) @ design
+    lam, basis = np.linalg.eigh(normal.toarray())
+    lam = np.maximum(lam, 0.0)
     positive = lam[lam > 1e-9 * lam.max()]
     sigma = 0.2 * float(np.exp(np.mean(np.log(positive))))
-    targets = np.hstack([np.real(target_rows), np.imag(target_rows)])
-    b = 2.0 * ((problem.weights_real * targets) @ problem.design_real)
+    b = 2.0 * ((problem.weights * target_rows) @ design.conj())
     rows = target_rows.shape[0]
-    z = np.tile(_coords_from_mats(
-        _coerce_density(x0)[None, :, :], dim)[0], (rows, 1))
+    z = np.tile(x0.reshape(-1), (rows, 1))
     u = np.zeros_like(z)
+    op = None
     for it in range(1, max_iters + 1):
-        x = ((b + sigma * (z - u)) @ basis / (2.0 * lam + sigma)) @ basis.T
-        z_new = _coords_from_mats(
-            qops.project_density(_mats_from_coords(x + u, dim)), dim)
+        if op is None:
+            op = ((basis / (2.0 * lam + sigma)) @ basis.conj().T).T
+        x = (b + sigma * (z - u)) @ op
+        z_new = qops.project_density((x + u).reshape(rows, dim, dim)).reshape(rows, -1)
         dual = np.linalg.norm(z_new - z, axis=1)
         z = z_new
         u += x - z
         primal = np.linalg.norm(x - z, axis=1)
         if primal.max() < stop_tol and dual.max() < stop_tol:
-            return _mats_from_coords(z, dim), it
+            return z.reshape(rows, dim, dim), it
         if it % 50 == 0:
             p_med, d_med = np.median(primal), np.median(dual)
-            if p_med > 10.0 * d_med:
-                sigma *= 2.0
-                u /= 2.0
-            elif d_med > 10.0 * p_med:
-                sigma /= 2.0
-                u *= 2.0
+            scale = 2.0 if p_med > 10.0 * d_med else 0.5 if d_med > 10.0 * p_med else 1.0
+            if scale != 1.0:
+                sigma, u, op = sigma * scale, u / scale, None
     raise RuntimeError(
         f"batched MLE refits did not converge within {max_iters} sweeps"
     )
@@ -502,7 +428,9 @@ def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
 
 def moment_objective(table: MomentTable, state) -> float:
     """Weighted least-squares objective of a candidate state against the table."""
-    return _StateProblem(table).objective(state)
+    problem = _StateProblem(table)
+    resid = problem.design @ _density(state).reshape(-1) - problem.targets
+    return float(np.real(np.sum(problem.weights * np.abs(resid) ** 2)))
 
 
 def mle_state(table: MomentTable, x0=None, stop_tol: float = STOP_TOL,
@@ -797,34 +725,45 @@ def _gauge_objective_coeffs(chi: np.ndarray):
     return coeffs
 
 
-def _gauge_fidelity(coeffs: np.ndarray, theta1, theta2):
+def _gauge_fidelity(coeffs: np.ndarray, theta1, theta2, d1: int = 0, d2: int = 0):
+    """F(theta1, theta2), or its d1-th derivative in theta1 and d2-th in
+    theta2: each derivative brings down -i times the harmonic order."""
     orders = np.arange(-1, 2)
-    e1 = np.exp(-1j * np.multiply.outer(np.asarray(theta1), orders))
-    e2 = np.exp(-1j * np.multiply.outer(np.asarray(theta2), orders))
+    e1 = (-1j * orders) ** d1 * np.exp(-1j * np.multiply.outer(np.asarray(theta1), orders))
+    e2 = (-1j * orders) ** d2 * np.exp(-1j * np.multiply.outer(np.asarray(theta2), orders))
     return np.real(np.einsum("...a,ab,...b->...", e1, coeffs, e2)) / 16.0
 
 
 def gauge_fix_local_z(chi: np.ndarray, grid: int = 256):
     """Find the local-Z frame in which a process is closest to the ideal CZ.
 
-    Scans a grid x grid angle lattice, refines the best point with a simplex
-    polish, and returns (chi_fixed, (theta1, theta2), fidelity).
+    Scans a grid x grid angle lattice and polishes the best point with Newton
+    steps on the closed-form gradient and Hessian of the 3 x 3 harmonic
+    polynomial, while the Hessian there is negative definite.  Newton
+    converges quadratically, so the angles come out to roundoff even though
+    the fidelity is flat to second order at its maximum.  Returns
+    (chi_fixed, (theta1, theta2), fidelity).
     """
-    from scipy.optimize import minimize
-
     coeffs = _gauge_objective_coeffs(chi)
     angles = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     landscape = _gauge_fidelity(coeffs, angles[:, None], angles[None, :])
     i, j = np.unravel_index(np.argmax(landscape), landscape.shape)
-
-    def negated(t):
-        return -_gauge_fidelity(coeffs, t[0], t[1])
-
-    result = minimize(negated, x0=[angles[i], angles[j]], method="Nelder-Mead",
-                      options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    theta1, theta2 = (np.angle(np.exp(1j * t)) for t in result.x)
+    theta = np.array([angles[i], angles[j]])
+    for _ in range(50):
+        grad = np.array([_gauge_fidelity(coeffs, *theta, 1, 0),
+                         _gauge_fidelity(coeffs, *theta, 0, 1)])
+        cross = _gauge_fidelity(coeffs, *theta, 1, 1)
+        hess = np.array([[_gauge_fidelity(coeffs, *theta, 2, 0), cross],
+                         [cross, _gauge_fidelity(coeffs, *theta, 0, 2)]])
+        if not (hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0):
+            break
+        step = np.linalg.solve(hess, grad)
+        theta = theta - step
+        if np.max(np.abs(step)) < 1e-12:
+            break
+    theta1, theta2 = np.angle(np.exp(1j * theta))
     fixed = compose_local_z(chi, theta1, theta2)
-    return fixed, (float(theta1), float(theta2)), float(-result.fun)
+    return fixed, (float(theta1), float(theta2)), float(_gauge_fidelity(coeffs, theta1, theta2))
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +777,17 @@ def _conjugate_signature(sig):
 
 def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
-    """Bias-shifted parametric bootstrap interval for the fidelity to a target.
+    """Parametric bootstrap interval for the fidelity to a target, re-centred
+    on the estimate.
 
     Moments are redrawn around the fitted model's moments D vec(rho_hat),
     with the recorded variance of each mean and conjugate signature pairs
     kept conjugate, and each resample is refit by MLE from rho_hat.  With
     bias = median(F*) - F_hat, the 95 percent interval is the 2.5 and 97.5
-    percentiles of F* minus bias, so it always contains F_hat.  ``sweeps`` is
-    the number of batched refit sweeps the resamples took to converge.
+    percentiles of F* minus bias, so it always contains F_hat.  The shift
+    only re-centres the spread of F* on F_hat: it removes no bias of F_hat
+    itself, so the interval inherits whatever bias the MLE has.  ``sweeps``
+    is the number of batched refit sweeps the resamples took to converge.
     """
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
@@ -853,8 +795,8 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
         warnings.warn("fewer than 100 resamples gives an unreliable interval")
     problem = _StateProblem(table)
     base_rho, base_info = problem.solve()
-    target_rho = _coerce_density(target)
-    estimate = qops.fidelity(base_rho.matrix, target_rho)
+    target = coerce_state(target)
+    estimate = qops.fidelity(base_rho.matrix, target)
 
     # draw every resampled target vector up front; conjugate pairing keeps
     # each synthetic table a Hermitian measurement record
@@ -864,7 +806,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                                  problem.variances, resamples, rng)
 
     mats, sweeps = _solve_state_batch(problem, drawn, base_rho.matrix)
-    fidelities = np.array([qops.fidelity(m, target_rho) for m in mats])
+    fidelities = np.array([qops.fidelity(m, target) for m in mats])
 
     ordered = np.sort(fidelities)
     low_idx = max(0, int(np.ceil(0.025 * resamples)) - 1)
@@ -892,7 +834,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
 
 def state_to_json(state, extra: dict | None = None) -> str:
     """A state in the DensityMatrix JSON schema; see DensityMatrix.to_json."""
-    return DensityMatrix(_coerce_density(state)).to_json(extra)
+    return DensityMatrix(_density(state)).to_json(extra)
 
 
 def state_from_json(text: str) -> DensityMatrix:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from slowlight import dynamics
 from slowlight.dynamics import (FAR_DETUNED, LatticeSystem, OutputRecord, cz_phase,
@@ -193,8 +194,7 @@ def _oracle(system, initial, horizon, dt, samples=2000):
     i_out = system.i_taper2
     kappa = system.waveguide.output_rate
     fields = []
-    emitted = 0.0
-    flux_prev = kappa * abs(psi[i_out]) ** 2
+    flux = [kappa * abs(psi[i_out]) ** 2]
     t = 0.0
     for step in range(n_steps + 1):
         if step % every == 0 or step == n_steps:
@@ -207,10 +207,8 @@ def _oracle(system, initial, horizon, dt, samples=2000):
         k4 = apply(t + dt, psi - 1j * dt * k3)
         psi = psi - (1j * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
-        flux_now = kappa * abs(psi[i_out]) ** 2
-        emitted += 0.5 * dt * (flux_prev + flux_now)
-        flux_prev = flux_now
-    return np.array(fields), psi, emitted
+        flux.append(kappa * abs(psi[i_out]) ** 2)
+    return np.array(fields), psi, simpson(np.array(flux), dx=dt)
 
 
 def _assert_matches_oracle(rec, system, initial, horizon, samples=2000):
@@ -280,19 +278,25 @@ def test_constant_controls_close_the_ledger_and_match_the_scalar_loop(
     system = LatticeSystem(SPEC, G_EF, 0.0, G_MIRROR, coupling_scale=scale,
                            emitter_detuning=d_e,
                            mirror_detuning=d_m if mirror_on else FAR_DETUNED)
-    # random amplitudes on the emitter, the mirror and the cells up to ten
-    # short of the taper: the packet reaches the load smoothly, as emitted
-    # pulses do, while weight placed on the taper itself would leave the
-    # output at once, faster than the step's trapezoid ledger resolves
     rng = np.random.default_rng(seed)
-    psi = np.zeros(system.dim, dtype=complex)
-    inner = [*range(system.n_cells - 9), system.i_mirror]
-    psi[inner] = rng.standard_normal(len(inner)) + 1j * rng.standard_normal(len(inner))
+    psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
     psi /= np.linalg.norm(psi)
     rec = evolve(system, psi, 100e-9, samples=40)
     assert rec.emitted_energy > 0.01
     assert abs(rec.emitted_energy + rec.remaining_norm - 1.0) < 1e-6
     _assert_matches_oracle(rec, system, psi, 100e-9, samples=40)
+
+
+def test_ledger_closes_with_weight_on_the_taper():
+    # weight on the taper sites leaves through the load within the first
+    # steps; a trapezoid over the per-step flux left 1.22e-6 here
+    system = LatticeSystem(SPEC, G_EF, 0.0, G_MIRROR, coupling_scale=0.0,
+                           mirror_detuning=FAR_DETUNED)
+    rng = np.random.default_rng(1384)
+    psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    psi /= np.linalg.norm(psi)
+    rec = evolve(system, psi, 20e-9, samples=40)
+    assert abs(rec.emitted_energy + rec.remaining_norm - 1.0) < 1e-6
 
 
 def test_device_pulse_caches_most_steps(rec80):

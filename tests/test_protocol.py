@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slowlight import noise, shots, tomography
 from slowlight import protocol as P
 from slowlight import qops
 
@@ -307,3 +308,69 @@ def test_pure_state_helpers():
     emb = P.PureState.from_photonic(np.array([0.0, 1.0], dtype=complex))
     assert emb.n_photons == 1
     np.testing.assert_allclose(emb.photons(), [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# one state-coercion rule at every entry point
+# ---------------------------------------------------------------------------
+
+
+BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def _bootstrap_figures(state):
+    table = tomography.moments_from_state(BELL, variance=0.01, count=400)
+    ci = tomography.bootstrap_ci(table, state, resamples=100, seed=3)
+    return np.array([ci["estimate"], ci["low"], ci["high"]])
+
+
+def _moment_means(state):
+    table = tomography.moments_from_state(state)
+    return np.array([table.mean(sig) for sig in table.signatures()])
+
+
+def _shot_values(state):
+    return shots.synthesize_shots(state, 0.5, 300, seed=2)[0].values
+
+
+def _channel_output(state):
+    return noise.apply_channels(state, noise.ChannelStack(), (1,), 1).matrix
+
+
+STATE_ENTRY_POINTS = {
+    "bootstrap_ci": _bootstrap_figures,
+    "moments_from_state": _moment_means,
+    "synthesize_shots": _shot_values,
+    "fidelity": lambda state: P.fidelity(state, BELL),
+    "stabilizer_expectations": lambda state: P.stabilizer_expectations(state, [(1, 2)]),
+    "apply_channels": _channel_output,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRY_POINTS))
+def test_every_state_entry_point_coerces_by_one_rule(entry):
+    call = STATE_ENTRY_POINTS[entry]
+    rho = P.DensityMatrix.from_pure(BELL)
+    # an unnormalised vector or matrix raises instead of scaling the result
+    with pytest.raises(ValueError, match="norm 2 is not 1"):
+        call(2.0 * BELL)
+    with pytest.raises(ValueError, match="trace 2 is not 1"):
+        call(2.0 * rho.matrix)
+    pure = call(P.PureState.from_photonic(BELL))
+    vector = call(BELL)
+    density = call(rho)
+    matrix = call(rho.matrix.copy())
+    np.testing.assert_array_equal(pure, vector)
+    np.testing.assert_array_equal(density, matrix)
+    if entry != "synthesize_shots":
+        # shots sample a vector directly and a matrix through its eigenvectors
+        np.testing.assert_allclose(vector, density, rtol=0.0, atol=1e-12)
+
+
+def test_coerce_state_normalises_within_tolerance():
+    near = BELL * (1.0 + 5e-9)
+    np.testing.assert_array_equal(P.coerce_state(near), near / np.linalg.norm(near))
+    with pytest.raises(ValueError, match="norm"):
+        P.coerce_state(BELL * (1.0 + 2e-8))
+    with pytest.raises(ValueError, match="square"):
+        P.coerce_state(np.ones((2, 2, 2)))

@@ -452,6 +452,18 @@ def test_gauge_fix_recovers_planted_frame():
     assert abs(process_fidelity(fixed, ideal_cz_chi()) - ceiling) < 1e-6
 
 
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+def test_gauge_fix_pins_planted_frames_to_roundoff(p):
+    chi_true = depolarized_chi(ideal_cz_chi(), p)
+    ceiling = process_fidelity(chi_true, ideal_cz_chi())
+    for theta1, theta2 in ((0.7, -1.3), (0.0, 0.0), (3.1, -2.9), (-2.2, 0.4)):
+        planted = compose_local_z(chi_true, theta1, theta2)
+        _, (t1, t2), fval = gauge_fix_local_z(planted)
+        assert abs(np.angle(np.exp(1j * (t1 + theta1)))) < 1e-12
+        assert abs(np.angle(np.exp(1j * (t2 + theta2)))) < 1e-12
+        assert abs(fval - ceiling) < 1e-12
+
+
 def test_gauge_fix_leaves_aligned_process_alone():
     chi_true = depolarized_chi(ideal_cz_chi(), 0.1)
     fixed, (t1, t2), fval = gauge_fix_local_z(chi_true)
