@@ -50,12 +50,6 @@ def moment_operator(signature, n_modes: int) -> np.ndarray:
     return kron_all([single_mode_moment(n, m) for n, m in signature])
 
 
-def annihilator(k: int, n_modes: int) -> np.ndarray:
-    ops = [ID2] * n_modes
-    ops[k] = A_OP
-    return kron_all(ops)
-
-
 def pauli_string(label: str) -> np.ndarray:
     return kron_all([PAULIS[c] for c in label])
 

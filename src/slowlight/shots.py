@@ -353,10 +353,6 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
 
     options = [((0, 0), (1, 0), (0, 1), (1, 1)) if not batch.mode_bases[m - 1]
                else (0, 1) for m in range(1, batch.n_modes + 1)]
-    signatures = [()]
-    for opts in options:
-        signatures = [sig + (o,) for sig in signatures for o in opts]
-
     # split the register in half so every signature product is one entry of a
     # left-half times right-half matrix product, letting BLAS accumulate the
     # means and second moments instead of a python loop over signatures
@@ -367,6 +363,8 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     right_sigs = [()]
     for opts in options[split:]:
         right_sigs = [sig + (o,) for sig in right_sigs for o in opts]
+    # left half slowest, so this is the full product with the first mode slowest
+    signatures = [lsig + rsig for lsig in left_sigs for rsig in right_sigs]
 
     het_col = {mode: i for i, mode in enumerate(het)}
     qub_col = {mode: i for i, mode in enumerate(qub)}
@@ -410,14 +408,13 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     raw = {}
     variances = {}
     count = batch.count
-    for li, lsig in enumerate(left_sigs):
-        for ri, rsig in enumerate(right_sigs):
-            mean = sum_prod[li, ri] / count
-            raw[lsig + rsig] = complex(mean)
-            spread = sum_sq[li, ri] - count * abs(mean) ** 2
-            variances[lsig + rsig] = max(float(spread), 0.0) / max(count - 1, 1)
+    for sig, total, total_sq in zip(signatures, sum_prod.reshape(-1),
+                                    sum_sq.reshape(-1)):
+        mean = total / count
+        raw[sig] = complex(mean)
+        spread = total_sq - count * abs(mean) ** 2
+        variances[sig] = max(float(spread), 0.0) / max(count - 1, 1)
 
-    het_index = {mode: i for i, mode in enumerate(het)}
     deconvolved = {}
     for sig in sorted(signatures, key=lambda s: sum(1 for e in s if e == (1, 1))):
         both = [k for k, e in enumerate(sig) if e == (1, 1)]
@@ -425,7 +422,7 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         for mask in range(1, 1 << len(both)):
             subset = [both[b] for b in range(len(both)) if mask >> b & 1]
             lower = tuple((0, 0) if k in subset else e for k, e in enumerate(sig))
-            weight = math.prod(dark_power[het_index[k + 1]] for k in subset)
+            weight = math.prod(dark_power[het_col[k + 1]] for k in subset)
             value = value - weight * deconvolved[lower]
         deconvolved[sig] = value
 

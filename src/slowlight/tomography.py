@@ -41,13 +41,14 @@ because virtual-Z frame choices commute through the dispersive readout.
 the best point with Newton steps, reporting the frame in which the gate is
 closest to CZ.
 
-Confidence intervals come from a parametric bootstrap around the fitted
-model: moment vectors are drawn from normals centred on the moments of the
-fitted state with the recorded variances, the resampled tables are inverted
-with warm starts from the fitted state, and the percentiles of the refit
-fidelities, shifted by their median's offset from the estimate, give the
-interval.  That shift only re-centres the interval on the estimate; it
-removes no bias of the estimate itself.
+Confidence intervals come from a parametric bootstrap of the direct (linear)
+fidelity estimate, not of the MLE.  The overlap Tr(rho sigma) with a target
+sigma, the fidelity when sigma is pure, is linear in rho, and the moments
+with the unit trace determine rho, so it is one fixed weighted sum c . m of
+the measured moments.  Moment vectors are drawn from normals centred on the
+measured means with the recorded variances, and the percentiles of c . m*
+give the interval.  No resample is refit, so the positivity constraint that
+biases the MLE never enters, and the interval is not clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -194,8 +195,7 @@ def _curvature_step(design, weights) -> float:
     return 1.0 / (2.0 * lam)
 
 
-def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters,
-                  step=None):
+def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters):
     """Minimise ||sqrt(w)(design @ x - targets)||^2 over project's convex set.
 
     x is the flattened matrix variable.  Momentum follows FISTA, but any
@@ -208,8 +208,7 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters,
     the latest descent direction, which kills the slow objective rippling an
     ill-conditioned quadratic otherwise produces under plain acceleration.
     """
-    if step is None:
-        step = _curvature_step(design, weights)
+    step = _curvature_step(design, weights)
     adjoint = design.conj().T
 
     def objective(x):
@@ -307,24 +306,11 @@ def _design_for_modes(n_modes: int):
 
 
 class _StateProblem:
-    """Design, weights and curvature of one table, reusable across refits.
+    """Design, targets and weights of one table.
 
-    The design depends only on the mode count and the weights only on the
-    recorded variances, so a bootstrap can solve a thousand resampled target
-    vectors against one problem instead of refactoring the quadratic each
-    time.  The design is the cached sparse matrix of
-    :func:`_design_for_modes`, and the step comes from Lanczos iteration on
-    its weighted normal operator.
-
-    The unknown is Hermitian but the design acts on all of C^(d x d).  Its
-    rows come in conjugate pairs: the row of the signature with every
-    (n_k, m_k) swapped maps X to the conjugate of what the original row maps
-    X+ to, the pair carries one weight, and in every table and every
-    bootstrap draw (:func:`_draw_hermitian_rows`) its targets are conjugate.
-    So the objective is invariant under X -> X+, and a strictly convex
-    subproblem built on it has a Hermitian minimiser.  For the same reason
-    D+ W D commutes with X -> X+, so its spectrum is that of its restriction
-    to Hermitian matrices.
+    The design is the cached sparse matrix of :func:`_design_for_modes`,
+    which depends only on the mode count, and the weights are the inverse
+    recorded variances of the means.
     """
 
     def __init__(self, table: MomentTable):
@@ -333,8 +319,8 @@ class _StateProblem:
             raise ValueError("state tomography needs heterodyne moments on every mode")
         have = set(table.signatures())
         total = 4**n_modes
-        if len([s for s in qops.all_moment_signatures(n_modes) if s in have]) < total:
-            missing = total - len(have)
+        missing = sum(s not in have for s in qops.all_moment_signatures(n_modes))
+        if missing:
             raise ValueError(
                 f"moment table is missing {missing} of the {total} signatures"
             )
@@ -347,16 +333,17 @@ class _StateProblem:
             var = table.variance(sig)
             if var < 0.0:
                 raise ValueError("moment variances must be non-negative")
-            variances.append(var / table.count(sig))
+            count = table.count(sig)
+            if count < 1:
+                raise ValueError(f"moment {sig} has shot count {count}; "
+                                 "every mean needs at least one shot")
+            variances.append(var / count)
         self.targets = np.asarray(targets)
-        variances = np.asarray(variances)
-        floor = VARIANCE_FLOOR * float(variances.max())
-        self.variances = variances
-        self.weights = 1.0 / np.maximum(variances, max(floor, 1e-300))
-        self.step = _curvature_step(self.design, self.weights)
+        self.variances = np.asarray(variances)
+        floor = VARIANCE_FLOOR * float(self.variances.max())
+        self.weights = 1.0 / np.maximum(self.variances, max(floor, 1e-300))
 
-    def solve(self, targets=None, x0=None, stop_tol=STOP_TOL, max_iters=MAX_ITERS):
-        targets = self.targets if targets is None else targets
+    def solve(self, x0=None, stop_tol=STOP_TOL, max_iters=MAX_ITERS):
         dim = self.dim
 
         def project(x):
@@ -366,64 +353,10 @@ class _StateProblem:
             start = (np.eye(dim, dtype=complex) / dim).reshape(-1)
         else:
             start = _density(x0).reshape(-1)
-        x, info = _monotone_apg(self.design, self.weights, targets, project,
-                                start, stop_tol, max_iters, step=self.step)
+        x, info = _monotone_apg(self.design, self.weights, self.targets, project,
+                                start, stop_tol, max_iters)
         rho = x.reshape(dim, dim)
         return DensityMatrix(0.5 * (rho + rho.conj().T)), info
-
-
-def _solve_state_batch(problem: "_StateProblem", target_rows: np.ndarray,
-                       x0: np.ndarray, stop_tol: float = 1e-7,
-                       max_iters: int = 5000):
-    """Solve one state problem against many target vectors at once.
-
-    The batched refits use an operator-splitting iteration (ADMM) instead of
-    the scalar projected-gradient loop: the quadratic misfit is minimised
-    exactly every sweep in the eigenbasis of the normal matrix D+ W D, the
-    physical-state constraint is handled by the simplex projection on a copy
-    of the iterate, and a scaled dual variable stitches the two copies
-    together.  Iterates are rows of vec(rho), and the misfit step is one
-    product with (2 D+ W D + sigma)^-1, transposed for the row layout.  That
-    step minimises a strictly convex quadratic whose conjugate-paired rows
-    (see :class:`_StateProblem`) make it invariant under X -> X+, so from a
-    Hermitian start every iterate stays Hermitian, as the projection's are.
-    The penalty weight starts a few times below the geometric mean of the
-    curvature spectrum and is rebalanced whenever the feasibility and
-    matching residuals drift apart, which keeps the sweep count flat across
-    detection-noise regimes.  Iterates stop once both residuals fall under
-    ``stop_tol``, which puts the refit fidelities within about ``stop_tol``
-    of the scalar solver's answers - far tighter than a percentile needs.
-    """
-    dim, design = problem.dim, problem.design
-    normal = design.conj().T @ sp.diags(problem.weights) @ design
-    lam, basis = np.linalg.eigh(normal.toarray())
-    lam = np.maximum(lam, 0.0)
-    positive = lam[lam > 1e-9 * lam.max()]
-    sigma = 0.2 * float(np.exp(np.mean(np.log(positive))))
-    b = 2.0 * ((problem.weights * target_rows) @ design.conj())
-    rows = target_rows.shape[0]
-    z = np.tile(x0.reshape(-1), (rows, 1))
-    u = np.zeros_like(z)
-    op = None
-    for it in range(1, max_iters + 1):
-        if op is None:
-            op = ((basis / (2.0 * lam + sigma)) @ basis.conj().T).T
-        x = (b + sigma * (z - u)) @ op
-        z_new = qops.project_density((x + u).reshape(rows, dim, dim)).reshape(rows, -1)
-        dual = np.linalg.norm(z_new - z, axis=1)
-        z = z_new
-        u += x - z
-        primal = np.linalg.norm(x - z, axis=1)
-        if primal.max() < stop_tol and dual.max() < stop_tol:
-            return z.reshape(rows, dim, dim), it
-        if it % 50 == 0:
-            p_med, d_med = np.median(primal), np.median(dual)
-            scale = 2.0 if p_med > 10.0 * d_med else 0.5 if d_med > 10.0 * p_med else 1.0
-            if scale != 1.0:
-                sigma, u, op = sigma * scale, u / scale, None
-    raise RuntimeError(
-        f"batched MLE refits did not converge within {max_iters} sweeps"
-    )
 
 
 def moment_objective(table: MomentTable, state) -> float:
@@ -777,51 +710,51 @@ def _conjugate_signature(sig):
 
 def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
-    """Parametric bootstrap interval for the fidelity to a target, re-centred
-    on the estimate.
+    """Parametric bootstrap interval for the direct fidelity to a target.
 
-    Moments are redrawn around the fitted model's moments D vec(rho_hat),
-    with the recorded variance of each mean and conjugate signature pairs
-    kept conjugate, and each resample is refit by MLE from rho_hat.  With
-    bias = median(F*) - F_hat, the 95 percent interval is the 2.5 and 97.5
-    percentiles of F* minus bias, so it always contains F_hat.  The shift
-    only re-centres the spread of F* on F_hat: it removes no bias of F_hat
-    itself, so the interval inherits whatever bias the MLE has.  ``sweeps``
-    is the number of batched refit sweeps the resamples took to converge.
+    The estimate is linear in the moments.  The unit-trace row vec(I) on top
+    of the moment design D makes a square, invertible full design A, and the
+    weights c solve A^T c = vec(sigma^T), so Tr(rho sigma) = c_0 + sum_j c_j
+    m_j for every rho: the identity moment enters as 1, the unit trace the
+    fit also enforces.  For a pure target sigma that overlap is the
+    fidelity.  Moment vectors m* are drawn around the measured means, not
+    around a fitted model, with the recorded variance of each mean and
+    conjugate signature pairs kept conjugate; ``fidelities`` holds the
+    resampled estimates c . m*, and the 95 percent interval is their 2.5 and
+    97.5 percentiles.  Neither the estimate nor the interval is clipped to
+    [0, 1]: a linear estimate can pass 1, and clipping would break the
+    interval's calibration there.
     """
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
     if resamples < 100:
         warnings.warn("fewer than 100 resamples gives an unreliable interval")
+    sigma = _density(target)
     problem = _StateProblem(table)
-    base_rho, base_info = problem.solve()
-    target = coerce_state(target)
-    estimate = qops.fidelity(base_rho.matrix, target)
+    if sigma.shape[0] != problem.dim:
+        raise ValueError(f"target has dimension {sigma.shape[0]}, but the "
+                         f"table's states have dimension {problem.dim}")
+    trace_row = sp.csr_matrix(np.eye(problem.dim).reshape(1, -1))
+    full = sp.vstack([trace_row, problem.design], format="csr")
+    weights = spla.spsolve(full.T, sigma.T.reshape(-1))
+    estimate = float(np.real(weights[0] + weights[1:] @ problem.targets))
 
-    # draw every resampled target vector up front; conjugate pairing keeps
-    # each synthetic table a Hermitian measurement record
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    model = problem.design @ base_rho.matrix.reshape(-1)
-    drawn = _draw_hermitian_rows(problem.signatures, model,
+    drawn = _draw_hermitian_rows(problem.signatures, problem.targets,
                                  problem.variances, resamples, rng)
-
-    mats, sweeps = _solve_state_batch(problem, drawn, base_rho.matrix)
-    fidelities = np.array([qops.fidelity(m, target) for m in mats])
+    fidelities = np.real(weights[0] + drawn @ weights[1:])
 
     ordered = np.sort(fidelities)
     low_idx = max(0, int(np.ceil(0.025 * resamples)) - 1)
     high_idx = min(resamples - 1, int(np.ceil(0.975 * resamples)) - 1)
-    bias = float(np.median(fidelities)) - float(estimate)
-    low = float(ordered[low_idx]) - bias
-    high = float(ordered[high_idx]) - bias
+    low = float(ordered[low_idx])
+    high = float(ordered[high_idx])
     return {
-        "estimate": float(estimate),
-        "bias": bias,
+        "estimate": estimate,
         "low": low,
         "high": high,
         "width": high - low,
         "resamples": int(resamples),
-        "sweeps": int(sweeps),
         "seed": int(seed),
         "fidelities": fidelities,
     }
