@@ -1,22 +1,26 @@
 """Synthetic measurement chain: heterodyne shot records and their moments.
 
 Each shot yields one complex number per photonic mode, S_k = a_k + h_k^dag,
-where h_k is an independent thermal noise mode of occupation n_noise.  Shots
-are drawn from the state's exact Husimi distribution, one mode at a time
-(radius from the diagonal mixture, angle by rejection against the off-diagonal
-term, then conditioning on the drawn amplitude), so every sampled moment
-matches the quantum prediction in expectation, not only the n, m <= 1 set the
-estimator reports.  The vacuum unit of h^dag is carried by the Husimi kernel;
-the added Gaussian noise has variance n_noise only, which lands the stated
-convention <S^dag S> = <a^dag a> + n_noise + 1.
+where h_k is an independent thermal noise mode of occupation n_noise.  Each
+shot draws an eigenvector of the state from its eigenvalue mixture as its own
+conditional state.  Its modes are then drawn one at a time from the exact
+Husimi distribution (radius from the diagonal mixture, angle from a uniform /
+cardioid mixture set by the off-diagonal term), each conditioning the state on
+the drawn amplitude, so every sampled moment matches the quantum prediction in
+expectation, not only the n, m <= 1 set the estimator reports.  The vacuum
+unit of h^dag is carried by the Husimi kernel; the added Gaussian noise has
+variance n_noise only, which lands the stated convention
+<S^dag S> = <a^dag a> + n_noise + 1.  The dark (vacuum-input) batch is drawn
+directly: its S is a circular complex Gaussian of power 1 + n_noise.
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
 joint moment tables.
 
-Synthesis is chunked with per-chunk counter-mode RNG keys and estimation uses
-numpy's fixed pairwise reductions, so results are reproducible bit for bit
-regardless of how the chunks would be scheduled.
+Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
+its own counter-mode RNG key, and estimation uses numpy's fixed pairwise
+reductions, so results are reproducible bit for bit regardless of how the
+chunks would be scheduled.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ _CHUNK = 1 << 16
 _MAGIC = b"SHOT"
 _VERSION = 1
 _BASIS_CODES = {"": 0, "x": 1, "y": 2, "z": 3}
-_BASIS_VECTORS = {
-    "x": (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-          np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)),
-    "y": (np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-          np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0)),
-    "z": (np.array([1.0, 0.0], dtype=complex),
-          np.array([0.0, 1.0], dtype=complex)),
+# rows: the conjugated +1 and -1 eigenvectors, taking (|0>, |1>) to branches
+_BASIS_ROWS = {
+    "x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0),
+    "z": np.eye(2, dtype=complex),
 }
 
 
@@ -137,68 +139,77 @@ def load_shots(path) -> ShotBatch:
                      dark=bool(flags & 1))
 
 
-def _sample_husimi_mode(q00, q11, q01, rng):
-    """Amplitude draws from Q(a) ~ e^-|a|^2 (q00 + 2 Re(q01 a) + q11 |a|^2).
+def _powers(flat):
+    """|amplitude|^2 summed over the last axis, as a dot of the float view."""
+    pairs = flat.view(np.float64)
+    return np.einsum("...r,...r->...", pairs, pairs)
 
-    Radius: exponential / Gamma(2) mixture of the diagonal part; angle by
-    rejection with envelope 2x the angle-free density (|q01| <= sqrt(q00 q11)
-    bounds the ratio below 2).
+
+def _husimi_draw(flat, rng):
+    """One draw per row of flat, the (shots, 2, rest) amplitudes with the
+    sampled mode in |0> and |1>, from that mode's Husimi function.
+
+    With its reduced state q, Q(a) ~ e^-|a|^2 (q00 + 2 Re(q01 a) + q11 |a|^2).
+    |a|^2 is an exponential / Gamma(2) mixture weighted q00 : q11.  Given the
+    radius r the angle density is (1 + c cos(theta + arg q01)) / 2pi with
+    c = 2 r |q01| / (q00 + q11 r^2) <= 1: the uniform density with weight
+    1 - c and the cardioid (1 + cos psi) / 2pi with weight c, whose draw is
+    psi = 2 atan2(N, chi_3) (tan(psi / 2) is Student t_3 over sqrt 3).
     """
-    n = len(q00)
-    alpha = np.empty(n, dtype=complex)
-    todo = np.arange(n)
-    while todo.size:
-        r2 = rng.standard_exponential(todo.size)
-        excited = rng.random(todo.size) < q11[todo]
-        r2 = np.where(excited, r2 + rng.standard_exponential(todo.size), r2)
-        theta = rng.uniform(0.0, 2.0 * np.pi, todo.size)
-        trial = np.sqrt(r2) * np.exp(1j * theta)
-        base = q00[todo] + q11[todo] * r2
-        accept = 0.5 * (1.0 + 2.0 * np.real(q01[todo] * trial) / (base + 1e-300))
-        ok = rng.random(todo.size) < accept
-        alpha[todo[ok]] = trial[ok]
-        todo = todo[~ok]
-    return alpha
+    size = len(flat)
+    p0, p1 = _powers(flat).T
+    q01 = np.vecdot(flat[:, 1], flat[:, 0])
+    r2 = rng.standard_exponential(size)
+    excited = rng.random(size) * (p0 + p1) < p1
+    r2[excited] += rng.standard_exponential(np.count_nonzero(excited))
+    r = np.sqrt(r2)
+    cardioid = rng.random(size) * (p0 + p1 * r2) < 2.0 * r * np.abs(q01)
+    psi = rng.uniform(-np.pi, np.pi, size)
+    k = np.count_nonzero(cardioid)
+    psi[cardioid] = 2.0 * np.arctan2(rng.standard_normal(k),
+                                     np.sqrt(rng.chisquare(3.0, k)))
+    return r * np.exp(1j * (psi - np.angle(q01)))
 
 
-def _sample_chunk(psi, n_modes, bases, count, rng, n_noise):
-    """Sequentially sample every mode of `count` copies of pure state psi."""
-    cond = np.broadcast_to(psi.reshape((1,) + (2,) * n_modes),
-                           (count,) + (2,) * n_modes)
-    values = np.empty((count, sum(1 for b in bases if not b)), dtype=complex)
-    outcomes = np.empty((count, sum(1 for b in bases if b)), dtype=np.int8)
+def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise):
+    """Fill one chunk of shots in one pass over the modes.
+
+    Each shot draws its mixture label, starts from that eigenvector and is
+    conditioned mode by mode on its own outcomes; the conditional amplitudes
+    stay unnormalised, as every draw uses only their ratios.
+    """
+    size = len(values)
+    cond = vecs[rng.choice(len(probs), size, p=probs)]
     i_het = i_qub = 0
-    for mode in range(n_modes):
-        flat = cond.reshape(count, 2, -1)
-        if bases[mode]:
-            plus, minus = _BASIS_VECTORS[bases[mode]]
-            branch_p = plus[0].conj() * flat[:, 0] + plus[1].conj() * flat[:, 1]
-            branch_m = minus[0].conj() * flat[:, 0] + minus[1].conj() * flat[:, 1]
-            p_plus = np.einsum("sr,sr->s", branch_p, branch_p.conj()).real
-            total = p_plus + np.einsum("sr,sr->s", branch_m, branch_m.conj()).real
-            hit = rng.random(count) < p_plus / total
+    for basis in bases:
+        flat = cond.reshape(size, 2, -1)
+        if basis:
+            branches = np.einsum("ij,sjr->sir", _BASIS_ROWS[basis], flat)
+            p_plus, p_minus = _powers(branches).T
+            hit = rng.random(size) * (p_plus + p_minus) < p_plus
             outcomes[:, i_qub] = np.where(hit, 1, -1)
             i_qub += 1
-            cond = np.where(hit[:, None], branch_p, branch_m)
+            cond = np.where(hit[:, None], branches[:, 0], branches[:, 1])
         else:
-            p0 = np.einsum("sr,sr->s", flat[:, 0], flat[:, 0].conj()).real
-            p1 = np.einsum("sr,sr->s", flat[:, 1], flat[:, 1].conj()).real
-            cross = np.einsum("sr,sr->s", flat[:, 0], flat[:, 1].conj())
-            total = p0 + p1
-            alpha = _sample_husimi_mode(p0 / total, p1 / total, cross / total, rng)
-            if n_noise > 0.0:
-                scale = math.sqrt(0.5 * n_noise)
-                noise = scale * (rng.standard_normal(count)
-                                 + 1j * rng.standard_normal(count))
-            else:
-                noise = 0.0
-            values[:, i_het] = alpha + noise
+            alpha = _husimi_draw(flat, rng)
+            noise = rng.standard_normal(2 * size).view(complex)  # N + iN
+            values[:, i_het] = alpha + math.sqrt(0.5 * n_noise) * noise
             i_het += 1
-            cond = flat[:, 0] + alpha[:, None].conj() * flat[:, 1]
-        norm = np.linalg.norm(cond, axis=1, keepdims=True)
-        cond = cond / np.maximum(norm, 1e-300)
-        cond = cond.reshape((count,) + (2,) * (n_modes - mode - 1))
-    return values, outcomes
+            cond = flat[:, 0] + alpha.conj()[:, None] * flat[:, 1]
+
+
+def _dark_chunk(rng, values, outcomes, bases, n_noise):
+    """Fill one chunk of vacuum-input shots directly.
+
+    The vacuum Husimi function plus thermal noise is a circular complex
+    Gaussian with E|S|^2 = 1 + n_noise; a qubit mode in vacuum reads +1 in
+    "z" and a fair +-1 in "x" or "y".
+    """
+    size, n_het = values.shape
+    noise = rng.standard_normal((size, 2 * n_het)).view(complex)  # N + iN
+    values[:] = math.sqrt(0.5 * (1.0 + n_noise)) * noise
+    for i, basis in enumerate(b for b in bases if b):
+        outcomes[:, i] = 1 if basis == "z" else np.where(rng.random(size) < 0.5, 1, -1)
 
 
 def _state_ensemble(rho):
@@ -215,19 +226,24 @@ def _state_ensemble(rho):
 def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
                      qubit_bases: dict | None = None,
                      dark_count: int | None = None):
-    """Draw `count` shots of rho plus a matched dark (vacuum-input) batch.
+    """Draw `count` shots of rho plus a dark (vacuum-input) batch of
+    `dark_count` shots (default `count`).
 
     qubit_bases maps 1-based mode indices to "x"/"y"/"z" for modes read out
-    projectively instead of by heterodyne.  Chunks of 2^16 shots use
-    independent counter-derived RNG keys, so any parallel chunk schedule
-    reproduces the same batch.
+    projectively instead of by heterodyne.  Each shot draws its own mixture
+    label, so no shot is tied to its neighbours.  Shot i of either batch lies
+    in chunk i // 2^16, which is drawn from the Philox key (seed, stream,
+    chunk) alone: the same seed gives the same shot i whatever the batch size
+    or the order in which chunks are computed.
     """
     if n_noise < 0.0:
         raise ValueError("n_noise must be non-negative")
     if count < 1:
         raise ValueError("shot count must be at least 1")
+    if dark_count is not None and dark_count < 1:
+        raise ValueError("dark_count must be at least 1")
     probs, vecs = _state_ensemble(rho)
-    n_modes = int(round(math.log2(vecs.shape[1])))
+    n_modes = protocol._photon_count(vecs.shape[1])
     bases = [""] * n_modes
     for mode, label in (qubit_bases or {}).items():
         if not 1 <= mode <= n_modes:
@@ -236,40 +252,23 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
             raise ValueError(f"unknown qubit basis {label!r}")
         bases[mode - 1] = label
     bases = tuple(bases)
+    n_qub = sum(1 for b in bases if b)
 
-    def run(total, stream, state_probs, state_vecs):
-        vals = []
-        outs = []
-        for chunk_index in range(0, (total + _CHUNK - 1) // _CHUNK):
-            size = min(_CHUNK, total - chunk_index * _CHUNK)
-            key = np.array([seed, (stream << 32) + chunk_index], dtype=np.uint64)
+    def run(total, dark):
+        values = np.empty((total, n_modes - n_qub), dtype=np.complex64)
+        outcomes = np.empty((total, n_qub), dtype=np.int8)
+        stream = 2 if dark else 1
+        for lo in range(0, total, _CHUNK):
+            key = np.array([seed, (stream << 32) + lo // _CHUNK], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
-            counts = rng.multinomial(size, state_probs)
-            v = np.empty((size, sum(1 for b in bases if not b)), dtype=complex)
-            o = np.empty((size, sum(1 for b in bases if b)), dtype=np.int8)
-            start = 0
-            for weight, vec in zip(counts, state_vecs):
-                if weight == 0:
-                    continue
-                v_i, o_i = _sample_chunk(vec, n_modes, bases, weight, rng, n_noise)
-                v[start:start + weight] = v_i
-                o[start:start + weight] = o_i
-                start += weight
-            perm = rng.permutation(size)
-            vals.append(v[perm])
-            outs.append(o[perm])
-        return np.concatenate(vals), np.concatenate(outs)
+            chunk = values[lo:lo + _CHUNK], outcomes[lo:lo + _CHUNK]
+            if dark:
+                _dark_chunk(rng, *chunk, bases, n_noise)
+            else:
+                _sample_chunk(rng, *chunk, probs, vecs, bases, n_noise)
+        return ShotBatch(values, bases, outcomes if n_qub else None, dark=dark)
 
-    values, outcomes = run(count, 1, probs, vecs)
-    batch = ShotBatch(values, bases, outcomes if outcomes.shape[1] else None)
-
-    vacuum = np.zeros(2 ** n_modes, dtype=complex)
-    vacuum[0] = 1.0
-    dark_total = count if dark_count is None else dark_count
-    dark_values, dark_outcomes = run(dark_total, 2, np.array([1.0]), vacuum[None, :])
-    dark = ShotBatch(dark_values, bases,
-                     dark_outcomes if dark_outcomes.shape[1] else None, dark=True)
-    return batch, dark
+    return run(count, False), run(count if dark_count is None else dark_count, True)
 
 
 def dark_noise_power(dark: ShotBatch) -> np.ndarray:

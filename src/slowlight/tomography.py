@@ -144,6 +144,18 @@ def _draw_hermitian_rows(signatures, means, variances, resamples, rng):
     return drawn
 
 
+def _variance_of_mean(table: MomentTable, sig) -> float:
+    """The recorded per-shot variance of sig over its shot count."""
+    var = table.variance(sig)
+    if var < 0.0:
+        raise ValueError("moment variances must be non-negative")
+    count = table.count(sig)
+    if count < 1:
+        raise ValueError(f"moment {sig} has shot count {count}; "
+                         "every mean needs at least one shot")
+    return var / count
+
+
 def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     """One parametric replica of a moment table.
 
@@ -156,8 +168,7 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     """
     signatures = list(table.signatures())
     means = [table.mean(sig) for sig in signatures]
-    variances = [table.variance(sig) / max(table.count(sig), 1)
-                 for sig in signatures]
+    variances = [_variance_of_mean(table, sig) for sig in signatures]
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5EED]))
     row = _draw_hermitian_rows(signatures, means, variances, 1, rng)[0]
     entries = {}
@@ -330,14 +341,7 @@ class _StateProblem:
         variances = []
         for sig in self.signatures:
             targets.append(table.mean(sig))
-            var = table.variance(sig)
-            if var < 0.0:
-                raise ValueError("moment variances must be non-negative")
-            count = table.count(sig)
-            if count < 1:
-                raise ValueError(f"moment {sig} has shot count {count}; "
-                                 "every mean needs at least one shot")
-            variances.append(var / count)
+            variances.append(_variance_of_mean(table, sig))
         self.targets = np.asarray(targets)
         self.variances = np.asarray(variances)
         floor = VARIANCE_FLOOR * float(self.variances.max())

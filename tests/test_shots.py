@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from slowlight import qops, shots
+from slowlight.tomography import moments_from_state
 from slowlight.dynamics import emit_shaped, pulse_bandwidth, taper_transmittance
 from slowlight.fluxcontrol import erf_envelope
 from slowlight.waveguide import WaveguideSpec
@@ -176,6 +177,65 @@ def test_synthesis_is_chunk_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+def _mixed_three_mode_state():
+    """Rank-3 mixture of three random (hence entangled) three-mode vectors."""
+    rng = np.random.Generator(np.random.Philox(key=[13, 0]))
+    vecs, _ = np.linalg.qr(rng.standard_normal((8, 3))
+                           + 1j * rng.standard_normal((8, 3)))
+    return sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs.T))
+
+
+def test_mixed_state_moments_match_trace_oracle_with_a_qubit_mode():
+    """Per-shot mixture labels on a rank-3 state: every joint moment, with
+    mode 2 read in x, lies within 4 SE of the trace.  A qubit entry 1 is the
+    X = a + a^dag factor of that mode."""
+    rho = _mixed_three_mode_state()
+    assert np.sum(np.linalg.eigvalsh(rho) > 1e-9) == 3
+    batch, dark = shots.synthesize_shots(rho, 0.5, 300_000, seed=31,
+                                         qubit_bases={2: "x"})
+    table = shots.estimate_moments(batch, dark)
+    exact = moments_from_state(rho)
+    assert len(table.signatures()) == 32
+    for sig in table.signatures():
+        q = sig[1]
+        parts = [(0, 0)] if q == 0 else [(1, 0), (0, 1)]
+        truth = sum(exact.mean((sig[0], e, sig[2])) for e in parts)
+        if table.variance(sig) == 0.0:
+            assert abs(table.mean(sig) - truth) < 1e-12
+        else:
+            assert abs(table.mean(sig) - truth) < 4.0 * sigma(table, sig), sig
+
+
+def test_dark_batch_is_the_vacuum_reading():
+    """A qubit mode in vacuum reads +1 in z and a fair +-1 in x and y; the
+    heterodyne dark column is circular with power 1 + n_noise."""
+    plus = np.full(16, 0.25, dtype=complex)
+    count = 100_000
+    _, dark = shots.synthesize_shots(plus, 1.5, count, seed=17,
+                                     qubit_bases={1: "z", 2: "x", 3: "y"})
+    assert dark.dark and dark.outcomes.shape == (count, 3)
+    assert np.all(dark.outcomes[:, 0] == 1)
+    for column in (dark.outcomes[:, 1], dark.outcomes[:, 2]):
+        assert set(np.unique(column)) == {-1, 1}
+        assert abs(column.mean()) < 3.0 / np.sqrt(count)
+    values = dark.values[:, 0].astype(complex)
+    power = np.abs(values) ** 2
+    assert abs(power.mean() - 2.5) < 3.0 * power.std() / np.sqrt(count)
+    for moment in (values, values ** 2):
+        assert abs(moment.mean()) < 3.0 * moment.std() / np.sqrt(count)
+
+
+def test_chunks_do_not_depend_on_the_batch_size():
+    rho = _mixed_three_mode_state()
+    short = shots.synthesize_shots(rho, 1.0, 70_000, seed=19, qubit_bases={3: "y"})
+    long = shots.synthesize_shots(rho, 1.0, 131_072, seed=19, qubit_bases={3: "y"})
+    head = slice(0, 65_536)
+    for a, b in zip(short, long):
+        assert np.array_equal(a.values[head], b.values[head])
+        assert np.array_equal(a.outcomes[head], b.outcomes[head])
+    assert not np.array_equal(short[0].values[65_536:], long[0].values[65_536:70_000])
+
+
 def test_batch_io_round_trip(tmp_path):
     batch, dark = shots.synthesize_shots(BELL, 0.5, 5_000, seed=8,
                                          qubit_bases={2: "y"})
@@ -240,6 +300,9 @@ def test_synthesis_validation():
         shots.synthesize_shots(BELL, 0.0, 100, qubit_bases={3: "z"})
     with pytest.raises(ValueError, match="basis"):
         shots.synthesize_shots(BELL, 0.0, 100, qubit_bases={1: "q"})
+    for dark_count in (0, -5):
+        with pytest.raises(ValueError, match="dark_count"):
+            shots.synthesize_shots(BELL, 0.0, 100, dark_count=dark_count)
 
 
 def test_estimation_validation():

@@ -229,6 +229,12 @@ def test_resample_is_seeded_and_hermitian():
         assert rep.count(sig) == table.count(sig)
 
 
+def test_resample_rejects_a_zero_shot_count():
+    table = moments_from_state(BELL, count=0)
+    with pytest.raises(ValueError, match="has shot count 0; every mean needs"):
+        resample_moments(table, seed=1)
+
+
 def test_resample_spread_follows_variance_of_mean():
     table = moments_from_state(BELL, variance=0.04, count=250)
     pair = ((1, 0), (0, 1))
