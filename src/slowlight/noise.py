@@ -4,12 +4,18 @@ readout confusion, and the composed infidelity budget.
 Dephasing model: the emitter frequency wanders with a 1/f spectrum.  One
 long record is synthesised by inverse FFT of a conjugate-symmetric spectrum
 whose bin amplitudes fall as f^(-exponent/2), and Monte Carlo realizations
-are consecutive slices of that record.  During a schedule the |e> level
-accumulates the integrated detuning as phase and |f> accumulates twice that
-(number-operator coupling); the noise is far slower than any pulse, so
-phases are applied per step window rather than integrated through pulse
-shapes.  Each realization's phase per step window is handed to the schedule
-interpreter in protocol, which runs all realizations in one batched pass.
+are consecutive slices of that record.  The record has unit RMS and the
+amplitude scales each slice, so the record depends only on (f_min,
+sample_rate, exponent, seed).  The process keeps one such record, cached and
+read-only (32 MB at the default 4,000,000 samples): calibration, protocol
+runs and budgets of one seed all read it, and it is synthesised once.
+
+During a schedule the |e> level accumulates the integrated detuning as phase
+and |f> accumulates twice that (number-operator coupling); the noise is far
+slower than any pulse, so phases are applied per step window rather than
+integrated through pulse shapes.  Each realization's phase per step window
+is handed to the schedule interpreter in protocol, which runs all
+realizations in one batched pass.
 
 Channels on the photon register (loss on fed-back bins, the lumped control
 depolarizer) are exact Kraus maps.  The budget composes everything in the
@@ -21,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,20 +89,34 @@ class ChannelStack:
             raise ValueError("channels.confusion must be 2x2 with columns summing to 1")
 
 
-def _record_length(spec: OneOverFSpec) -> int:
-    return int(round(spec.sample_rate / spec.f_min))
+@lru_cache(maxsize=1)
+def _unit_record(f_min: float, sample_rate: float, exponent: float,
+                 seed: int) -> np.ndarray:
+    n = int(round(sample_rate / f_min))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    weights = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    # the DC bin keeps its zero frequency as its weight: the record has zero mean
+    weights[1:] **= -0.5 * exponent
+    coefs = np.empty(len(weights), dtype=complex)
+    coefs.real = rng.standard_normal(len(weights))
+    coefs.imag = rng.standard_normal(len(weights))
+    coefs *= weights
+    del weights
+    record = np.fft.irfft(coefs, n=n)
+    del coefs
+    record /= record.std()
+    record.flags.writeable = False
+    return record
 
 
 def noise_record(spec: OneOverFSpec) -> np.ndarray:
-    """One long unit-RMS noise record; lowest resolved bin is f_min."""
-    n = _record_length(spec)
-    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64)))
-    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate)
-    weights = np.zeros_like(freqs)
-    weights[1:] = freqs[1:] ** (-0.5 * spec.exponent)
-    coefs = weights * (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs)))
-    record = np.fft.irfft(coefs, n=n)
-    return record / record.std()
+    """One long unit-RMS noise record; lowest resolved bin is f_min.
+
+    The record ignores spec.amplitude.  The most recent one is cached for the
+    life of the process (8 bytes a sample, 32 MB at the defaults) and shared
+    by every caller, so the returned array is read-only.
+    """
+    return _unit_record(spec.f_min, spec.sample_rate, spec.exponent, spec.seed)
 
 
 def gen_one_over_f(spec: OneOverFSpec, segments: int, segment_len: int) -> np.ndarray:
@@ -135,6 +156,8 @@ def periodogram_exponent(spec: OneOverFSpec) -> float:
 
 def _phase_segments(spec: OneOverFSpec, segments: int, segment_len: int) -> np.ndarray:
     """Cumulative phase integral of each realization, rad, same shape + 1."""
+    if segments < 1:
+        raise ValueError(f"realizations must be at least 1, got {segments}")
     delta = gen_one_over_f(spec, segments, segment_len)
     dt = 1.0 / spec.sample_rate
     phases = np.zeros((segments, segment_len + 1))
@@ -142,20 +165,25 @@ def _phase_segments(spec: OneOverFSpec, segments: int, segment_len: int) -> np.n
     return phases
 
 
+def _delay_steps(spec: OneOverFSpec, delays) -> np.ndarray:
+    """Sample index of each delay; a negative one would index from the end."""
+    delays = np.asarray(delays, dtype=float)
+    if np.any(delays < 0.0):
+        raise ValueError("delays must be non-negative")
+    dt = 1.0 / spec.sample_rate
+    return np.rint(delays / dt).astype(int)
+
+
 def ramsey_envelope(spec: OneOverFSpec, delays, realizations: int = 800):
     """<cos(accumulated phase)> for each delay."""
-    delays = np.asarray(delays, dtype=float)
-    dt = 1.0 / spec.sample_rate
-    steps = np.rint(delays / dt).astype(int)
+    steps = _delay_steps(spec, delays)
     phases = _phase_segments(spec, realizations, int(steps.max()))
     return np.cos(phases[:, steps]).mean(axis=0)
 
 
 def echo_envelope(spec: OneOverFSpec, delays, realizations: int = 800):
     """Same with a refocusing flip at the midpoint of every delay."""
-    delays = np.asarray(delays, dtype=float)
-    dt = 1.0 / spec.sample_rate
-    steps = np.rint(delays / dt).astype(int)
+    steps = _delay_steps(spec, delays)
     half = steps // 2
     phases = _phase_segments(spec, realizations, int(steps.max()))
     echo = 2.0 * phases[:, half] - phases[:, steps]

@@ -18,15 +18,19 @@ outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
 joint moment tables.
 
 Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
-its own counter-mode RNG key, and estimation uses numpy's fixed pairwise
-reductions, so results are reproducible bit for bit regardless of how the
-chunks would be scheduled.
+its own counter-mode RNG key.  Estimation sums fixed blocks of 2^13 shots in
+a fixed order, so at a given commit results are reproducible bit for bit
+regardless of how the chunks would be scheduled.
+
+Shot files are written from the arrays' own buffers and read straight into
+new arrays, with no intermediate bytes copy either way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -37,7 +41,11 @@ from scipy.optimize import curve_fit
 from . import protocol
 
 _CHUNK = 1 << 16
+# estimate_moments' shots per block: its per-block stacks (a few MB) stay in
+# cache, where whole chunks would not
+_MOMENT_BLOCK = 1 << 13
 _MAGIC = b"SHOT"
+_HEADER = "<4sIQHH"
 _VERSION = 1
 _BASIS_CODES = {"": 0, "x": 1, "y": 2, "z": 3}
 # rows: the conjugated +1 and -1 eigenvectors, taking (|0>, |1>) to branches
@@ -93,50 +101,63 @@ class ShotBatch:
 
 
 def save_shots(batch: ShotBatch, path) -> None:
-    """Flat little-endian binary layout; see load_shots."""
+    """Flat little-endian binary layout; see load_shots.
+
+    The arrays are written from their own buffers, without a bytes copy.
+    """
     flags = (1 if batch.dark else 0) | (2 if batch.outcomes is not None else 0)
-    header = struct.pack("<4sIQHH", _MAGIC, _VERSION, batch.count,
+    header = struct.pack(_HEADER, _MAGIC, _VERSION, batch.count,
                          batch.n_modes, flags)
     codes = np.array([_BASIS_CODES[b] for b in batch.mode_bases], dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(codes.tobytes())
-        fh.write(np.ascontiguousarray(batch.values, dtype="<c8").tobytes())
+        fh.write(codes)
+        fh.write(np.ascontiguousarray(batch.values, dtype="<c8"))
         if batch.outcomes is not None:
-            fh.write(np.ascontiguousarray(batch.outcomes, dtype="<i1").tobytes())
+            fh.write(np.ascontiguousarray(batch.outcomes, dtype="<i1"))
+
+
+def _read_array(fh, path, shape, dtype) -> np.ndarray:
+    """A new array of the given shape filled from the file's next bytes."""
+    out = np.empty(shape, dtype=dtype)
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise ValueError(f"shot file {path} ended {out.nbytes - got} bytes short of "
+                         f"a {out.nbytes}-byte array")
+    return out
 
 
 def load_shots(path) -> ShotBatch:
+    """Read a save_shots file: a 20-byte header (magic, version, shot count,
+    mode count, flags), one basis code per mode, then the complex64 values
+    and, if flagged, the int8 qubit outcomes, each row-major.
+
+    The file size is checked against the header before the arrays are read
+    straight into new writable arrays.
+    """
+    head = struct.calcsize(_HEADER)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.calcsize("<4sIQHH")
-    if len(raw) < head:
-        raise ValueError(f"shot file {path} is {head - len(raw)} bytes short of its header")
-    magic, version, count, n_modes, flags = struct.unpack("<4sIQHH", raw[:head])
-    if magic != _MAGIC:
-        raise ValueError("not a shot batch file")
-    if version != _VERSION:
-        raise ValueError(f"unsupported shot batch version {version}")
-    codes = np.frombuffer(raw[head:head + n_modes], dtype=np.uint8)
-    labels = {v: k for k, v in _BASIS_CODES.items()}
-    bases = tuple(labels[int(c)] for c in codes)
-    n_qubit = sum(1 for b in bases if b)
-    offset = head + n_modes
-    n_het = n_modes - n_qubit
-    size = offset + count * (8 * n_het + (n_qubit if flags & 2 else 0))
-    if len(raw) != size:
-        gap = (f"{size - len(raw)} bytes short of" if len(raw) < size
-               else f"{len(raw) - size} bytes longer than")
-        raise ValueError(f"shot file {path} is {gap} the {size} its header declares")
-    values = np.frombuffer(raw, dtype="<c8", count=count * n_het,
-                           offset=offset).reshape(count, n_het)
-    outcomes = None
-    if flags & 2:
-        offset += count * n_het * 8
-        outcomes = np.frombuffer(raw, dtype="<i1", count=count * n_qubit,
-                                 offset=offset).reshape(count, n_qubit)
-    return ShotBatch(values.copy(), bases, None if outcomes is None else outcomes.copy(),
-                     dark=bool(flags & 1))
+        file_size = os.fstat(fh.fileno()).st_size
+        if file_size < head:
+            raise ValueError(f"shot file {path} is {head - file_size} bytes short of its header")
+        magic, version, count, n_modes, flags = struct.unpack(_HEADER, fh.read(head))
+        if magic != _MAGIC:
+            raise ValueError("not a shot batch file")
+        if version != _VERSION:
+            raise ValueError(f"unsupported shot batch version {version}")
+        codes = fh.read(n_modes)
+        labels = {v: k for k, v in _BASIS_CODES.items()}
+        bases = tuple(labels[c] for c in codes)
+        n_qubit = sum(1 for b in bases if b)
+        n_het = n_modes - n_qubit
+        size = head + n_modes + count * (8 * n_het + (n_qubit if flags & 2 else 0))
+        if file_size != size:
+            gap = (f"{size - file_size} bytes short of" if file_size < size
+                   else f"{file_size - size} bytes longer than")
+            raise ValueError(f"shot file {path} is {gap} the {size} its header declares")
+        values = _read_array(fh, path, (count, n_het), "<c8")
+        outcomes = _read_array(fh, path, (count, n_qubit), "<i1") if flags & 2 else None
+    return ShotBatch(values, bases, outcomes, dark=bool(flags & 1))
 
 
 def _powers(flat):
@@ -275,7 +296,13 @@ def dark_noise_power(dark: ShotBatch) -> np.ndarray:
     """Per-mode thermal occupation n_noise, the dark power less the vacuum unit."""
     if not dark.dark:
         raise ValueError("noise power must be read from a dark batch")
-    return np.mean(np.abs(dark.values.astype(complex)) ** 2, axis=0) - 1.0
+    total = np.zeros(dark.values.shape[1])
+    for lo in range(0, dark.count, _CHUNK):
+        chunk = np.ascontiguousarray(dark.values[lo:lo + _CHUNK])
+        pairs = chunk.view(np.float32).reshape(len(chunk), -1, 2)
+        # float32 squares are exact in float64, which carries the sum
+        total += np.einsum("smr,smr->m", pairs, pairs, dtype=np.float64)
+    return total / dark.count - 1.0
 
 
 @dataclass
@@ -340,6 +367,9 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     subset times the already-deconvolved lower moment.  gain maps 1-based
     heterodyne mode indices to a power correction factor (amplitudes scale
     by its square root), the bandwidth-class fix from bandwidth_gain_split.
+
+    The sums run over blocks of 2^13 shots, whose product stacks stay small
+    (a few MB at five modes); the dark power is summed in float64.
     """
     if dark.mode_bases != batch.mode_bases:
         raise ValueError("dark batch modes do not match; moments of this "
@@ -392,8 +422,8 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     sum_sq = np.zeros((n_left, n_right))
     left_modes = range(1, split + 1)
     right_modes = range(split + 1, batch.n_modes + 1)
-    for lo in range(0, batch.count, _CHUNK):
-        hi = min(lo + _CHUNK, batch.count)
+    for lo in range(0, batch.count, _MOMENT_BLOCK):
+        hi = min(lo + _MOMENT_BLOCK, batch.count)
         values = np.ascontiguousarray(batch.values[lo:hi].T, dtype=complex)
         outcomes = (np.ascontiguousarray(batch.outcomes[lo:hi].T, dtype=complex)
                     if qub else None)

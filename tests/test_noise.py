@@ -41,6 +41,54 @@ def test_record_is_unit_rms_and_seeded():
     assert abs(sliced.std() - spec.amplitude) < 1e-9 * spec.amplitude
 
 
+def _record_before_caching(spec):
+    """Out-of-place record synthesis, the bit-for-bit reference for the
+    in-place one behind noise_record."""
+    n = int(round(spec.sample_rate / spec.f_min))
+    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64)))
+    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate)
+    weights = np.zeros_like(freqs)
+    weights[1:] = freqs[1:] ** (-0.5 * spec.exponent)
+    coefs = weights * (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs)))
+    record = np.fft.irfft(coefs, n=n)
+    return record / record.std()
+
+
+@pytest.mark.parametrize("exponent", [0.0, 1.0, 1.7])
+def test_record_matches_the_uncached_synthesis_bit_for_bit(exponent):
+    # an even, an odd and the default record length
+    for sample_rate in (2e5, 3.0005e5, noise.DEFAULT_SAMPLE_RATE):
+        spec = noise.OneOverFSpec(amplitude=0.3, exponent=exponent, seed=7,
+                                  sample_rate=sample_rate)
+        assert np.array_equal(noise.noise_record(spec), _record_before_caching(spec))
+
+
+def test_record_is_read_only_and_built_once_per_seed():
+    rec = noise.noise_record(noise.OneOverFSpec(amplitude=1.0, seed=6))
+    assert not rec.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rec[0] = 0.0
+    noise._unit_record.cache_clear()
+    spec = noise.calibrate_dephasing(seed=6)
+    noise.dephased_protocol_run(protocol.published_circuit("ghz2"), spec, realizations=8)
+    # probe pass, confirmation pass and the run share one synthesis
+    assert noise._unit_record.cache_info().misses == 1
+
+
+def test_negative_delays_rejected(calibrated):
+    for envelope in (noise.ramsey_envelope, noise.echo_envelope):
+        with pytest.raises(ValueError, match="delays"):
+            envelope(calibrated, [20e-9, -20e-9])
+
+
+def test_zero_realizations_rejected(calibrated):
+    steps = protocol.published_circuit("ghz2")
+    with pytest.raises(ValueError, match="realizations"):
+        noise.dephased_protocol_run(steps, calibrated, realizations=0)
+    with pytest.raises(ValueError, match="realizations"):
+        noise.ramsey_envelope(calibrated, [20e-9], realizations=0)
+
+
 def test_segment_budget_error():
     spec = noise.OneOverFSpec(amplitude=1.0)
     n = int(round(spec.sample_rate / spec.f_min))

@@ -7,11 +7,12 @@ against the taper transmittance computed by the dynamics layer.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slowlight import qops, shots
+from slowlight import protocol, qops, shots
 from slowlight.tomography import moments_from_state
 from slowlight.dynamics import emit_shaped, pulse_bandwidth, taper_transmittance
 from slowlight.fluxcontrol import erf_envelope
@@ -151,6 +152,23 @@ def test_moment_products_match_a_per_signature_loop():
         assert table.count(sig) == batch.count
 
 
+@pytest.mark.parametrize("name", ["ring5", "cluster4_2d"])
+def test_moment_blocks_agree_with_whole_chunks(name, monkeypatch):
+    """Blocking the moment sums by 2^13 shots instead of 2^16 changes the
+    tables at roundoff only.  A deconvolved mean can lie far below the
+    products it is summed from, so its error is taken relative to the larger
+    of |mean| and the per-shot spread."""
+    psi = protocol.target_state(name).photons()
+    batch, dark = shots.synthesize_shots(psi, 0.5, 140_000, seed=2)
+    blocked = shots.estimate_moments(batch, dark)
+    monkeypatch.setattr(shots, "_MOMENT_BLOCK", 1 << 16)
+    whole = shots.estimate_moments(batch, dark)
+    for sig in whole.signatures():
+        mean, var = whole.mean(sig), whole.variance(sig)
+        assert abs(blocked.mean(sig) - mean) <= 1e-12 * max(abs(mean), np.sqrt(var))
+        assert abs(blocked.variance(sig) - var) <= 1e-12 * var
+
+
 def test_reported_variance_matches_bootstrap(bell_run):
     batch, dark, table = bell_run
     rng = np.random.default_rng(11)
@@ -277,6 +295,27 @@ def test_load_shots_rejects_trailing_bytes(tmp_path):
     shots.save_shots(batch, path)
     path.write_bytes(path.read_bytes() + bytes(5))
     with pytest.raises(ValueError, match="5 bytes longer than"):
+        shots.load_shots(path)
+
+
+def test_loaded_batch_is_writable_and_owns_its_data(tmp_path):
+    batch, _ = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8, qubit_bases={1: "x"})
+    path = tmp_path / "batch.shot"
+    shots.save_shots(batch, path)
+    loaded = shots.load_shots(path)
+    for arr in (loaded.values, loaded.outcomes):
+        assert arr.flags.writeable and arr.flags.owndata
+
+
+def test_load_shots_rejects_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    batch, _ = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8)
+    path = tmp_path / "batch.shot"
+    shots.save_shots(batch, path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-24])
+    # the size check passes on the declared size; the read itself comes short
+    monkeypatch.setattr(shots.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(ValueError, match="24 bytes short of a 16000-byte array"):
         shots.load_shots(path)
 
 
