@@ -136,22 +136,20 @@ def _as_curve(spec_or_curve, transition):
 
 
 def sideband_spectrum(spec, tone: FluxTone, transition="ef",
-                      periods=64, samples_per_period=64) -> SidebandSpectrum:
+                      samples_per_period=64) -> SidebandSpectrum:
     """Decompose exp(-i phase(t)) of the modulated transition into sidebands.
 
     `spec` is a TransmonSpec or a bare callable flux -> angular frequency.
-    The drive must be sampled over an integer number of modulation periods
-    with an integer number of samples per period; this keeps the sampled
-    phase factor exactly periodic, so the sideband weights absorb all
-    spectral energy and sum to one to machine precision.
+    The drive is sampled over one modulation period.  With the mean frequency
+    removed the phase factor is exactly periodic, so its one-period DFT holds
+    every sideband (a longer record would only repeat it), and the sideband
+    weights absorb all spectral energy and sum to one to machine precision.
     """
-    if periods < 1 or samples_per_period < 8:
-        raise ValueError("need >= 1 period and >= 8 samples per period")
+    if samples_per_period < 8:
+        raise ValueError("need >= 8 samples per period")
     curve = _as_curve(spec, transition)
-    n = periods * samples_per_period
-    period = TWO_PI / tone.omega_mod
-    dt = period / samples_per_period
-    t = np.arange(n + 1) * dt
+    dt = TWO_PI / tone.omega_mod / samples_per_period
+    t = np.arange(samples_per_period + 1) * dt
     # integrate relative to the static point to keep the phase small
     w_ref = float(curve(tone.phi_bias + tone.phi_dc))
     phi_t = tone.phi_bias + tone.phi_dc + tone.phi_ac * np.sin(tone.omega_mod * t)
@@ -160,9 +158,9 @@ def sideband_spectrum(spec, tone: FluxTone, transition="ef",
     phase = np.concatenate(([0.0], np.cumsum(inc)))
     w_mean = w_ref + phase[-1] / t[-1]
     v = np.exp(-1j * (phase[:-1] - (w_mean - w_ref) * t[:-1]))
-    spect = np.fft.fft(v) / n
+    spect = np.fft.fft(v) / samples_per_period
     orders = np.arange(-(samples_per_period // 2), samples_per_period // 2)
-    amps = spect[(orders * periods) % n]
+    amps = spect[orders % samples_per_period]
     return SidebandSpectrum(
         orders=orders,
         amplitudes=amps,
@@ -189,11 +187,11 @@ def _solve_dc(curve, phi_bias, amp, target, hint=0.0):
     """
 
     def fun(dc):
-        return float(_cycle_mean(curve, phi_bias, dc, amp)) - target
+        return _cycle_mean(curve, phi_bias, dc, amp) - target
 
     for width in (0.005, 0.02, 0.08, 0.3, 0.7):
         grid = hint + np.linspace(-width, width, 17)
-        vals = np.array([fun(g) for g in grid])
+        vals = fun(grid)
         sgn = np.signbit(vals)
         flips = np.nonzero(sgn[:-1] != sgn[1:])[0]
         if len(flips):

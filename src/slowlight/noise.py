@@ -24,6 +24,7 @@ order dephasing -> loss -> control and reports incremental infidelities.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -263,15 +264,9 @@ def depolarizing_kraus(p: float, n_photons: int):
     """Pauli-twirl Kraus set of the register-wide depolarizer."""
     dim4 = 4 ** n_photons
     ops = []
-    labels = ["I", "X", "Y", "Z"]
-    for code in range(dim4):
-        label = ""
-        c = code
-        for _ in range(n_photons):
-            label = labels[c % 4] + label
-            c //= 4
+    for code, label in enumerate(itertools.product("IXYZ", repeat=n_photons)):
         weight = p / dim4 + (1.0 - p if code == 0 else 0.0)
-        ops.append(math.sqrt(weight) * qops.pauli_string(label))
+        ops.append(math.sqrt(weight) * qops.pauli_string("".join(label)))
     return ops
 
 
@@ -349,6 +344,9 @@ def error_budget(name: str = "cluster4_2d",
     when its channel joins the stack); standalone single-channel numbers
     are reported alongside.
     """
+    if realizations < 2:
+        raise ValueError(f"error_budget needs at least 2 realizations for its "
+                         f"Monte Carlo standard error, got {realizations}")
     if noise is None:
         noise = calibrate_dephasing(seed=seed)
     if stack is None:
@@ -364,18 +362,16 @@ def error_budget(name: str = "cluster4_2d",
     f_deph = float(overlaps.mean())
     se = float(overlaps.std(ddof=1) / math.sqrt(realizations))
 
-    loss_stack = replace(stack, thermal_pop=0.0, residual_f=0.0, cz_depol=0.0)
-    rho_loss = apply_channels(rho_deph, loss_stack, fed, cz_gates=gates)
-    f_loss = float(np.real(target.conj() @ rho_loss.matrix @ target))
-    rho_all = apply_channels(rho_deph, stack, fed, cz_gates=gates)
-    f_all = float(np.real(target.conj() @ rho_all.matrix @ target))
+    def fidelity_after(rho, channels):
+        out = apply_channels(rho, channels, fed, cz_gates=gates).matrix
+        return float(np.real(target.conj() @ out @ target))
 
+    loss_stack = replace(stack, thermal_pop=0.0, residual_f=0.0, cz_depol=0.0)
+    f_loss = fidelity_after(rho_deph, loss_stack)
+    f_all = fidelity_after(rho_deph, stack)
     ideal = protocol.target_state(name).photon_density()
-    standalone_loss = float(np.real(
-        target.conj() @ apply_channels(ideal, loss_stack, fed, cz_gates=gates).matrix @ target))
-    no_loss = replace(stack, loss=0.0)
-    standalone_ctrl = float(np.real(
-        target.conj() @ apply_channels(ideal, no_loss, fed, cz_gates=gates).matrix @ target))
+    standalone_loss = fidelity_after(ideal, loss_stack)
+    standalone_ctrl = fidelity_after(ideal, replace(stack, loss=0.0))
 
     return {
         "state": name,

@@ -8,6 +8,8 @@ of photon k (photon 0 is the most significant bit).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -54,18 +56,18 @@ def pauli_string(label: str) -> np.ndarray:
     return kron_all([PAULIS[c] for c in label])
 
 
+# one heterodyne mode's (n, m) entries, in the order of its factors 1, S, S*, |S|^2
+MODE_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def signature_key(sig):
+    """Total order, then the signature; a qubit mode's entry is 0 or 1."""
+    return (sum(sum(e) if isinstance(e, tuple) else e for e in sig), sig)
+
+
 def all_moment_signatures(n_modes: int):
-    """All 4^n signatures ((n_1,m_1),...), ordered by total order then index."""
-    sigs = []
-    for code in range(4 ** n_modes):
-        sig = []
-        c = code
-        for _ in range(n_modes):
-            sig.append(((c >> 1) & 1, c & 1))
-            c >>= 2
-        sigs.append(tuple(reversed(sig)))
-    sigs.sort(key=lambda s: (sum(n + m for n, m in s), s))
-    return sigs
+    """All 4^n signatures ((n_1,m_1),...), ordered by signature_key."""
+    return sorted(itertools.product(MODE_ORDERS, repeat=n_modes), key=signature_key)
 
 
 def graph_state(n: int, edges) -> np.ndarray:

@@ -11,7 +11,10 @@ expectation, not only the n, m <= 1 set the estimator reports.  The vacuum
 unit of h^dag is carried by the Husimi kernel; the added Gaussian noise has
 variance n_noise only, which lands the stated convention
 <S^dag S> = <a^dag a> + n_noise + 1.  The dark (vacuum-input) batch is drawn
-directly: its S is a circular complex Gaussian of power 1 + n_noise.
+directly: its S is a circular complex Gaussian of power d = 1 + n_noise.
+estimate_moments removes d mode by mode with one 4 x 4 map on the per-shot
+factors [1, S, S*, |S|^2], rows [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+[-d, 0, 0, 1], whose rows a gain g then scales by 1, g^1/2, g^1/2, g.
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -28,6 +31,7 @@ new arrays, with no intermediate bytes copy either way.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from . import protocol
+from . import protocol, qops
 
 _CHUNK = 1 << 16
 # estimate_moments' shots per block: its per-block stacks (a few MB) stay in
@@ -328,7 +332,7 @@ class MomentTable:
         return self.entries[tuple(signature)][2]
 
     def signatures(self):
-        return sorted(self.entries, key=_signature_order)
+        return sorted(self.entries, key=qops.signature_key)
 
     def to_json(self) -> str:
         rows = []
@@ -353,20 +357,19 @@ class MomentTable:
         return MomentTable(entries, tuple(data["mode_bases"]))
 
 
-def _signature_order(sig):
-    total = sum(sum(e) if isinstance(e, tuple) else e for e in sig)
-    return (total, str(sig))
-
-
 def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                      gain: dict | None = None) -> MomentTable:
     """Means, variances and counts of every n, m <= 1 joint moment.
 
-    Thermal noise is removed recursively: each signature's measured mean
-    drops, for every subset of its (1, 1) modes, the dark power of that
-    subset times the already-deconvolved lower moment.  gain maps 1-based
-    heterodyne mode indices to a power correction factor (amplitudes scale
-    by its square root), the bandwidth-class fix from bandwidth_gain_split.
+    Per shot, a heterodyne mode gives the factors [1, S, S*, |S|^2] (entries
+    qops.MODE_ORDERS) and a qubit mode [1, outcome] (entries 0, 1).  The shot
+    means of all products of one factor per mode form a tensor, first mode
+    slowest, and the table is (A_1 x ... x A_n) applied to it.  A heterodyne
+    mode's A, with d its dark power and g its gain (1 where absent), has rows
+    [1, 0, 0, 0], [0, g^1/2, 0, 0], [0, 0, g^1/2, 0], [-g d, 0, 0, g], and
+    its axis of per-shot variances scales by diag(1, g, g, g^2); a qubit
+    mode's A is the identity.  gain maps 1-based heterodyne mode indices to
+    the power correction from bandwidth_gain_split.
 
     The sums run over blocks of 2^13 shots, whose product stacks stay small
     (a few MB at five modes); the dark power is summed in float64.
@@ -378,48 +381,40 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         raise ValueError("dark batch must hold at least a tenth of the shot count")
     het = batch.heterodyne_modes
     qub = batch.qubit_modes
+    stray = sorted(set(gain or ()) - set(het))
+    if stray:
+        raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
     dark_power = dark_noise_power(dark) + 1.0
 
-    options = [((0, 0), (1, 0), (0, 1), (1, 1)) if not batch.mode_bases[m - 1]
-               else (0, 1) for m in range(1, batch.n_modes + 1)]
+    options = [(0, 1) if basis else qops.MODE_ORDERS for basis in batch.mode_bases]
     # split the register in half so every signature product is one entry of a
     # left-half times right-half matrix product, letting BLAS accumulate the
     # means and second moments instead of a python loop over signatures
     split = (batch.n_modes + 1) // 2
-    left_sigs = [()]
-    for opts in options[:split]:
-        left_sigs = [sig + (o,) for sig in left_sigs for o in opts]
-    right_sigs = [()]
-    for opts in options[split:]:
-        right_sigs = [sig + (o,) for sig in right_sigs for o in opts]
-    # left half slowest, so this is the full product with the first mode slowest
-    signatures = [lsig + rsig for lsig in left_sigs for rsig in right_sigs]
-
     het_col = {mode: i for i, mode in enumerate(het)}
     qub_col = {mode: i for i, mode in enumerate(qub)}
 
     def half_products(modes, values, outcomes):
-        """Products of every half signature, first mode slowest as in *_sigs.
+        """Products of one factor row per mode, first mode slowest.
 
-        Each mode contributes one factor row per option, [1, S*, S, |S|^2] for
-        a heterodyne mode and [1, outcome] for a qubit mode, so the stack
-        grows by broadcasting; a factor of 1 multiplies exactly.
+        The stack grows by broadcasting; a factor of 1 multiplies exactly.
         """
         ones = np.ones(values.shape[1], dtype=complex)
         stack = ones[None, :]
         for mode in modes:
             if mode in het_col:
                 col = values[het_col[mode]]
-                rows = np.stack([ones, col.conj(), col,
+                rows = np.stack([ones, col, col.conj(),
                                  (col.real**2 + col.imag**2).astype(complex)])
             else:
                 rows = np.stack([ones, outcomes[qub_col[mode]]])
             stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
         return stack
 
-    n_left, n_right = len(left_sigs), len(right_sigs)
-    sum_prod = np.zeros((n_left, n_right), dtype=complex)
-    sum_sq = np.zeros((n_left, n_right))
+    shape = [len(o) for o in options]
+    sum_prod = np.zeros((math.prod(shape[:split]), math.prod(shape[split:])),
+                        dtype=complex)
+    sum_sq = np.zeros(sum_prod.shape)
     left_modes = range(1, split + 1)
     right_modes = range(split + 1, batch.n_modes + 1)
     for lo in range(0, batch.count, _MOMENT_BLOCK):
@@ -434,37 +429,21 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         left, right = np.abs(left), np.abs(right)
         sum_sq += (left * left) @ (right * right).T
 
-    raw = {}
-    variances = {}
     count = batch.count
-    for sig, total, total_sq in zip(signatures, sum_prod.reshape(-1),
-                                    sum_sq.reshape(-1)):
-        mean = total / count
-        raw[sig] = complex(mean)
-        spread = total_sq - count * abs(mean) ** 2
-        variances[sig] = max(float(spread), 0.0) / max(count - 1, 1)
-
-    deconvolved = {}
-    for sig in sorted(signatures, key=lambda s: sum(1 for e in s if e == (1, 1))):
-        both = [k for k, e in enumerate(sig) if e == (1, 1)]
-        value = raw[sig]
-        for mask in range(1, 1 << len(both)):
-            subset = [both[b] for b in range(len(both)) if mask >> b & 1]
-            lower = tuple((0, 0) if k in subset else e for k, e in enumerate(sig))
-            weight = math.prod(dark_power[het_col[k + 1]] for k in subset)
-            value = value - weight * deconvolved[lower]
-        deconvolved[sig] = value
-
-    entries = {}
-    for sig in signatures:
-        scale = 1.0
-        if gain:
-            for mode, factor in gain.items():
-                entry = sig[mode - 1]
-                if isinstance(entry, tuple):
-                    scale *= factor ** (0.5 * sum(entry))
-        entries[sig] = (deconvolved[sig] * scale,
-                        variances[sig] * scale * scale, batch.count)
+    means = (sum_prod / count).reshape(shape)
+    spread = sum_sq.reshape(shape) - count * np.abs(means) ** 2
+    variances = np.maximum(spread, 0.0) / max(count - 1, 1)
+    for i, mode in enumerate(het):
+        g = (gain or {}).get(mode, 1.0)
+        mode_map = np.diag([1.0, math.sqrt(g), math.sqrt(g), g])
+        mode_map[3, 0] = -g * dark_power[i]
+        # views with this mode's axis last, written through in place
+        fibres = means.swapaxes(mode - 1, -1)
+        fibres[...] = fibres @ mode_map.T
+        variances.swapaxes(mode - 1, -1)[...] *= (1.0, g, g, g * g)
+    entries = {sig: (complex(mean), float(var), count) for sig, mean, var
+               in zip(itertools.product(*options), means.reshape(-1),
+                      variances.reshape(-1))}
     return MomentTable(entries, batch.mode_bases)
 
 

@@ -102,11 +102,11 @@ def moments_from_state(state, variance: float = 1.0, count: int = 1,
     """
     rho = _density(state)
     n_modes = _photon_count(rho.shape[0])
-    signatures, design = _design_for_modes(n_modes)
-    identity = tuple((0, 0) for _ in range(n_modes))
+    design = _design_for_modes(n_modes)[1]
+    # the identity signature comes first, with the unit trace as its mean
     means = [complex(np.trace(rho))] + list(design @ rho.reshape(-1))
     entries = {}
-    for sig, mean in zip((identity,) + signatures, means):
+    for sig, mean in zip(qops.all_moment_signatures(n_modes), means):
         if variance_source is not None:
             var = variance_source.variance(sig)
         else:
@@ -171,12 +171,9 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     variances = [_variance_of_mean(table, sig) for sig in signatures]
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5EED]))
     row = _draw_hermitian_rows(signatures, means, variances, 1, rng)[0]
-    entries = {}
-    for j, sig in enumerate(signatures):
-        mean = row[j]
-        if sig == _conjugate_signature(sig):
-            mean = complex(np.real(mean))
-        entries[sig] = (complex(mean), table.variance(sig), table.count(sig))
+    # a self-conjugate signature's draw is already real
+    entries = {sig: (complex(row[j]), table.variance(sig), table.count(sig))
+               for j, sig in enumerate(signatures)}
     return MomentTable(entries=entries, mode_bases=table.mode_bases)
 
 
@@ -281,7 +278,7 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters):
 # one mode's moment map: row 2n + m for the signature (n, m), column 2i + j
 # for rho[i, j], so a row dotted with vec(rho) is Tr((a+)^n a^m rho)
 _MODE_MAP = sp.csr_matrix(np.array([
-    qops.single_mode_moment(n, m).T.reshape(-1) for n in (0, 1) for m in (0, 1)
+    qops.single_mode_moment(n, m).T.reshape(-1) for n, m in qops.MODE_ORDERS
 ]))
 
 
@@ -328,12 +325,10 @@ class _StateProblem:
         n_modes = len(table.mode_bases)
         if n_modes == 0 or any(b != "" for b in table.mode_bases):
             raise ValueError("state tomography needs heterodyne moments on every mode")
-        have = set(table.signatures())
-        total = 4**n_modes
-        missing = sum(s not in have for s in qops.all_moment_signatures(n_modes))
+        missing = sum(s not in table.entries for s in qops.all_moment_signatures(n_modes))
         if missing:
             raise ValueError(
-                f"moment table is missing {missing} of the {total} signatures"
+                f"moment table is missing {missing} of the {4**n_modes} signatures"
             )
         self.signatures, self.design = _design_for_modes(n_modes)
         self.dim = 2**n_modes

@@ -69,7 +69,7 @@ def test_sideband_weights_match_bessel_on_linear_curve():
 
     for amp in (0.02, 0.0805, 0.17):
         tone = FluxTone(0.2, amp, W_MOD)
-        sp = sideband_spectrum(curve, tone, periods=16, samples_per_period=4096)
+        sp = sideband_spectrum(curve, tone, samples_per_period=4096)
         depth = slope * amp / W_MOD
         for s in range(-4, 5):
             assert abs(abs(sp.amplitude(s)) - abs(jv(s, depth))) < 1e-6
@@ -84,7 +84,7 @@ def test_emission_sideband_sign_convention():
         return TWO_PI * 5.0e9 + slope * np.asarray(phi)
 
     tone = FluxTone(0.0, 0.06, W_MOD)
-    sp = sideband_spectrum(curve, tone, periods=16, samples_per_period=2048)
+    sp = sideband_spectrum(curve, tone, samples_per_period=2048)
     depth = slope * tone.phi_ac / W_MOD
     assert abs(sp.emission_amplitude) == pytest.approx(abs(jv(1, depth)),
                                                        abs=1e-7)

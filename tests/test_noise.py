@@ -89,6 +89,14 @@ def test_zero_realizations_rejected(calibrated):
         noise.ramsey_envelope(calibrated, [20e-9], realizations=0)
 
 
+def test_budget_needs_two_realizations_for_its_error(calibrated):
+    """One realization has no sample spread: the budget refuses it instead
+    of reporting a nan Monte Carlo SE."""
+    for realizations in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 realizations"):
+            noise.error_budget("ghz2", noise=calibrated, realizations=realizations)
+
+
 def test_segment_budget_error():
     spec = noise.OneOverFSpec(amplitude=1.0)
     n = int(round(spec.sample_rate / spec.f_min))

@@ -6,7 +6,9 @@ model against second-order perturbation theory, and the bandwidth split
 against the taper transmittance computed by the dynamics layer.
 """
 
+import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +169,118 @@ def test_moment_blocks_agree_with_whole_chunks(name, monkeypatch):
         mean, var = whole.mean(sig), whole.variance(sig)
         assert abs(blocked.mean(sig) - mean) <= 1e-12 * max(abs(mean), np.sqrt(var))
         assert abs(blocked.variance(sig) - var) <= 1e-12 * var
+
+
+def _mixed_batch():
+    """The batch of test_moment_products_match_a_per_signature_loop."""
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return shots.synthesize_shots(psi / np.linalg.norm(psi), 0.5, 70_000,
+                                  seed=6, qubit_bases={2: "x"})
+
+
+def _recursive_back_end(raw, dark_power, gain):
+    """The earlier deconvolution, signature by signature: each mean drops,
+    for every subset of its (1, 1) modes, the dark power of that subset times
+    the already-deconvolved lower moment; then each entry scales by
+    gain^(n + m)/2 of every gained mode and its variance by the square."""
+    het_col = {m: i for i, m in enumerate(
+        k + 1 for k, b in enumerate(raw.mode_bases) if not b)}
+    deconvolved = {}
+    for sig in sorted(raw.signatures(), key=lambda s: sum(1 for e in s if e == (1, 1))):
+        both = [k for k, e in enumerate(sig) if e == (1, 1)]
+        value = raw.mean(sig)
+        for mask in range(1, 1 << len(both)):
+            subset = [both[b] for b in range(len(both)) if mask >> b & 1]
+            lower = tuple((0, 0) if k in subset else e for k, e in enumerate(sig))
+            weight = math.prod(dark_power[het_col[k + 1]] for k in subset)
+            value = value - weight * deconvolved[lower]
+        deconvolved[sig] = value
+    entries = {}
+    for sig in raw.signatures():
+        scale = 1.0
+        for mode, factor in gain.items():
+            entry = sig[mode - 1]
+            if isinstance(entry, tuple):
+                scale *= factor ** (0.5 * sum(entry))
+        entries[sig] = (deconvolved[sig] * scale, raw.variance(sig) * scale * scale)
+    return entries
+
+
+def _zero_dark(batch):
+    """A dark batch of zero power, so the table keeps the raw shot means."""
+    n_qubit = len(batch.qubit_modes)
+    return shots.ShotBatch(np.zeros_like(batch.values), batch.mode_bases,
+                           np.ones((batch.count, n_qubit), np.int8) if n_qubit else None,
+                           dark=True)
+
+
+@pytest.mark.parametrize("case", ["ring5", "cluster4_2d", "mixed"])
+def test_mode_maps_match_the_subset_recursion(case):
+    """The per-mode maps give the tables of the subset recursion and the
+    per-signature gain loop, at roundoff, with and without gain.  Both back
+    ends start from the same raw shot means (a zero-power dark batch leaves
+    them undeconvolved); errors are taken as in
+    test_moment_blocks_agree_with_whole_chunks."""
+    if case == "mixed":
+        batch, dark = _mixed_batch()
+        gained = {1: 1.07, 3: 0.93}
+    else:
+        psi = protocol.target_state(case).photons()
+        batch, dark = shots.synthesize_shots(psi, 0.5, 140_000, seed=2)
+        gained = {1: 1.07, len(batch.mode_bases): 0.93}
+    raw = shots.estimate_moments(batch, _zero_dark(batch))
+    dark_power = shots.dark_noise_power(dark) + 1.0
+    for gain in (None, gained):
+        table = shots.estimate_moments(batch, dark, gain=gain)
+        oracle = _recursive_back_end(raw, dark_power, gain or {})
+        assert set(oracle) == set(table.entries)
+        for sig, (mean, var) in oracle.items():
+            assert abs(table.mean(sig) - mean) <= 1e-12 * max(abs(mean), np.sqrt(var))
+            assert abs(table.variance(sig) - var) <= 1e-12 * var
+            assert table.count(sig) == batch.count
+
+
+def test_gain_scales_moments_by_their_order(bell_run):
+    """A gain g on mode 1 scales that mode's (0, 1) and (1, 0) entries by
+    sqrt(g) and its (1, 1) entries by g, and their variances by the square."""
+    batch, dark, plain = bell_run
+    g = 1.13
+    table = shots.estimate_moments(batch, dark, gain={1: g})
+    for sig in plain.signatures():
+        scale = g ** (0.5 * sum(sig[0]))
+        mean, var = plain.mean(sig), plain.variance(sig)
+        assert abs(table.mean(sig) - scale * mean) <= 1e-12 * scale * max(abs(mean), np.sqrt(var))
+        assert abs(table.variance(sig) - scale**2 * var) <= 1e-12 * scale**2 * var
+
+
+def test_gain_is_refused_off_the_heterodyne_modes():
+    batch, dark = shots.synthesize_shots(_mixed_three_mode_state(), 0.5, 2_000,
+                                         seed=1, qubit_bases={2: "z"})
+    for mode in (2, 0, 4):
+        with pytest.raises(ValueError, match=rf"mode\(s\) \[{mode}\]"):
+            shots.estimate_moments(batch, dark, gain={mode: 1.1})
+
+
+def test_signature_orders_are_the_earlier_ones():
+    """qops.all_moment_signatures and MomentTable.signatures keep the orders
+    they had as separate rules: (total, signature) over the binary codes, and
+    (total, str(signature)) over a table's keys, heterodyne or mixed."""
+    def total(sig):
+        return sum(sum(e) if isinstance(e, tuple) else e for e in sig)
+
+    for n in range(1, 6):
+        codes = [tuple(((c >> 2 * (n - 1 - k) + 1) & 1, (c >> 2 * (n - 1 - k)) & 1)
+                       for k in range(n)) for c in range(4 ** n)]
+        by_code = sorted(codes, key=lambda s: (sum(a + b for a, b in s), s))
+        assert qops.all_moment_signatures(n) == by_code
+        table = shots.MomentTable({sig: (0j, 1.0, 1) for sig in reversed(codes)},
+                                  ("",) * n)
+        assert table.signatures() == sorted(codes, key=lambda s: (total(s), str(s)))
+    layout = (qops.MODE_ORDERS, (0, 1), qops.MODE_ORDERS, (0, 1))
+    mixed = list(itertools.product(*layout))[::-1]
+    table = shots.MomentTable({sig: (0j, 1.0, 1) for sig in mixed}, ("", "x", "", "z"))
+    assert table.signatures() == sorted(mixed, key=lambda s: (total(s), str(s)))
 
 
 def test_reported_variance_matches_bootstrap(bell_run):
