@@ -1,132 +1,16 @@
 """slowlight: deterministic photonic cluster-state generation in a
 slow-light waveguide, as a desk-scale simulator and analysis toolkit.
 
-Subpackages follow the experiment's layers: waveguide band structure,
-parametric flux control, single-excitation dynamics, protocol compilation,
-noise modelling, synthetic heterodyne records, and moment-based tomography.
+The submodules follow the experiment's layers: waveguide band structure
+(`waveguide`), parametric flux control (`fluxcontrol`), single-excitation
+dynamics (`dynamics`), protocol compilation (`protocol`), noise modelling
+(`noise`), synthetic heterodyne records and their moments (`shots`), and
+moment-based tomography (`tomography`), with shared qubit algebra in `qops`.
+
+Import the layer submodules directly, e.g. `from slowlight import noise` or
+`from slowlight.shots import estimate_moments`.  This package module
+re-exports nothing, so importing one layer loads only that layer and what it
+depends on.
 """
-
-from .waveguide import (
-    WaveguideSpec,
-    CircuitParams,
-    dispersion,
-    group_delay_per_cell,
-    round_trip_delay,
-    gamma_1d,
-    coupling_from_circuit,
-)
-from .fluxcontrol import (
-    TransmonSpec,
-    FluxTone,
-    SidebandSpectrum,
-    sideband_spectrum,
-    dc_correction,
-    build_amplitude_table,
-    erf_envelope,
-    drive_from_envelope,
-    fit_step_response,
-    predistort_square,
-)
-from .dynamics import (
-    LatticeSystem,
-    OutputRecord,
-    evolve,
-    emit_shaped,
-    mirror_scatter,
-    transmitted_fraction,
-    cz_phase,
-    pulse_bandwidth,
-    taper_reflection,
-    taper_transmittance,
-    taper_echo_train,
-    end_reflection,
-)
-from .protocol import (
-    ProtocolStep,
-    PureState,
-    DensityMatrix,
-    TARGET_NAMES,
-    TARGET_GRAPHS,
-    rotation,
-    emit,
-    cz_feedback,
-    mirror_gate,
-    idle,
-    compile_and_run,
-    published_circuit,
-    target_state,
-    target_graph,
-    compensation_offsets,
-    stabilizer_expectations,
-    fidelity,
-    virtual_z_sweep,
-    schedule_times,
-    total_duration,
-)
-from .shots import (
-    ShotBatch,
-    MomentTable,
-    CalibrationG,
-    synthesize_shots,
-    estimate_moments,
-    dark_noise_power,
-    two_photon_moment,
-    save_shots,
-    load_shots,
-    stark_shift,
-    stark_shift_perturbative,
-    ac_stark_calibration,
-    bandwidth_gain_split,
-    mode_matching_function,
-)
-from .noise import (
-    OneOverFSpec,
-    ChannelStack,
-    noise_record,
-    gen_one_over_f,
-    periodogram_exponent,
-    ramsey_envelope,
-    echo_envelope,
-    fit_gaussian_decay,
-    calibrate_dephasing,
-    dephased_protocol_run,
-    amplitude_damping_kraus,
-    depolarizing_kraus,
-    apply_kraus_single,
-    apply_channels,
-    confuse_readout,
-    correct_readout,
-    loss_only_fidelity,
-    error_budget,
-    budget_json,
-)
-
-from .tomography import (
-    CORRELATOR_LABELS,
-    PAULI_LABELS_2Q,
-    PrepModel,
-    bootstrap_ci,
-    chi_from_json,
-    chi_from_unitary,
-    chi_to_json,
-    chi_to_superop,
-    compose_local_z,
-    cptp_residual,
-    depolarized_chi,
-    gauge_fix_local_z,
-    ideal_cz_chi,
-    mle_process,
-    mle_state,
-    moment_objective,
-    moments_from_state,
-    prep_states,
-    process_fidelity,
-    project_cptp,
-    resample_moments,
-    simulate_process_measurements,
-    state_from_json,
-    state_to_json,
-    superop_to_chi,
-)
 
 __version__ = "0.1.0"

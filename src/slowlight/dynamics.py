@@ -16,7 +16,6 @@ step matrix; the rest take the four-stage RK4 step.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .waveguide import WaveguideSpec, wavenumber
 
@@ -196,11 +195,39 @@ def _taylor4_increment(x: np.ndarray) -> np.ndarray:
     return x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
 
 
+def _simpson(y: np.ndarray, dx: float) -> float:
+    """Simpson's rule over equally spaced samples, as scipy.integrate.simpson.
+
+    Equals scipy 1.17's simpson(y, dx=dx) bit for bit on 1-D float arrays:
+    composite Simpson over the first len(y) - 1 (odd length) or len(y) - 2
+    (even length) intervals, and at even length Cartwright's three-point
+    correction for the last interval; two samples take the trapezoid, one
+    gives 0.  The sums and coefficients are formed in scipy's order.
+    """
+    n = len(y)
+    if n == 0:
+        raise ValueError("Simpson's rule needs at least one sample")
+    if n == 2:
+        return float(0.5 * dx * (y[1] + y[0]))
+    stop = n - 2 if n % 2 else n - 3
+    total = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2])
+    total *= dx / 3.0
+    if n % 2 == 0:
+        h = np.float64(dx)
+        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
+        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
+        eta = h ** 3 / (6 * h * (h + h))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(total)
+
+
 def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
            samples: int = 2000) -> OutputRecord:
     """Fixed-step 4th-order propagation of the non-Hermitian Hamiltonian.
 
-    `initial` is 'emitter', 'mirror', a site index, or a full state vector.
+    `initial` is 'emitter', 'mirror', a site index in [0, dim), or a state
+    vector of length dim and unit norm (to 1e-12); any other raises
+    ValueError, so the norm ledger always starts from 1.
     The step must satisfy dt <= 0.05 / max rate, where the rate is taken at
     every substep time the integrator uses.  By default dt is chosen a
     factor ~2.5 finer, so the norm ledger closes to 1e-6 over long runs; if
@@ -234,11 +261,22 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
 
     psi = np.zeros(system.dim, dtype=complex)
     if isinstance(initial, str):
-        psi[{"emitter": system.i_emitter, "mirror": system.i_mirror}[initial]] = 1.0
+        named = {"emitter": system.i_emitter, "mirror": system.i_mirror}
+        if initial not in named:
+            raise ValueError(f"initial state {initial!r} is not 'emitter' or 'mirror'")
+        psi[named[initial]] = 1.0
     elif np.isscalar(initial):
+        if not 0 <= initial < system.dim:
+            raise ValueError(f"initial site {initial} is outside 0..{system.dim - 1}")
         psi[int(initial)] = 1.0
     else:
-        psi[:] = np.asarray(initial, dtype=complex)
+        vec = np.asarray(initial, dtype=complex)
+        if vec.shape != psi.shape:
+            raise ValueError(f"initial state has shape {vec.shape}, not ({system.dim},)")
+        norm = np.linalg.norm(vec)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"initial state norm {norm:.15g} is not 1")
+        psi[:] = vec
 
     n_steps = len(t) - 1
     every = max(1, n_steps // samples)
@@ -317,7 +355,7 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
 
     kappa = system.waveguide.output_rate
     flux = kappa * np.abs(amp) ** 2
-    emitted = float(simpson(flux, dx=dt))
+    emitted = _simpson(flux, dt)
     return OutputRecord(t[sample_at], np.sqrt(kappa) * amp[sample_at],
                         pops, psi, emitted=emitted, dt=dt,
                         steps=n_steps, cached_steps=cached_steps)

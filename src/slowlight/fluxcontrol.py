@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.signal import lfilter
+# scipy.optimize and scipy.signal are imported inside the functions that use
+# them: at module level they cost about a second on every import of the layer
 from scipy.special import erf
 
 TWO_PI = 2.0 * np.pi
@@ -195,6 +195,8 @@ def _solve_dc(curve, phi_bias, amp, target, hint=0.0):
         sgn = np.signbit(vals)
         flips = np.nonzero(sgn[:-1] != sgn[1:])[0]
         if len(flips):
+            from scipy.optimize import brentq
+
             best = flips[np.argmin(np.abs(grid[flips] - hint))]
             return brentq(fun, grid[best], grid[best + 1], xtol=1e-12)
     return None
@@ -373,6 +375,8 @@ def _model_step(t, terms):
 
 def _fit_terms(t, s, x0):
     """Joint refinement of a flat [amp, tau, omega, phase]*n parameter vector."""
+    from scipy.optimize import least_squares
+
     dt = t[1] - t[0]
     n_par = len(x0) // 4
 
@@ -457,7 +461,13 @@ def predistort_square(t: np.ndarray, step: np.ndarray, target: np.ndarray,
     short FIR stage that cancels the residual model mismatch over the first
     `fir_len` samples.  Convolving the channel with the result reproduces
     `target` to well within 0.2 percent once the output has risen.
+
+    This is the only caller of scipy.signal, which is imported here rather
+    than with the module: it costs about half a second and pulls in
+    scipy.stats.
     """
+    from scipy.signal import lfilter
+
     t = np.asarray(t, dtype=float)
     step = np.asarray(step, dtype=float)
     target = np.asarray(target, dtype=float)

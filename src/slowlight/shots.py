@@ -12,9 +12,9 @@ unit of h^dag is carried by the Husimi kernel; the added Gaussian noise has
 variance n_noise only, which lands the stated convention
 <S^dag S> = <a^dag a> + n_noise + 1.  The dark (vacuum-input) batch is drawn
 directly: its S is a circular complex Gaussian of power d = 1 + n_noise.
-estimate_moments removes d mode by mode with one 4 x 4 map on the per-shot
-factors [1, S, S*, |S|^2], rows [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-[-d, 0, 0, 1], whose rows a gain g then scales by 1, g^1/2, g^1/2, g.
+estimate_moments removes d mode by mode from each shot's factors
+[1, S, S*, |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g, and
+reports the mean and variance of the products of these deconvolved factors.
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import protocol, qops
 
@@ -361,15 +360,14 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                      gain: dict | None = None) -> MomentTable:
     """Means, variances and counts of every n, m <= 1 joint moment.
 
-    Per shot, a heterodyne mode gives the factors [1, S, S*, |S|^2] (entries
-    qops.MODE_ORDERS) and a qubit mode [1, outcome] (entries 0, 1).  The shot
-    means of all products of one factor per mode form a tensor, first mode
-    slowest, and the table is (A_1 x ... x A_n) applied to it.  A heterodyne
-    mode's A, with d its dark power and g its gain (1 where absent), has rows
-    [1, 0, 0, 0], [0, g^1/2, 0, 0], [0, 0, g^1/2, 0], [-g d, 0, 0, g], and
-    its axis of per-shot variances scales by diag(1, g, g, g^2); a qubit
-    mode's A is the identity.  gain maps 1-based heterodyne mode indices to
-    the power correction from bandwidth_gain_split.
+    Per shot, a heterodyne mode gives the deconvolved factors [1, g^1/2 S,
+    g^1/2 S*, g (|S|^2 - d)] (entries qops.MODE_ORDERS), with d its dark
+    power and g its gain (1 where absent), and a qubit mode [1, outcome]
+    (entries 0, 1).  Each table entry is the shot mean and per-shot sample
+    variance of one product of one factor per mode, so the variances are
+    those of the deconvolved products the means average.  gain maps 1-based
+    heterodyne mode indices to the power correction from
+    bandwidth_gain_split.
 
     The sums run over blocks of 2^13 shots, whose product stacks stay small
     (a few MB at five modes); the dark power is summed in float64.
@@ -381,7 +379,8 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         raise ValueError("dark batch must hold at least a tenth of the shot count")
     het = batch.heterodyne_modes
     qub = batch.qubit_modes
-    stray = sorted(set(gain or ()) - set(het))
+    gain = gain or {}
+    stray = sorted(set(gain) - set(het))
     if stray:
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
     dark_power = dark_noise_power(dark) + 1.0
@@ -403,9 +402,11 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         stack = ones[None, :]
         for mode in modes:
             if mode in het_col:
-                col = values[het_col[mode]]
-                rows = np.stack([ones, col, col.conj(),
-                                 (col.real**2 + col.imag**2).astype(complex)])
+                i = het_col[mode]
+                g = gain.get(mode, 1.0)
+                col = math.sqrt(g) * values[i]
+                power = g * (values[i].real**2 + values[i].imag**2 - dark_power[i])
+                rows = np.stack([ones, col, col.conj(), power.astype(complex)])
             else:
                 rows = np.stack([ones, outcomes[qub_col[mode]]])
             stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
@@ -430,17 +431,9 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         sum_sq += (left * left) @ (right * right).T
 
     count = batch.count
-    means = (sum_prod / count).reshape(shape)
-    spread = sum_sq.reshape(shape) - count * np.abs(means) ** 2
+    means = sum_prod / count
+    spread = sum_sq - count * np.abs(means) ** 2
     variances = np.maximum(spread, 0.0) / max(count - 1, 1)
-    for i, mode in enumerate(het):
-        g = (gain or {}).get(mode, 1.0)
-        mode_map = np.diag([1.0, math.sqrt(g), math.sqrt(g), g])
-        mode_map[3, 0] = -g * dark_power[i]
-        # views with this mode's axis last, written through in place
-        fibres = means.swapaxes(mode - 1, -1)
-        fibres[...] = fibres @ mode_map.T
-        variances.swapaxes(mode - 1, -1)[...] *= (1.0, g, g, g * g)
     entries = {sig: (complex(mean), float(var), count) for sig, mean, var
                in zip(itertools.product(*options), means.reshape(-1),
                       variances.reshape(-1))}
@@ -528,6 +521,8 @@ def ac_stark_calibration(volts, shifts, delta: float, anharmonicity: float,
     The model drive is omega = |alpha| sqrt(4 gamma_1d) with |alpha| =
     g_scale * V; the single free parameter is g_scale.
     """
+    from scipy.optimize import curve_fit
+
     volts = np.asarray(volts, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
     if volts.ndim != 1 or volts.shape != shifts.shape or len(volts) < 2:

@@ -167,6 +167,42 @@ def test_controls_must_take_arrays_of_times(control):
         evolve(system, "emitter", 20e-9)
 
 
+@pytest.mark.parametrize("initial, message", [
+    (-1, "outside 0..53"),
+    (54, "outside 0..53"),
+    (np.zeros(53), r"shape \(53,\), not \(54,\)"),
+    (2.0 * np.eye(54)[0], "norm 2 is not 1"),
+    ((1.0 + 1e-11) * np.eye(54)[0], "is not 1"),
+    ("cavity", "'emitter' or 'mirror'"),
+])
+def test_evolve_rejects_a_bad_initial_state(initial, message):
+    """A negative site would start in the mirror site through Python's
+    wraparound, and a vector off unit norm would leave the ledger short of
+    1; both raise, as do a site past the end and a vector of the wrong
+    length."""
+    system = LatticeSystem(SPEC, G_UC)
+    assert system.dim == 54
+    with pytest.raises(ValueError, match=message):
+        evolve(system, initial, 5e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1000, 1001])
+def test_simpson_rule_is_scipys_bit_for_bit(n):
+    """dynamics._simpson, which closes the evolve ledger without importing
+    scipy.integrate, equals scipy.integrate.simpson(y, dx=dt) exactly, with
+    Cartwright's last-interval correction at even length."""
+    rng = np.random.default_rng(n)
+    for dt in (1e-12, 0.37, 3.0):
+        y = rng.standard_normal(n)
+        assert dynamics._simpson(y, dt) == simpson(y, dx=dt)
+        assert dynamics._simpson(np.abs(y), dt) == simpson(np.abs(y), dx=dt)
+
+
+def test_simpson_rule_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        dynamics._simpson(np.empty(0), 0.1)
+
+
 def _oracle(system, initial, horizon, dt, samples=2000):
     """Reference stage-by-stage RK4 loop: every stage applies H at its own
     time, with each control called on a single float time."""

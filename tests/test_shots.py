@@ -126,32 +126,63 @@ def test_qubit_correlated_moments():
     assert abs(x_table.mean((1, (0, 1))) - 0.5) < 3.0 * sigma(x_table, (1, (0, 1)))
 
 
-def test_moment_products_match_a_per_signature_loop():
-    """Every signature's per-shot product, formed one signature at a time as a
-    product of its mode factors, has the table's variance, and its mean where
-    no (1, 1) entry calls for dark deconvolution.  Mixed heterodyne and qubit
-    modes, over two chunks."""
-    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    batch, dark = shots.synthesize_shots(psi / np.linalg.norm(psi), 0.5, 70_000,
-                                         seed=6, qubit_bases={2: "x"})
-    table = shots.estimate_moments(batch, dark)
+def _deconvolved_factors(batch, dark_power, gain=None):
+    """Per mode, its per-shot factor for each signature entry: 1, S*, S and
+    |S|^2 - d for a heterodyne mode, times gain^(n + m)/2, and 1 or the +-1
+    outcome for a qubit mode."""
+    gain = gain or {}
     values = batch.values.astype(complex)
-    factors = {(0, 0): lambda s: 1.0, (1, 0): np.conj, (0, 1): lambda s: s,
-               (1, 1): lambda s: np.abs(s) ** 2}
+    het = iter(range(values.shape[1]))
+    qub = iter(range(len(batch.qubit_modes)))
+    factors = []
+    for mode, basis in enumerate(batch.mode_bases, start=1):
+        if basis:
+            factors.append({0: 1.0, 1: batch.outcomes[:, next(qub)]})
+            continue
+        i = next(het)
+        s, g, d = values[:, i], gain.get(mode, 1.0), dark_power[i]
+        factors.append({(0, 0): 1.0, (1, 0): np.sqrt(g) * np.conj(s),
+                        (0, 1): np.sqrt(g) * s, (1, 1): g * (np.abs(s) ** 2 - d)})
+    return factors
+
+
+def _deconvolved_product(factors, sig, count):
+    """One signature's per-shot product, formed from its mode factors."""
+    product = np.ones(count, dtype=complex)
+    for mode_factors, entry in zip(factors, sig):
+        product = product * mode_factors[entry]
+    return product
+
+
+def test_moment_products_match_a_per_signature_loop():
+    """Every signature's per-shot deconvolved product, formed one signature
+    at a time as a product of its mode factors, has the table's mean and
+    variance.  Mixed heterodyne and qubit modes, over two chunks."""
+    batch, dark = _mixed_batch()
+    table = shots.estimate_moments(batch, dark)
+    factors = _deconvolved_factors(batch, shots.dark_noise_power(dark) + 1.0)
     for sig in table.signatures():
-        product = np.ones(batch.count, dtype=complex)
-        het = iter(range(values.shape[1]))
-        for entry in sig:
-            if isinstance(entry, tuple):
-                product = product * factors[entry](values[:, next(het)])
-            elif entry:
-                product = product * batch.outcomes[:, 0]
+        product = _deconvolved_product(factors, sig, batch.count)
         var = np.var(product, ddof=1)
         assert abs(table.variance(sig) - var) <= 1e-10 * var
-        if (1, 1) not in sig:
-            assert abs(table.mean(sig) - product.mean()) < 1e-12
+        assert abs(table.mean(sig) - product.mean()) < 1e-12
         assert table.count(sig) == batch.count
+
+
+def test_variances_are_those_of_the_deconvolved_products():
+    """With gains on both heterodyne modes of a small mixed batch, each
+    variance is np.var of the per-shot product the mean averages, with
+    |S|^2 - d in each (1, 1) entry, not of the raw product with |S|^2."""
+    batch, dark = shots.synthesize_shots(_mixed_three_mode_state(), 0.5, 3_000,
+                                         seed=4, qubit_bases={2: "y"})
+    gain = {1: 1.07, 3: 0.93}
+    table = shots.estimate_moments(batch, dark, gain=gain)
+    factors = _deconvolved_factors(batch, shots.dark_noise_power(dark) + 1.0, gain)
+    for sig in table.signatures():
+        product = _deconvolved_product(factors, sig, batch.count)
+        var = np.var(product, ddof=1)
+        assert abs(table.variance(sig) - var) <= 1e-10 * var, sig
+        assert abs(table.mean(sig) - product.mean()) <= 1e-12 * max(1.0, np.sqrt(var))
 
 
 @pytest.mark.parametrize("name", ["ring5", "cluster4_2d"])
@@ -179,11 +210,12 @@ def _mixed_batch():
                                   seed=6, qubit_bases={2: "x"})
 
 
-def _recursive_back_end(raw, dark_power, gain):
+def _recursive_back_end(raw, dark_power, gain, factors, count):
     """The earlier deconvolution, signature by signature: each mean drops,
     for every subset of its (1, 1) modes, the dark power of that subset times
     the already-deconvolved lower moment; then each entry scales by
-    gain^(n + m)/2 of every gained mode and its variance by the square."""
+    gain^(n + m)/2 of every gained mode.  Each variance is np.var of the
+    per-shot deconvolved product, from `factors`."""
     het_col = {m: i for i, m in enumerate(
         k + 1 for k, b in enumerate(raw.mode_bases) if not b)}
     deconvolved = {}
@@ -203,7 +235,8 @@ def _recursive_back_end(raw, dark_power, gain):
             entry = sig[mode - 1]
             if isinstance(entry, tuple):
                 scale *= factor ** (0.5 * sum(entry))
-        entries[sig] = (deconvolved[sig] * scale, raw.variance(sig) * scale * scale)
+        product = _deconvolved_product(factors, sig, count)
+        entries[sig] = (deconvolved[sig] * scale, np.var(product, ddof=1))
     return entries
 
 
@@ -217,10 +250,11 @@ def _zero_dark(batch):
 
 @pytest.mark.parametrize("case", ["ring5", "cluster4_2d", "mixed"])
 def test_mode_maps_match_the_subset_recursion(case):
-    """The per-mode maps give the tables of the subset recursion and the
-    per-signature gain loop, at roundoff, with and without gain.  Both back
-    ends start from the same raw shot means (a zero-power dark batch leaves
-    them undeconvolved); errors are taken as in
+    """The per-mode factor maps give the means of the subset recursion and
+    the per-signature gain loop, at roundoff, with and without gain.  The
+    recursion starts from the raw shot means (a zero-power dark batch leaves
+    them undeconvolved); the variances are those of the per-shot
+    deconvolved products.  Errors are taken as in
     test_moment_blocks_agree_with_whole_chunks."""
     if case == "mixed":
         batch, dark = _mixed_batch()
@@ -233,7 +267,8 @@ def test_mode_maps_match_the_subset_recursion(case):
     dark_power = shots.dark_noise_power(dark) + 1.0
     for gain in (None, gained):
         table = shots.estimate_moments(batch, dark, gain=gain)
-        oracle = _recursive_back_end(raw, dark_power, gain or {})
+        factors = _deconvolved_factors(batch, dark_power, gain)
+        oracle = _recursive_back_end(raw, dark_power, gain or {}, factors, batch.count)
         assert set(oracle) == set(table.entries)
         for sig, (mean, var) in oracle.items():
             assert abs(table.mean(sig) - mean) <= 1e-12 * max(abs(mean), np.sqrt(var))
