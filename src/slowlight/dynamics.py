@@ -11,6 +11,12 @@ sqrt(photons/s).
 fixed RK4 grid, so the step bound is checked where the integrator looks.
 Stretches where the Hamiltonian does not change advance by the cached RK4
 step matrix; the rest take the four-stage RK4 step.
+
+`cz_phase` runs two branches, emitter in 'g' and in 'e', whose controls are
+equal until the CZ window opens.  That shared prefix, which holds the
+emission and nearly all of the four-stage steps, is stepped once; each
+branch then finishes alone.  Both records equal standalone `evolve` runs
+of the branch systems bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ TWO_PI = 2.0 * np.pi
 # beyond this detuning a two-level scatterer is numerically decoupled; its
 # residual pull on in-band pulses is < (g / cutoff)^2 ~ 1e-4
 FAR_DETUNED = TWO_PI * 3.0e9
+# output samples per evolve() record, by default
+SAMPLES = 2000
 
 
 def _as_callable(value):
@@ -221,8 +229,167 @@ def _simpson(y: np.ndarray, dx: float) -> float:
     return float(total)
 
 
+def _grid(system: LatticeSystem, horizon: float, dt):
+    """The step dt of one evolve() run, its step times and its substep
+    coefficients; see evolve() for how dt is chosen and checked."""
+    given = dt
+    limit = system.max_rate(np.linspace(0.0, horizon, 64))
+    while True:
+        dt = 0.02 / limit if given is None else given
+        if dt > 0.05 / limit:
+            raise ValueError(
+                f"dt={dt:.3e} too coarse for the fastest rate "
+                f"{limit / TWO_PI:.3e} Hz; need dt <= {0.05 / limit:.3e}")
+        t, coef = _substep_grid(system, horizon, dt)
+        grid_limit = system._rate_bound(coef)
+        if grid_limit <= limit or (given is not None and given <= 0.05 / grid_limit):
+            return dt, t, coef
+        limit = grid_limit
+
+
+def _initial_state(system: LatticeSystem, initial) -> np.ndarray:
+    psi = np.zeros(system.dim, dtype=complex)
+    if isinstance(initial, str):
+        named = {"emitter": system.i_emitter, "mirror": system.i_mirror}
+        if initial not in named:
+            raise ValueError(f"initial state {initial!r} is not 'emitter' or 'mirror'")
+        psi[named[initial]] = 1.0
+    elif np.isscalar(initial):
+        if not 0 <= initial < system.dim:
+            raise ValueError(f"initial site {initial} is outside 0..{system.dim - 1}")
+        psi[int(initial)] = 1.0
+    else:
+        vec = np.asarray(initial, dtype=complex)
+        if vec.shape != psi.shape:
+            raise ValueError(f"initial state has shape {vec.shape}, not ({system.dim},)")
+        norm = np.linalg.norm(vec)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"initial state norm {norm:.15g} is not 1")
+        psi[:] = vec
+    return psi
+
+
+class _Run:
+    """One evolve() run in progress: the state after step `n`, the output
+    amplitude at every step so far and the populations sampled so far.
+
+    The steps fall into runs, maximal stretches with one constant
+    coefficient set, fixed once from the whole grid.  `advance` steps to a
+    sample boundary (a multiple of `every`, or the last step); a stretch of
+    steps is always cut at the same points whatever boundaries it is
+    advanced to, so the record does not depend on them.  `cache` maps a
+    coefficient set to its step matrices, which depend only on that set, dt
+    and `every`; runs on the same lattice with equal dt and step count may
+    share it.
+    """
+
+    def __init__(self, system: LatticeSystem, psi, t, coef, dt, samples, cache):
+        self.system, self.psi, self.t, self.coef, self.dt = system, psi, t, coef, dt
+        self.cache = cache
+        n_steps = self.n_steps = len(t) - 1
+        every = self.every = max(1, n_steps // samples)
+        sample_at = np.arange(0, n_steps + 1, every)
+        if sample_at[-1] != n_steps:
+            sample_at = np.append(sample_at, n_steps)
+        self.sample_at = sample_at
+        self.pops = np.empty((len(sample_at), system.dim))
+        self.amp = np.empty(n_steps + 1, dtype=complex)
+        self.amp[0] = psi[system.i_taper2]
+        self.pops[0] = np.abs(psi) ** 2
+        self.n = 0
+        self.cached_steps = 0
+        steady = (coef == coef[:1]).all(axis=(0, 2))
+        linked = steady[:-1] & steady[1:] & (coef[0, :-1] == coef[0, 1:]).all(axis=1)
+        self.edges = np.concatenate(([0], np.flatnonzero(~linked) + 1, [n_steps]))
+
+    def take_prefix(self, other: "_Run") -> None:
+        """Continue from `other`'s state and records, which must have been
+        stepped over coefficients equal to this run's so far."""
+        n = self.n = other.n
+        self.psi = other.psi.copy()
+        self.amp[:n + 1] = other.amp[:n + 1]
+        self.pops[:n // self.every + 1] = other.pops[:n // self.every + 1]
+        self.cached_steps = other.cached_steps
+
+    def advance(self, end: int) -> None:
+        """Step from `n` to the sample boundary `end`."""
+        system, coef, dt, every = self.system, self.coef, self.dt, self.every
+        n_steps, amp, pops, cache = self.n_steps, self.amp, self.pops, self.cache
+        h0 = system._h0
+        m, c, i_out = system.i_mirror, system.i_last, system.i_taper2
+
+        def h_times(y, k):
+            # H y for the coefficients k; y is a state or a matrix of columns
+            g_e, d_e, d_m, g_m = k
+            out = h0 @ y
+            out[0] += d_e * y[0] + g_e * y[1]
+            out[1] += g_e * y[0]
+            out[m] += d_m * y[m] + g_m * y[c]
+            out[c] += g_m * y[m]
+            return out
+
+        def keep(n, psi):
+            if n % every == 0 or n == n_steps:
+                pops[-1 if n == n_steps else n // every] = np.abs(psi) ** 2
+
+        psi, n = self.psi, self.n
+        i = int(np.searchsorted(self.edges, n, side="right")) - 1
+        while n < end:
+            a, b = self.edges[i:i + 2].tolist()
+            stop = min(b, end)
+            i += 1
+            if b - a < 2:
+                for n in range(n, stop):
+                    k0, k1, k2 = coef[:, n].tolist()
+                    s1 = h_times(psi, k0)
+                    s2 = h_times(psi - 0.5j * dt * s1, k1)
+                    s3 = h_times(psi - 0.5j * dt * s2, k1)
+                    s4 = h_times(psi - 1j * dt * s3, k2)
+                    psi = psi - (1j * dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                    amp[n + 1] = psi[i_out]
+                    keep(n + 1, psi)
+                n = stop
+                continue
+            key = tuple(coef[0, a].tolist())
+            if key not in cache:
+                # increments E_k = M^k - I of the step matrix M, through
+                # E_(k+1) = E_k + E_1 + E_k E_1; row i_out of E_k gives the
+                # output amplitude k steps ahead
+                h = h_times(np.eye(system.dim, dtype=complex), key)
+                inc = _taylor4_increment(-1j * dt * h)
+                rows = np.empty((every, system.dim), dtype=complex)
+                block = inc
+                rows[0] = inc[i_out]
+                for k in range(1, every):
+                    block = block + inc + block @ inc
+                    rows[k] = block[i_out]
+                cache[key] = inc, block, rows
+            inc, block, rows = cache[key]
+            self.cached_steps += stop - n
+            while n < stop:
+                chunk = min(stop, (n // every + 1) * every)
+                amp[n + 1:chunk + 1] = psi[i_out] + rows[:chunk - n] @ psi
+                if chunk - n == every:
+                    psi = psi + block @ psi
+                else:
+                    for _ in range(chunk - n):
+                        psi = psi + inc @ psi
+                n = chunk
+                keep(n, psi)
+        self.psi, self.n = psi, n
+
+    def record(self) -> OutputRecord:
+        kappa = self.system.waveguide.output_rate
+        flux = kappa * np.abs(self.amp) ** 2
+        emitted = _simpson(flux, self.dt)
+        return OutputRecord(self.t[self.sample_at],
+                            np.sqrt(kappa) * self.amp[self.sample_at],
+                            self.pops, self.psi, emitted=emitted, dt=self.dt,
+                            steps=self.n_steps, cached_steps=self.cached_steps)
+
+
 def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
-           samples: int = 2000) -> OutputRecord:
+           samples: int = SAMPLES) -> OutputRecord:
     """Fixed-step 4th-order propagation of the non-Hermitian Hamiltonian.
 
     `initial` is 'emitter', 'mirror', a site index in [0, dim), or a state
@@ -245,120 +412,39 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
     truncation error unchanged; results differ from stage-by-stage RK4 only
     by roundoff.  Steps where a control varies take the four-stage step.
     """
-    given = dt
-    limit = system.max_rate(np.linspace(0.0, horizon, 64))
-    while True:
-        dt = 0.02 / limit if given is None else given
-        if dt > 0.05 / limit:
-            raise ValueError(
-                f"dt={dt:.3e} too coarse for the fastest rate "
-                f"{limit / TWO_PI:.3e} Hz; need dt <= {0.05 / limit:.3e}")
-        t, coef = _substep_grid(system, horizon, dt)
-        grid_limit = system._rate_bound(coef)
-        if grid_limit <= limit or (given is not None and given <= 0.05 / grid_limit):
-            break
-        limit = grid_limit
+    dt, t, coef = _grid(system, horizon, dt)
+    run = _Run(system, _initial_state(system, initial), t, coef, dt, samples, {})
+    run.advance(run.n_steps)
+    return run.record()
 
-    psi = np.zeros(system.dim, dtype=complex)
-    if isinstance(initial, str):
-        named = {"emitter": system.i_emitter, "mirror": system.i_mirror}
-        if initial not in named:
-            raise ValueError(f"initial state {initial!r} is not 'emitter' or 'mirror'")
-        psi[named[initial]] = 1.0
-    elif np.isscalar(initial):
-        if not 0 <= initial < system.dim:
-            raise ValueError(f"initial site {initial} is outside 0..{system.dim - 1}")
-        psi[int(initial)] = 1.0
-    else:
-        vec = np.asarray(initial, dtype=complex)
-        if vec.shape != psi.shape:
-            raise ValueError(f"initial state has shape {vec.shape}, not ({system.dim},)")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"initial state norm {norm:.15g} is not 1")
-        psi[:] = vec
 
-    n_steps = len(t) - 1
-    every = max(1, n_steps // samples)
-    sample_at = np.arange(0, n_steps + 1, every)
-    if sample_at[-1] != n_steps:
-        sample_at = np.append(sample_at, n_steps)
-    pops = np.empty((len(sample_at), system.dim))
-    i_out = system.i_taper2
-    amp = np.empty(n_steps + 1, dtype=complex)
-    amp[0] = psi[i_out]
+def _evolve_branches(reference: LatticeSystem, branch: LatticeSystem,
+                     horizon: float):
+    """evolve(reference, 'emitter', horizon) and evolve(branch, 'emitter',
+    horizon), stepping once through the steps the two share.
 
-    # runs: maximal stretches of steps with one constant coefficient set
-    steady = (coef == coef[:1]).all(axis=(0, 2))
-    linked = steady[:-1] & steady[1:] & (coef[0, :-1] == coef[0, 1:]).all(axis=1)
-    edges = np.concatenate(([0], np.flatnonzero(~linked) + 1, [n_steps]))
-
-    def keep(n, psi):
-        if n % every == 0 or n == n_steps:
-            pops[-1 if n == n_steps else n // every] = np.abs(psi) ** 2
-
-    h0 = system._h0
-    m, c = system.i_mirror, system.i_last
-
-    def h_times(y, k):
-        # H y for the coefficients k; y is a state or a matrix of columns
-        g_e, d_e, d_m, g_m = k
-        out = h0 @ y
-        out[0] += d_e * y[0] + g_e * y[1]
-        out[1] += g_e * y[0]
-        out[m] += d_m * y[m] + g_m * y[c]
-        out[c] += g_m * y[m]
-        return out
-
-    keep(0, psi)
-    cache = {}
-    cached_steps = 0
-    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        if b - a < 2:
-            for n in range(a, b):
-                k0, k1, k2 = coef[:, n].tolist()
-                s1 = h_times(psi, k0)
-                s2 = h_times(psi - 0.5j * dt * s1, k1)
-                s3 = h_times(psi - 0.5j * dt * s2, k1)
-                s4 = h_times(psi - 1j * dt * s3, k2)
-                psi = psi - (1j * dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                amp[n + 1] = psi[i_out]
-                keep(n + 1, psi)
-            continue
-        key = tuple(coef[0, a].tolist())
-        if key not in cache:
-            # increments E_k = M^k - I of the step matrix M, through
-            # E_(k+1) = E_k + E_1 + E_k E_1; row i_out of E_k gives the
-            # output amplitude k steps ahead
-            h = h_times(np.eye(system.dim, dtype=complex), key)
-            inc = _taylor4_increment(-1j * dt * h)
-            rows = np.empty((every, system.dim), dtype=complex)
-            block = inc
-            rows[0] = inc[i_out]
-            for k in range(1, every):
-                block = block + inc + block @ inc
-                rows[k] = block[i_out]
-            cache[key] = inc, block, rows
-        inc, block, rows = cache[key]
-        cached_steps += b - a
-        n = a
-        while n < b:
-            stop = min(b, (n // every + 1) * every)
-            amp[n + 1:stop + 1] = psi[i_out] + rows[:stop - n] @ psi
-            if stop - n == every:
-                psi = psi + block @ psi
-            else:
-                for _ in range(stop - n):
-                    psi = psi + inc @ psi
-            n = stop
-            keep(n, psi)
-
-    kappa = system.waveguide.output_rate
-    flux = kappa * np.abs(amp) ** 2
-    emitted = _simpson(flux, dt)
-    return OutputRecord(t[sample_at], np.sqrt(kappa) * amp[sample_at],
-                        pops, psi, emitted=emitted, dt=dt,
-                        steps=n_steps, cached_steps=cached_steps)
+    When both grids have one dt, the shared steps end at the last sample
+    boundary before the first step whose coefficients differ: up to there
+    both runs cut their steps at the same points and use the same step
+    matrices.  The branch then takes the reference's state and records and
+    each run finishes alone, so both records equal the standalone runs bit
+    for bit.
+    """
+    dt, t, coef = _grid(reference, horizon, None)
+    ref = _Run(reference, _initial_state(reference, "emitter"), t, coef, dt,
+               SAMPLES, {})
+    dt_b, t_b, coef_b = _grid(branch, horizon, None)
+    shared = dt_b == dt
+    run = _Run(branch, _initial_state(branch, "emitter"), t_b, coef_b, dt_b,
+               SAMPLES, ref.cache if shared else {})
+    if shared:
+        differ = np.flatnonzero((coef != coef_b).any(axis=(0, 2)))
+        first = int(differ[0]) if len(differ) else ref.n_steps
+        ref.advance((max(first, 1) - 1) // ref.every * ref.every)
+        run.take_prefix(ref)
+    ref.advance(ref.n_steps)
+    run.advance(run.n_steps)
+    return ref.record(), run.record()
 
 
 def emit_shaped(system_or_spec, t_env, xi_env, horizon=None,
@@ -420,10 +506,8 @@ def transmitted_fraction(record: OutputRecord, window) -> float:
     return record.energy_between(*window) / record.emitted_energy
 
 
-def _cz_branch(system: LatticeSystem, emitter_state: str, t_env, xi_env,
-               center, cz_window, cz_scale, cz_detuning, mirror_window):
-    round_trip = system.waveguide.n_cells / system.waveguide.hop_j
-
+def _cz_system(system: LatticeSystem, emitter_state: str, t_env, xi_env,
+               cz_window, cz_scale, cz_detuning, mirror_window) -> LatticeSystem:
     def in_cz(t):
         return (emitter_state == "e") & (cz_window[0] <= t) & (t <= cz_window[1])
 
@@ -438,11 +522,10 @@ def _cz_branch(system: LatticeSystem, emitter_state: str, t_env, xi_env,
         return np.where((mirror_window[0] <= t) & (t <= mirror_window[1]),
                         0.0, FAR_DETUNED)
 
-    branch = LatticeSystem(
+    return LatticeSystem(
         system.waveguide, system.emitter_g, system.parasitic_g,
         system.mirror_g, coupling_scale=scale,
         emitter_detuning=emitter_detuning, mirror_detuning=mirror_detuning)
-    return evolve(branch, "emitter", center + 2.6 * round_trip)
 
 
 def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
@@ -461,6 +544,14 @@ def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
     later taper echo is the same in both branches and is excluded);
     arg(overlap) is the conditional phase, so 'g' gives exactly 1 and 'e'
     should give magnitude near one with phase pi.
+
+    Each branch is an evolve() run from the emitter over the same horizon.
+    For 'e' the two branches have equal controls until cz_window opens, and
+    the emission, where nearly all the non-cached steps fall, lies before
+    it: that shared prefix is stepped once and the branches fork at the
+    last sample boundary before their first differing step.  Both records
+    equal those of standalone evolve() runs of the branch systems bit for
+    bit, so the overlap does too.
     """
     if emitter_state not in ("g", "e"):
         raise ValueError("emitter_state must be 'g' or 'e'")
@@ -479,12 +570,14 @@ def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
     if exit_window is None:
         exit_window = (center + 0.9 * round_trip, center + 1.7 * round_trip)
 
-    record = _cz_branch(system, emitter_state, t_env, xi_env, center,
-                        cz_window, cz_scale, cz_detuning, mirror_window)
+    def branch(state):
+        return _cz_system(system, state, t_env, xi_env, cz_window, cz_scale,
+                          cz_detuning, mirror_window)
+
+    horizon = center + 2.6 * round_trip
     if emitter_state == "g":
-        return 1.0 + 0.0j, record
-    reference = _cz_branch(system, "g", t_env, xi_env, center,
-                           cz_window, cz_scale, cz_detuning, mirror_window)
+        return 1.0 + 0.0j, evolve(branch("g"), "emitter", horizon)
+    reference, record = _evolve_branches(branch("g"), branch("e"), horizon)
     return cz_overlap(reference, record, exit_window), record
 
 
@@ -493,8 +586,8 @@ def cz_overlap(reference: OutputRecord, branch: OutputRecord,
     """Mode-matched overlap of two exit fields over a time window."""
     m = (reference.t >= window[0]) & (reference.t <= window[1])
     f_ref = reference.a_out[m]
-    f_br = np.interp(branch.t[m], branch.t, branch.a_out.real) \
-        + 1j * np.interp(branch.t[m], branch.t, branch.a_out.imag)
+    f_br = np.interp(reference.t[m], branch.t, branch.a_out.real) \
+        + 1j * np.interp(reference.t[m], branch.t, branch.a_out.imag)
     num = np.trapezoid(np.conj(f_ref) * f_br, reference.t[m])
     den = np.sqrt(np.trapezoid(np.abs(f_ref) ** 2, reference.t[m])
                   * np.trapezoid(np.abs(f_br) ** 2, reference.t[m]))

@@ -295,12 +295,54 @@ def test_mirror_switching_mid_run_matches_the_scalar_loop(monkeypatch, mirror_sy
     _assert_matches_oracle(rec, system, initial, horizon)
 
 
+def _cz_branches(monkeypatch, system, t_env, xi_env, **kwargs):
+    """Run cz_phase(system, 'e', ...) and return its overlap and record with
+    the g and e branch systems and the horizon they were stepped over."""
+    calls = []
+    run_branches = dynamics._evolve_branches
+
+    def recording(reference, branch, horizon):
+        calls.append(((reference, branch), horizon))
+        return run_branches(reference, branch, horizon)
+
+    monkeypatch.setattr(dynamics, "_evolve_branches", recording)
+    overlap, rec = cz_phase(system, "e", t_env, xi_env, **kwargs)
+    (branches, horizon), = calls
+    return overlap, rec, branches, horizon
+
+
 def test_cz_excited_branch_matches_the_scalar_loop(monkeypatch, mirror_system, pulse80):
-    rec, system, initial, horizon = _first_evolve(
-        monkeypatch, cz_phase, mirror_system, "e", *pulse80)
+    _, rec, (_, system), horizon = _cz_branches(monkeypatch, mirror_system, *pulse80)
+    initial = "emitter"
     assert float(system.emitter_detuning(0.0)) == 0.0
     assert 0 < rec.cached_steps < rec.steps
     _assert_matches_oracle(rec, system, initial, horizon)
+
+
+@pytest.mark.parametrize("t_ramp, kwargs", [
+    (80e-9, {}),
+    (25e-9, {}),
+    # the square pulse is on from the start: the branches share no step
+    (80e-9, {"cz_window": (0.0, 400e-9)}),
+    # a square pulse detuned past the fastest rate needs a finer step, so
+    # the grids differ
+    (80e-9, {"cz_detuning": TWO_PI * 200e6}),
+], ids=["pulse80", "ramp25", "nothing_shared", "unequal_steps"])
+def test_cz_branches_equal_standalone_runs_bit_for_bit(monkeypatch, mirror_system,
+                                                       t_ramp, kwargs):
+    t_env, xi_env = erf_envelope(t_ramp, 0.0, XI_PULSE, 2.7 * t_ramp, 0.2e-9)
+    overlap, rec, (reference, branch), horizon = _cz_branches(
+        monkeypatch, mirror_system, t_env, xi_env, **kwargs)
+    alone_g = evolve(reference, "emitter", horizon)
+    alone_e = evolve(branch, "emitter", horizon)
+    center = np.trapezoid(t_env * xi_env ** 2, t_env) \
+        / np.trapezoid(xi_env ** 2, t_env)
+    window = (center + 0.9 * ROUND_TRIP, center + 1.7 * ROUND_TRIP)
+    assert overlap == dynamics.cz_overlap(alone_g, alone_e, window)
+    assert np.array_equal(rec.a_out, alone_e.a_out)
+    assert np.array_equal(rec.final_state, alone_e.final_state)
+    assert rec.emitted_energy == alone_e.emitted_energy
+    assert (rec.steps, rec.cached_steps) == (alone_e.steps, alone_e.cached_steps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)

@@ -20,6 +20,8 @@ from slowlight.noise import ChannelStack, apply_channels
 from slowlight.protocol import target_state
 from slowlight.shots import MomentTable, estimate_moments, synthesize_shots
 from slowlight.tomography import (
+    _TP_A,
+    _TP_B,
     PrepModel,
     _curvature_step,
     _design_for_modes,
@@ -396,6 +398,46 @@ def test_project_cptp_lands_in_the_set():
     assert np.abs(again - chi).max() < 1e-6
 
 
+def _dykstra_cptp(chi, tol=1e-13):
+    """Dykstra alternation between the PSD cone and the affine
+    trace-preserving subspace, run to a tight tolerance."""
+    gram_inv = np.linalg.inv(_TP_A @ _TP_A.conj().T)
+    x = chi.reshape(-1)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(100_000):
+        m = (x + p).reshape(16, 16)
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        y = ((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T).reshape(-1)
+        p = x + p - y
+        x = y + q - _TP_A.conj().T @ (gram_inv @ (_TP_A @ (y + q) - _TP_B))
+        q = y + q - x
+        if np.linalg.norm(x - y) < tol:
+            return x.reshape(16, 16)
+    raise AssertionError("Dykstra oracle did not converge")
+
+
+def test_project_cptp_matches_a_tight_dykstra():
+    rng = np.random.Generator(np.random.Philox(key=[9, 1]))
+    noise = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    inputs = [noise + noise.conj().T, ideal_cz_chi(),
+              depolarized_chi(ideal_cz_chi(), 0.2)]
+    assert np.linalg.eigvalsh(inputs[0]).min() < -5.0
+    assert cptp_residual(inputs[2]) < 1e-12
+    for chi in inputs:
+        got = project_cptp(chi)
+        assert np.abs(got - _dykstra_cptp(chi)).max() <= 1e-10
+        assert np.linalg.eigvalsh(got).min() >= -1e-12
+        assert cptp_residual(got) <= 1e-12
+
+
+def test_project_cptp_raises_when_it_cannot_converge():
+    rng = np.random.Generator(np.random.Philox(key=[9, 2]))
+    noise = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    with pytest.raises(RuntimeError, match="did not reach"):
+        project_cptp(noise + noise.conj().T, max_iters=1)
+
+
 # ---------------------------------------------------------------------------
 # process reconstruction
 # ---------------------------------------------------------------------------
@@ -439,6 +481,16 @@ def test_process_fit_recovers_ideal_gate():
     assert process_fidelity(chi_hat, cz) > 0.999
     assert info["cptp_residual"] < 1e-6
     assert info["min_eigenvalue"] > -1e-8
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_process_fit_needs_few_eigendecompositions_per_iteration(seed):
+    chi = depolarized_chi(ideal_cz_chi(), 0.05)
+    prep = PrepModel(loss=0.1, thermal_pop=0.01, readout_fidelity=0.97)
+    means, variances = simulate_process_measurements(chi, prep, noise=0.01,
+                                                     seed=seed)
+    _, info = mle_process(means, variances, prep)
+    assert info["projection_steps"] <= 4 * info["iterations"]
 
 
 def test_process_fit_input_validation():
