@@ -287,9 +287,7 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
 
     cz_gates defaults to one gate per fed-back photon listed.
     """
-    mat = protocol.coerce_state(rho)
-    if mat.ndim == 1:
-        mat = np.outer(mat, mat.conj())
+    mat = protocol._state_matrix(rho)
     n = protocol._photon_count(mat.shape[0])
     fed = sorted(set(fed_back_photons))
     for photon in fed:

@@ -222,8 +222,8 @@ def coerce_state(state) -> np.ndarray:
     A PureState gives its photon vector and a DensityMatrix its matrix.  A 1-D
     array must have unit norm to within 1e-8 and is then divided by its norm,
     as DensityMatrix.from_pure does; a 2-D array must pass
-    qops.validate_density at tol 1e-8.  Callers that need a matrix take the
-    outer product of a vector.
+    qops.validate_density at tol 1e-8.  Callers that need a matrix use
+    _state_matrix.
     """
     if isinstance(state, DensityMatrix):
         return state.matrix
@@ -235,6 +235,12 @@ def coerce_state(state) -> np.ndarray:
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state vector norm {norm:.12g} is not 1")
     return arr / norm
+
+
+def _state_matrix(state) -> np.ndarray:
+    """coerce_state, with a vector taken to its outer product."""
+    arr = coerce_state(state)
+    return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
 
 
 def _photon_count(dim: int) -> int:

@@ -9,6 +9,7 @@ of photon k (photon 0 is the most significant bit).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,9 +66,26 @@ def signature_key(sig):
     return (sum(sum(e) if isinstance(e, tuple) else e for e in sig), sig)
 
 
-def all_moment_signatures(n_modes: int):
-    """All 4^n signatures ((n_1,m_1),...), ordered by signature_key."""
-    return sorted(itertools.product(MODE_ORDERS, repeat=n_modes), key=signature_key)
+@lru_cache(maxsize=32)
+def moment_layout(mode_bases: tuple):
+    """(signatures, order, conjugates) of a moment table over mode_bases.
+
+    signatures: the product of each mode's entries (MODE_ORDERS for a
+    heterodyne mode "", 0 and 1 for a qubit mode), sorted by signature_key.
+    order: signatures[j] is entry order[j] of the product layout, first mode
+    slowest, so x[order] puts a flat array x in signature order.
+    conjugates[j]: the index of signatures[j]'s conjugate, which swaps each
+    heterodyne (0, 1) and (1, 0).  The cached arrays are read-only.
+    """
+    product = list(itertools.product(*((0, 1) if b else MODE_ORDERS for b in mode_bases)))
+    order = np.array(sorted(range(len(product)), key=lambda j: signature_key(product[j])))
+    swapped = np.arange(order.size).reshape([2 if b else 4 for b in mode_bases])
+    for axis in (k for k, b in enumerate(mode_bases) if not b):
+        swapped = np.take(swapped, [0, 2, 1, 3], axis=axis)
+    conjugates = np.argsort(order)[swapped.reshape(-1)[order]]
+    order.setflags(write=False)
+    conjugates.setflags(write=False)
+    return tuple(product[j] for j in order), order, conjugates
 
 
 def graph_state(n: int, edges) -> np.ndarray:

@@ -14,7 +14,8 @@ variance n_noise only, which lands the stated convention
 directly: its S is a circular complex Gaussian of power d = 1 + n_noise.
 estimate_moments removes d mode by mode from each shot's factors
 [1, S, S*, |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g, and
-reports the mean and variance of the products of these deconvolved factors.
+reports the mean and variance of the products of these deconvolved factors
+in a MomentTable (flat arrays in qops.moment_layout order, one shot count).
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -31,7 +32,7 @@ new arrays, with no intermediate bytes copy either way.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import json
 import math
 import os
@@ -299,6 +300,8 @@ def dark_noise_power(dark: ShotBatch) -> np.ndarray:
     """Per-mode thermal occupation n_noise, the dark power less the vacuum unit."""
     if not dark.dark:
         raise ValueError("noise power must be read from a dark batch")
+    if dark.count < 1:
+        raise ValueError("dark batch holds no shots to read the noise power from")
     total = np.zeros(dark.values.shape[1])
     for lo in range(0, dark.count, _CHUNK):
         chunk = np.ascontiguousarray(dark.values[lo:lo + _CHUNK])
@@ -308,57 +311,91 @@ def dark_noise_power(dark: ShotBatch) -> np.ndarray:
     return total / dark.count - 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentTable:
-    """Deconvolved joint moments keyed by per-mode signature.
+    """Deconvolved joint moments of every signature of one mode layout.
 
     A signature entry is an (n, m) pair for a heterodyne mode (the moment
     (a^dag)^n a^m) or 0/1 for a qubit mode (whether its +-1 outcome
-    multiplies the product).  Each value is (mean, per-shot sample variance,
-    shot count); the variance of the mean is variance / count.
+    multiplies the product).  means and the per-shot sample variances hold
+    one value per signature in signatures() order, qops.moment_layout; every
+    mean averages count shots, so its variance is variance / count.  The
+    constructor checks the lengths, variances >= 0 and count >= 1.
     """
 
-    entries: dict
     mode_bases: tuple
+    means: np.ndarray
+    variances: np.ndarray
+    count: int
+
+    def __post_init__(self):
+        self.mode_bases = tuple(self.mode_bases)
+        self.means = np.asarray(self.means, dtype=complex)
+        self.variances = np.asarray(self.variances, dtype=float)
+        self.count = int(self.count)
+        size = len(qops.moment_layout(self.mode_bases)[0])
+        if self.means.shape != (size,) or self.variances.shape != (size,):
+            raise ValueError(f"a table over mode_bases {self.mode_bases} holds {size} moments, "
+                             f"not {self.means.shape} means and {self.variances.shape} variances")
+        if not np.all(self.variances >= 0.0):
+            raise ValueError("moment variances must be non-negative")
+        if self.count < 1:
+            raise ValueError(f"moment table has shot count {self.count}; "
+                             "every mean needs at least one shot")
+
+    def _index(self, signature) -> int:
+        signatures = qops.moment_layout(self.mode_bases)[0]
+        sig = tuple(signature)
+        j = bisect.bisect_left(signatures, qops.signature_key(sig), key=qops.signature_key)
+        if j == len(signatures) or signatures[j] != sig:
+            raise KeyError(sig)
+        return j
 
     def mean(self, signature) -> complex:
-        return self.entries[tuple(signature)][0]
+        return complex(self.means[self._index(signature)])
 
     def variance(self, signature) -> float:
-        return self.entries[tuple(signature)][1]
-
-    def count(self, signature) -> int:
-        return self.entries[tuple(signature)][2]
+        return float(self.variances[self._index(signature)])
 
     def signatures(self):
-        return sorted(self.entries, key=qops.signature_key)
+        return list(qops.moment_layout(self.mode_bases)[0])
 
     def to_json(self) -> str:
-        rows = []
-        for sig in self.signatures():
-            mean, var, count = self.entries[sig]
-            rows.append({"signature": [list(s) if isinstance(s, tuple) else s
-                                       for s in sig],
-                         "mean": [mean.real, mean.imag],
-                         "variance": var, "count": count})
+        rows = [{"signature": sig, "mean": [mean.real, mean.imag], "variance": var,
+                 "count": self.count}
+                for sig, mean, var in zip(self.signatures(), self.means.tolist(),
+                                          self.variances.tolist())]
         return json.dumps({"mode_bases": list(self.mode_bases), "moments": rows},
                           indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "MomentTable":
+        """Read to_json's schema: one row per signature of the layout, each
+        once, all with the same count, in any order."""
         data = json.loads(text)
-        entries = {}
+        bases = tuple(data["mode_bases"])
+        signatures = qops.moment_layout(bases)[0]
+        rows = {}
         for row in data["moments"]:
             sig = tuple(tuple(s) if isinstance(s, list) else s
                         for s in row["signature"])
-            entries[sig] = (complex(row["mean"][0], row["mean"][1]),
-                            float(row["variance"]), int(row["count"]))
-        return MomentTable(entries, tuple(data["mode_bases"]))
+            if sig in rows:
+                raise ValueError(f"signature {sig} is listed twice")
+            rows[sig] = row
+        ordered = [rows.pop(sig, None) for sig in signatures]
+        if None in ordered or rows:
+            raise ValueError(f"moment table is missing {ordered.count(None)} of the "
+                             f"{len(signatures)} signatures and has {len(rows)} outside them")
+        counts = sorted({int(row["count"]) for row in ordered})
+        if len(counts) > 1:
+            raise ValueError(f"moment rows disagree on the shot count: {counts}")
+        return MomentTable(bases, [complex(*row["mean"]) for row in ordered],
+                           [float(row["variance"]) for row in ordered], counts[0])
 
 
 def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                      gain: dict | None = None) -> MomentTable:
-    """Means, variances and counts of every n, m <= 1 joint moment.
+    """Means and variances of every n, m <= 1 joint moment, over batch.count shots.
 
     Per shot, a heterodyne mode gives the deconvolved factors [1, g^1/2 S,
     g^1/2 S*, g (|S|^2 - d)] (entries qops.MODE_ORDERS), with d its dark
@@ -383,9 +420,10 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     stray = sorted(set(gain) - set(het))
     if stray:
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
+    if batch.count < 1:
+        raise ValueError("shot batch holds no shots; every mean needs at least one")
     dark_power = dark_noise_power(dark) + 1.0
 
-    options = [(0, 1) if basis else qops.MODE_ORDERS for basis in batch.mode_bases]
     # split the register in half so every signature product is one entry of a
     # left-half times right-half matrix product, letting BLAS accumulate the
     # means and second moments instead of a python loop over signatures
@@ -412,7 +450,7 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
             stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
         return stack
 
-    shape = [len(o) for o in options]
+    shape = [2 if basis else 4 for basis in batch.mode_bases]
     sum_prod = np.zeros((math.prod(shape[:split]), math.prod(shape[split:])),
                         dtype=complex)
     sum_sq = np.zeros(sum_prod.shape)
@@ -434,10 +472,10 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     means = sum_prod / count
     spread = sum_sq - count * np.abs(means) ** 2
     variances = np.maximum(spread, 0.0) / max(count - 1, 1)
-    entries = {sig: (complex(mean), float(var), count) for sig, mean, var
-               in zip(itertools.product(*options), means.reshape(-1),
-                      variances.reshape(-1))}
-    return MomentTable(entries, batch.mode_bases)
+    # the sums are in the product layout, first mode slowest
+    order = qops.moment_layout(batch.mode_bases)[1]
+    return MomentTable(batch.mode_bases, means.reshape(-1)[order],
+                       variances.reshape(-1)[order], count)
 
 
 def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float:

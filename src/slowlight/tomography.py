@@ -72,7 +72,7 @@ import scipy.sparse.linalg as spla
 
 from . import qops
 from .noise import amplitude_damping_kraus
-from .protocol import DensityMatrix, _photon_count, coerce_state
+from .protocol import DensityMatrix, _photon_count, _state_matrix
 from .shots import MomentTable
 
 STOP_TOL = 1e-10
@@ -91,77 +91,53 @@ CORRELATOR_LABELS = tuple(
 )
 
 
-def _density(state) -> np.ndarray:
-    arr = coerce_state(state)
-    return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
-
-
 def moments_from_state(state, variance: float = 1.0, count: int = 1,
                        variance_source: MomentTable | None = None) -> MomentTable:
     """Exact moment table of a known state, for round trips and solver checks.
 
     Every signature gets the same variance so the fit is uniformly weighted,
-    unless ``variance_source`` supplies a measured table: then each signature
-    inherits that table's per-shot variance, and ``count`` sets the number of
+    unless ``variance_source`` supplies a measured table of the same layout:
+    then its per-shot variances carry over, and ``count`` sets the number of
     shots the table stands for.  That is how a table at an arbitrary
     measurement budget is written down without synthesizing the raw records:
     per-shot variances are a property of the detection noise alone, so scaling
     the count rescales the variance of every mean by the usual 1/N law.
     """
-    rho = _density(state)
+    rho = _state_matrix(state)
     n_modes = _photon_count(rho.shape[0])
     design = _design_for_modes(n_modes)[1]
     # the identity signature comes first, with the unit trace as its mean
-    means = [complex(np.trace(rho))] + list(design @ rho.reshape(-1))
-    entries = {}
-    for sig, mean in zip(qops.all_moment_signatures(n_modes), means):
-        if variance_source is not None:
-            var = variance_source.variance(sig)
-        else:
-            var = float(variance)
-        entries[sig] = (complex(mean), var, int(count))
-    bases = (variance_source.mode_bases if variance_source is not None
-             else ("",) * n_modes)
-    return MomentTable(entries=entries, mode_bases=bases)
+    means = np.concatenate([[np.trace(rho)], design @ rho.reshape(-1)])
+    if variance_source is not None:
+        return MomentTable(variance_source.mode_bases, means,
+                           variance_source.variances, count)
+    return MomentTable(("",) * n_modes, means, np.full(means.size, float(variance)), count)
 
 
-def _draw_hermitian_rows(signatures, means, variances, resamples, rng):
+def _draw_hermitian_rows(partners, means, variances, resamples, rng):
     """Normal draws of a moment vector that keep conjugate pairs conjugate.
 
-    ``variances`` are variances of the means.  A self-conjugate signature is
-    real-valued and gets a real draw at full variance; a conjugate pair splits
-    its variance over the two quadratures and the partner row mirrors the
-    draw, so every sampled table is a Hermitian measurement record.
+    ``partners[j]`` is the index of row j's conjugate and ``variances`` are
+    variances of the means.  A self-conjugate row is real-valued and gets a
+    real draw at full variance; a conjugate pair splits its variance over the
+    two quadratures and the partner row mirrors the draw, so every sampled
+    table is a Hermitian measurement record.  Each row j <= partners[j], in
+    turn, takes `resamples` normals for its real part and, if paired, as many
+    for its imaginary part, all from one call.
     """
-    index = {sig: j for j, sig in enumerate(signatures)}
+    rows = np.flatnonzero(partners >= np.arange(partners.size))
+    pairs = partners[rows] != rows
+    first = np.cumsum(1 + pairs) - (1 + pairs)
+    normals = rng.standard_normal(resamples * (rows.size + np.count_nonzero(pairs)))
+    normals = normals.reshape(-1, resamples).T
+    real, pair = rows[~pairs], rows[pairs]
     drawn = np.tile(np.asarray(means, dtype=complex), (resamples, 1))
-    for j, sig in enumerate(signatures):
-        partner = index[_conjugate_signature(sig)]
-        if partner < j:
-            continue
-        var = variances[j]
-        if partner == j:
-            drawn[:, j] = (np.real(means[j])
-                           + np.sqrt(var) * rng.standard_normal(resamples))
-        else:
-            scale = np.sqrt(var / 2.0)
-            drawn[:, j] = means[j] + scale * (
-                rng.standard_normal(resamples)
-                + 1j * rng.standard_normal(resamples))
-            drawn[:, partner] = drawn[:, j].conj()
+    drawn[:, real] = (np.real(means[real])
+                      + np.sqrt(variances[real]) * normals[:, first[~pairs]])
+    drawn[:, pair] = means[pair] + np.sqrt(variances[pair] / 2.0) * (
+        normals[:, first[pairs]] + 1j * normals[:, first[pairs] + 1])
+    drawn[:, partners[pair]] = drawn[:, pair].conj()
     return drawn
-
-
-def _variance_of_mean(table: MomentTable, sig) -> float:
-    """The recorded per-shot variance of sig over its shot count."""
-    var = table.variance(sig)
-    if var < 0.0:
-        raise ValueError("moment variances must be non-negative")
-    count = table.count(sig)
-    if count < 1:
-        raise ValueError(f"moment {sig} has shot count {count}; "
-                         "every mean needs at least one shot")
-    return var / count
 
 
 def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
@@ -169,20 +145,23 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
 
     Every mean is redrawn from a normal around the recorded mean with the
     recorded variance of the mean, conjugate signature pairs staying exactly
-    conjugate; variances and counts carry over unchanged.  Replicas of an
+    conjugate; variances and the count carry over unchanged.  Replicas of an
     exact-mean table stand in for independently measured datasets at the
     same budget, which is how repeated-experiment studies are run without
     regenerating raw shot records each time.
     """
-    signatures = list(table.signatures())
-    means = [table.mean(sig) for sig in signatures]
-    variances = [_variance_of_mean(table, sig) for sig in signatures]
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5EED]))
-    row = _draw_hermitian_rows(signatures, means, variances, 1, rng)[0]
-    # a self-conjugate signature's draw is already real
-    entries = {sig: (complex(row[j]), table.variance(sig), table.count(sig))
-               for j, sig in enumerate(signatures)}
-    return MomentTable(entries=entries, mode_bases=table.mode_bases)
+    row = _draw_hermitian_rows(qops.moment_layout(table.mode_bases)[2], table.means,
+                               table.variances / table.count, 1, rng)[0]
+    return MomentTable(table.mode_bases, row, table.variances, table.count)
+
+
+def _weights(variances: np.ndarray) -> np.ndarray:
+    """Inverse variances, floored at VARIANCE_FLOOR times the largest."""
+    if np.any(variances < 0.0):
+        raise ValueError("moment variances must be non-negative")
+    floor = VARIANCE_FLOOR * float(variances.max())
+    return 1.0 / np.maximum(variances, max(floor, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +275,9 @@ def _design_for_modes(n_modes: int):
 
     Row j is moment_operator(signature j).T.reshape(-1), so the design maps the
     row-major vec(rho) to the moments Tr(A_j rho).  It is the Kronecker power
-    of the single-mode map, whose rows are indexed by the per-mode signature
-    codes and whose columns interleave (i_1, j_1, i_2, j_2, ...); rows are
-    then picked in signature order and columns reordered to row-major
+    of the single-mode map, whose rows are in the product layout of
+    qops.moment_layout and whose columns interleave (i_1, j_1, i_2, j_2, ...);
+    rows are then picked in signature order and columns reordered to row-major
     (i_1, ..., i_n, j_1, ..., j_n).  The unit-trace row is enforced by the
     projection already, and the huge weight a floored zero variance would give
     it only wrecks the step size.  The cached matrix is read-only.
@@ -307,9 +286,10 @@ def _design_for_modes(n_modes: int):
     for _ in range(n_modes - 1):
         design = sp.kron(design, _MODE_MAP, format="csr")
     # the identity is the only signature of total order 0, so it comes first
-    kept = tuple(qops.all_moment_signatures(n_modes)[1:])
-    rows = [sum((2 * n + m) << (2 * (n_modes - 1 - k))
-                for k, (n, m) in enumerate(sig)) for sig in kept]
+    signatures, order, _ = qops.moment_layout(("",) * n_modes)
+    # a product-layout index is the Kronecker power's row: entry (n, m) of
+    # mode k is the digit 2n + m of weight 4^(n_modes - 1 - k)
+    kept, rows = signatures[1:], order[1:]
     columns = np.arange(4**n_modes).reshape((2, 2) * n_modes).transpose(
         list(range(0, 2 * n_modes, 2)) + list(range(1, 2 * n_modes, 2)))
     design = design[rows][:, columns.reshape(-1)]
@@ -325,30 +305,20 @@ class _StateProblem:
     """Design, targets and weights of one table.
 
     The design is the cached sparse matrix of :func:`_design_for_modes`,
-    which depends only on the mode count, and the weights are the inverse
-    recorded variances of the means.
+    which depends only on the mode count.  The targets are the table's means
+    past the identity, which comes first, and the weights the inverse
+    variances of those means.
     """
 
     def __init__(self, table: MomentTable):
         n_modes = len(table.mode_bases)
-        if n_modes == 0 or any(b != "" for b in table.mode_bases):
+        if n_modes == 0 or any(table.mode_bases):
             raise ValueError("state tomography needs heterodyne moments on every mode")
-        missing = sum(s not in table.entries for s in qops.all_moment_signatures(n_modes))
-        if missing:
-            raise ValueError(
-                f"moment table is missing {missing} of the {4**n_modes} signatures"
-            )
-        self.signatures, self.design = _design_for_modes(n_modes)
+        self.design = _design_for_modes(n_modes)[1]
         self.dim = 2**n_modes
-        targets = []
-        variances = []
-        for sig in self.signatures:
-            targets.append(table.mean(sig))
-            variances.append(_variance_of_mean(table, sig))
-        self.targets = np.asarray(targets)
-        self.variances = np.asarray(variances)
-        floor = VARIANCE_FLOOR * float(self.variances.max())
-        self.weights = 1.0 / np.maximum(self.variances, max(floor, 1e-300))
+        self.targets = table.means[1:]
+        self.variances = table.variances[1:] / table.count
+        self.weights = _weights(self.variances)
 
     def solve(self, x0=None, stop_tol=STOP_TOL, max_iters=MAX_ITERS):
         dim = self.dim
@@ -359,7 +329,7 @@ class _StateProblem:
         if x0 is None:
             start = (np.eye(dim, dtype=complex) / dim).reshape(-1)
         else:
-            start = _density(x0).reshape(-1)
+            start = _state_matrix(x0).reshape(-1)
         x, info = _monotone_apg(self.design, self.weights, self.targets, project,
                                 start, stop_tol, max_iters)
         rho = x.reshape(dim, dim)
@@ -369,7 +339,7 @@ class _StateProblem:
 def moment_objective(table: MomentTable, state) -> float:
     """Weighted least-squares objective of a candidate state against the table."""
     problem = _StateProblem(table)
-    resid = problem.design @ _density(state).reshape(-1) - problem.targets
+    resid = problem.design @ _state_matrix(state).reshape(-1) - problem.targets
     return float(np.real(np.sum(problem.weights * np.abs(resid) ** 2)))
 
 
@@ -664,11 +634,8 @@ def mle_process(means: np.ndarray, variances: np.ndarray,
     variances = np.asarray(variances, dtype=float).reshape(-1)
     if means.size != 240 or variances.size != 240:
         raise ValueError("process data must cover 16 preparations x 15 correlators")
-    if np.any(variances < 0.0):
-        raise ValueError("moment variances must be non-negative")
     design = _process_design(model)
-    floor = VARIANCE_FLOOR * float(variances.max())
-    weights = 1.0 / np.maximum(variances, max(floor, 1e-300))
+    weights = _weights(variances)
 
     dual = np.zeros(16, dtype=complex)
     steps = 0
@@ -762,10 +729,6 @@ def gauge_fix_local_z(chi: np.ndarray, grid: int = 256):
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_signature(sig):
-    return tuple(e[::-1] if isinstance(e, tuple) else e for e in sig)
-
-
 def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
     """Parametric bootstrap interval for the direct fidelity to a target.
@@ -787,7 +750,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
         raise ValueError("resamples must be at least 1")
     if resamples < 100:
         warnings.warn("fewer than 100 resamples gives an unreliable interval")
-    sigma = _density(target)
+    sigma = _state_matrix(target)
     problem = _StateProblem(table)
     if sigma.shape[0] != problem.dim:
         raise ValueError(f"target has dimension {sigma.shape[0]}, but the "
@@ -798,8 +761,10 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     estimate = float(np.real(weights[0] + weights[1:] @ problem.targets))
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    drawn = _draw_hermitian_rows(problem.signatures, problem.targets,
-                                 problem.variances, resamples, rng)
+    # the identity is its own conjugate, so the other rows pair among themselves
+    partners = qops.moment_layout(table.mode_bases)[2][1:] - 1
+    drawn = _draw_hermitian_rows(partners, problem.targets, problem.variances,
+                                 resamples, rng)
     fidelities = np.real(weights[0] + drawn @ weights[1:])
 
     ordered = np.sort(fidelities)
@@ -825,7 +790,7 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
 
 def state_to_json(state, extra: dict | None = None) -> str:
     """A state in the DensityMatrix JSON schema; see DensityMatrix.to_json."""
-    return DensityMatrix(_density(state)).to_json(extra)
+    return DensityMatrix(_state_matrix(state)).to_json(extra)
 
 
 def state_from_json(text: str) -> DensityMatrix:

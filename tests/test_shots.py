@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowlight import protocol, qops, shots
 from slowlight.tomography import moments_from_state
@@ -30,7 +32,7 @@ BELL[0] = BELL[3] = 1.0 / np.sqrt(2.0)
 
 
 def sigma(table, signature):
-    return np.sqrt(table.variance(signature) / table.count(signature))
+    return np.sqrt(table.variance(signature) / table.count)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def test_single_photon_power_at_paper_noise():
 def test_bell_moments_match_trace_oracle(bell_run):
     _, _, table = bell_run
     rho = np.outer(BELL, BELL.conj())
-    for sig in qops.all_moment_signatures(2):
+    for sig in table.signatures():
         truth = complex(np.trace(rho @ qops.moment_operator(sig, 2)))
         if table.variance(sig) == 0.0:
             assert abs(table.mean(sig) - truth) < 1e-12
@@ -74,7 +76,7 @@ def test_bell_moments_match_trace_oracle(bell_run):
 
 def test_hermitian_pairing_is_exact(bell_run):
     _, _, table = bell_run
-    for sig in qops.all_moment_signatures(2):
+    for sig in table.signatures():
         swapped = tuple((m, n) for n, m in sig)
         assert abs(table.mean(swapped) - np.conj(table.mean(sig))) < 1e-9
         assert table.variance(swapped) == pytest.approx(table.variance(sig), abs=1e-9)
@@ -166,7 +168,7 @@ def test_moment_products_match_a_per_signature_loop():
         var = np.var(product, ddof=1)
         assert abs(table.variance(sig) - var) <= 1e-10 * var
         assert abs(table.mean(sig) - product.mean()) < 1e-12
-        assert table.count(sig) == batch.count
+    assert table.count == batch.count
 
 
 def test_variances_are_those_of_the_deconvolved_products():
@@ -269,11 +271,11 @@ def test_mode_maps_match_the_subset_recursion(case):
         table = shots.estimate_moments(batch, dark, gain=gain)
         factors = _deconvolved_factors(batch, dark_power, gain)
         oracle = _recursive_back_end(raw, dark_power, gain or {}, factors, batch.count)
-        assert set(oracle) == set(table.entries)
+        assert set(oracle) == set(table.signatures())
         for sig, (mean, var) in oracle.items():
             assert abs(table.mean(sig) - mean) <= 1e-12 * max(abs(mean), np.sqrt(var))
             assert abs(table.variance(sig) - var) <= 1e-12 * var
-            assert table.count(sig) == batch.count
+        assert table.count == batch.count
 
 
 def test_gain_scales_moments_by_their_order(bell_run):
@@ -298,24 +300,33 @@ def test_gain_is_refused_off_the_heterodyne_modes():
 
 
 def test_signature_orders_are_the_earlier_ones():
-    """qops.all_moment_signatures and MomentTable.signatures keep the orders
-    they had as separate rules: (total, signature) over the binary codes, and
-    (total, str(signature)) over a table's keys, heterodyne or mixed."""
+    """qops.moment_layout and MomentTable.signatures keep the orders the
+    signature lists had as separate rules: (total, signature) over the binary
+    codes, and (total, str(signature)) over a table's signatures, heterodyne
+    or mixed.  moment_layout's order takes the product layout (first mode
+    slowest) to that order, and its conjugates index each signature's
+    conjugate."""
     def total(sig):
         return sum(sum(e) if isinstance(e, tuple) else e for e in sig)
+
+    def table(bases):
+        size = len(qops.moment_layout(bases)[0])
+        return shots.MomentTable(bases, np.zeros(size), np.ones(size), 1)
 
     for n in range(1, 6):
         codes = [tuple(((c >> 2 * (n - 1 - k) + 1) & 1, (c >> 2 * (n - 1 - k)) & 1)
                        for k in range(n)) for c in range(4 ** n)]
         by_code = sorted(codes, key=lambda s: (sum(a + b for a, b in s), s))
-        assert qops.all_moment_signatures(n) == by_code
-        table = shots.MomentTable({sig: (0j, 1.0, 1) for sig in reversed(codes)},
-                                  ("",) * n)
-        assert table.signatures() == sorted(codes, key=lambda s: (total(s), str(s)))
-    layout = (qops.MODE_ORDERS, (0, 1), qops.MODE_ORDERS, (0, 1))
-    mixed = list(itertools.product(*layout))[::-1]
-    table = shots.MomentTable({sig: (0j, 1.0, 1) for sig in mixed}, ("", "x", "", "z"))
-    assert table.signatures() == sorted(mixed, key=lambda s: (total(s), str(s)))
+        assert list(qops.moment_layout(("",) * n)[0]) == by_code
+        assert table(("",) * n).signatures() == sorted(codes, key=lambda s: (total(s), str(s)))
+    bases = ("", "x", "", "z")
+    product = list(itertools.product(qops.MODE_ORDERS, (0, 1), qops.MODE_ORDERS, (0, 1)))
+    expected = sorted(product, key=lambda s: (total(s), str(s)))
+    assert table(bases).signatures() == expected
+    signatures, order, conjugates = qops.moment_layout(bases)
+    assert [product[j] for j in order] == expected == list(signatures)
+    assert [signatures[k] for k in conjugates] == [
+        tuple(e[::-1] if isinstance(e, tuple) else e for e in sig) for sig in signatures]
 
 
 def test_reported_variance_matches_bootstrap(bell_run):
@@ -479,6 +490,69 @@ def test_moment_table_json_round_trip(bell_run):
     assert json.loads(text)["mode_bases"] == ["", ""]
 
 
+@st.composite
+def _tables(draw):
+    """A moment table over a random layout of one to three modes."""
+    bases = tuple(draw(st.lists(st.sampled_from(["", "x", "y", "z"]),
+                                min_size=1, max_size=3)))
+    size = len(qops.moment_layout(bases)[0])
+    means = draw(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                          min_size=size, max_size=size))
+    variances = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                              min_size=size, max_size=size))
+    return shots.MomentTable(bases, means, variances, draw(st.integers(1, 2**40)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_tables())
+def test_moment_table_json_round_trip_is_exact(table):
+    back = shots.MomentTable.from_json(table.to_json())
+    assert back.mode_bases == table.mode_bases
+    assert back.means.tobytes() == table.means.tobytes()
+    assert back.variances.tobytes() == table.variances.tobytes()
+    assert back.count == table.count
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(_tables(), st.integers(min_value=0), st.randoms(use_true_random=False))
+def test_moment_table_from_json_rejects_bad_rows(table, pick, random):
+    """Rows may come in any order, but each signature of the layout exactly
+    once, and all with one count."""
+    data = json.loads(table.to_json())
+    rows = data["moments"]
+    random.shuffle(rows)
+    assert shots.MomentTable.from_json(json.dumps(data)).means.tobytes() == table.means.tobytes()
+    j = pick % len(rows)
+    row = rows[j]
+    outside = dict(row, signature=row["signature"] + [[0, 0]])
+    recounted = dict(row, count=row["count"] + 1)
+    cases = (("missing 1 of the", rows[:j] + rows[j + 1:]),
+             ("listed twice", rows + [row]),
+             ("has 1 outside them", rows + [outside]),
+             ("disagree on the shot count", rows[:j] + [recounted] + rows[j + 1:]))
+    for message, bad in cases:
+        with pytest.raises(ValueError, match=message):
+            shots.MomentTable.from_json(json.dumps(dict(data, moments=bad)))
+
+
+def test_zero_shot_batches_are_refused(tmp_path):
+    """A batch of no shots, as read back from a file, raises instead of
+    giving NaN moments or noise powers."""
+    batch, dark = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8)
+    empty = []
+    for kind in (batch, dark):
+        path = tmp_path / f"empty{kind.dark}.shot"
+        shots.save_shots(shots.ShotBatch(kind.values[:0], kind.mode_bases, dark=kind.dark), path)
+        empty.append(shots.load_shots(path))
+    assert empty[0].values.shape == (0, 2) and empty[1].dark
+    with pytest.raises(ValueError, match="holds no shots"):
+        shots.estimate_moments(empty[0], dark)
+    with pytest.raises(ValueError, match="holds no shots"):
+        shots.estimate_moments(*empty)
+    with pytest.raises(ValueError, match="holds no shots"):
+        shots.dark_noise_power(empty[1])
+
+
 def test_synthesis_validation():
     with pytest.raises(ValueError, match="n_noise"):
         shots.synthesize_shots(BELL, -0.1, 100)
@@ -553,7 +627,9 @@ def test_bandwidth_split_identity_and_alarm():
     batch, dark = shots.synthesize_shots(one, 1.0, 100_000, seed=12)
     table = shots.estimate_moments(batch, dark)
     assert shots.bandwidth_gain_split(table, table) == 1.0
-    half = shots.MomentTable({((1, 1),): (0.5 + 0.0j, 1.0, 1000)}, ("",))
+    means = np.zeros(4, dtype=complex)
+    means[table.signatures().index(((1, 1),))] = 0.5
+    half = shots.MomentTable(("",), means, np.ones(4), 1000)
     with pytest.raises(ValueError, match="alarm"):
         shots.bandwidth_gain_split(table, half)
 

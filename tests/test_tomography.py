@@ -9,13 +9,12 @@ fixed.
 """
 
 import json
-import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from slowlight import qops
+from slowlight import qops, tomography
 from slowlight.noise import ChannelStack, apply_channels
 from slowlight.protocol import target_state
 from slowlight.shots import MomentTable, estimate_moments, synthesize_shots
@@ -136,33 +135,35 @@ def test_noisy_shot_table_reconstruction(cluster_states, noisy_table):
 
 
 def test_state_fit_input_validation(cluster_states):
+    """An incomplete, negative-variance or zero-count table cannot be built,
+    from arrays or from JSON, so no fit ever sees one; a table of the right
+    size over qubit modes is refused by the fit."""
     ideal, _ = cluster_states
     table = moments_from_state(ideal)
-    pruned = dict(table.entries)
-    pruned.pop(((1, 0), (0, 0), (0, 0), (0, 0)))
-    with pytest.raises(ValueError, match="missing"):
-        mle_state(MomentTable(entries=pruned, mode_bases=table.mode_bases))
+    with pytest.raises(ValueError, match="holds 256 moments"):
+        MomentTable(table.mode_bases, table.means[1:], table.variances[1:], 1)
+    rows = json.loads(table.to_json())
+    rows["moments"].pop(1)
+    with pytest.raises(ValueError, match="missing 1 of the 256"):
+        MomentTable.from_json(json.dumps(rows))
+    qubits = MomentTable(("z",) * 4, np.ones(16), np.ones(16), 1)
     with pytest.raises(ValueError, match="heterodyne"):
-        mle_state(MomentTable(entries=dict(table.entries), mode_bases=("z",) * 4))
-    bad = dict(table.entries)
-    sig = ((1, 1), (0, 0), (0, 0), (0, 0))
-    bad[sig] = (bad[sig][0], -1.0, 1)
+        mle_state(qubits)
+    bad = table.variances.copy()
+    bad[5] = -1.0
     with pytest.raises(ValueError, match="non-negative"):
-        mle_state(MomentTable(entries=bad, mode_bases=table.mode_bases))
+        MomentTable(table.mode_bases, table.means, bad, 1)
     # a signature of another mode count does not stand in for a missing one
-    two = dict(moments_from_state(BELL).entries)
-    two.pop(((1, 0), (0, 0)))
-    two[((1, 0), (0, 0), (0, 0))] = (0j, 1.0, 1)
-    with pytest.raises(ValueError, match="missing 1 of the 16"):
-        mle_state(MomentTable(entries=two, mode_bases=("", "")))
+    two = json.loads(moments_from_state(BELL).to_json())
+    two["moments"][1]["signature"] = [[1, 0], [0, 0], [0, 0]]
+    with pytest.raises(ValueError, match="missing 1 of the 16 signatures and has 1 outside"):
+        MomentTable.from_json(json.dumps(two))
     # a zero shot count read back from JSON is outside input, not a crash
-    empty = dict(table.entries)
-    empty[sig] = (empty[sig][0], 1.0, 0)
-    loaded = MomentTable.from_json(
-        MomentTable(entries=empty, mode_bases=table.mode_bases).to_json())
-    for fit in (mle_state, lambda t: bootstrap_ci(t, ideal, resamples=100)):
-        with pytest.raises(ValueError, match=re.escape(str(sig))):
-            fit(loaded)
+    empty = json.loads(table.to_json())
+    for row in empty["moments"]:
+        row["count"] = 0
+    with pytest.raises(ValueError, match="has shot count 0; every mean needs"):
+        MomentTable.from_json(json.dumps(empty))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_sparse_design_matches_dense_moment_rows(n_modes):
         dense = np.array([qops.moment_operator(sig, n_modes).T.reshape(-1)
                           for sig in signatures])
         assert np.array_equal(design.toarray(), dense)
-        assert list(signatures) == qops.all_moment_signatures(n_modes)[1:]
+        assert signatures == qops.moment_layout(("",) * n_modes)[0][1:]
 
 
 def test_curvature_step_is_reproducible_and_exact(noisy_table):
@@ -207,9 +208,9 @@ def test_moments_from_state_variance_source(noisy_table, cluster_states):
     scaled = moments_from_state(noisy, count=4_000_000, variance_source=noisy_table)
     sig = ((1, 1), (0, 0), (0, 0), (0, 0))
     assert scaled.variance(sig) == noisy_table.variance(sig)
-    assert scaled.count(sig) == 4_000_000
-    ratio = (noisy_table.variance(sig) / noisy_table.count(sig)) / (
-        scaled.variance(sig) / scaled.count(sig))
+    assert scaled.count == 4_000_000
+    ratio = (noisy_table.variance(sig) / noisy_table.count) / (
+        scaled.variance(sig) / scaled.count)
     assert abs(ratio - 4_000_000 / 150_000) < 1e-9
     assert scaled.mode_bases == noisy_table.mode_bases
 
@@ -228,13 +229,67 @@ def test_resample_is_seeded_and_hermitian():
         self_sig = ((1, 1), (0, 0))
         assert rep.mean(self_sig).imag == 0.0
         assert rep.variance(sig) == table.variance(sig)
-        assert rep.count(sig) == table.count(sig)
+        assert rep.count == table.count
 
 
 def test_resample_rejects_a_zero_shot_count():
-    table = moments_from_state(BELL, count=0)
+    # the table itself refuses the count, so no replica can be drawn from it
     with pytest.raises(ValueError, match="has shot count 0; every mean needs"):
-        resample_moments(table, seed=1)
+        resample_moments(moments_from_state(BELL, count=0), seed=1)
+
+
+def _per_signature_draw(signatures, means, variances, resamples, rng):
+    """The earlier draw loop, one signature at a time: the reference for the
+    vectorised draw."""
+    index = {sig: j for j, sig in enumerate(signatures)}
+    drawn = np.tile(np.asarray(means, dtype=complex), (resamples, 1))
+    for j, sig in enumerate(signatures):
+        partner = index[tuple(e[::-1] if isinstance(e, tuple) else e for e in sig)]
+        if partner < j:
+            continue
+        var = variances[j]
+        if partner == j:
+            drawn[:, j] = (np.real(means[j])
+                           + np.sqrt(var) * rng.standard_normal(resamples))
+        else:
+            scale = np.sqrt(var / 2.0)
+            drawn[:, j] = means[j] + scale * (
+                rng.standard_normal(resamples)
+                + 1j * rng.standard_normal(resamples))
+            drawn[:, partner] = drawn[:, j].conj()
+    return drawn
+
+
+@pytest.mark.parametrize("bases", [("",), ("x",), ("", ""), ("", "z"), ("y", ""),
+                                   ("", "", ""), ("", "x", ""), ("z", "", "y"),
+                                   ("", "", "", ""), ("", "x", "", "z")],
+                         ids=lambda bases: "-".join(b or "het" for b in bases))
+def test_draws_equal_the_per_signature_loop_bit_for_bit(bases, monkeypatch):
+    """resample_moments and bootstrap_ci's fidelities draw exactly the
+    normals, in the same order, that the per-signature loop drew."""
+    rng = np.random.Generator(np.random.Philox(key=[len(bases), 41]))
+    signatures = qops.moment_layout(bases)[0]
+    size = len(signatures)
+    table = MomentTable(bases, rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                        rng.random(size), 250)
+    for seed in (0, 7):
+        replica = resample_moments(table, seed=seed)
+        expected = _per_signature_draw(
+            signatures, table.means, table.variances / table.count, 1,
+            np.random.Generator(np.random.Philox(key=[seed, 0x5EED])))[0]
+        assert replica.means.tobytes() == expected.tobytes()
+    if any(bases):
+        return
+    target = rng.standard_normal((2 ** len(bases),) * 2)
+    target = target @ target.T
+    target /= np.trace(target)
+    fidelities = bootstrap_ci(table, target, resamples=100, seed=3)["fidelities"]
+    monkeypatch.setattr(
+        tomography, "_draw_hermitian_rows",
+        lambda partners, means, variances, resamples, rng: _per_signature_draw(
+            signatures[1:], means, variances, resamples, rng))
+    reference = bootstrap_ci(table, target, resamples=100, seed=3)["fidelities"]
+    assert fidelities.tobytes() == reference.tobytes()
 
 
 def test_resample_spread_follows_variance_of_mean():
