@@ -78,8 +78,14 @@ def moment_layout(mode_bases: tuple):
     heterodyne (0, 1) and (1, 0).  The cached arrays are read-only.
     """
     product = list(itertools.product(*((0, 1) if b else MODE_ORDERS for b in mode_bases)))
-    order = np.array(sorted(range(len(product)), key=lambda j: signature_key(product[j])))
-    swapped = np.arange(order.size).reshape([2 if b else 4 for b in mode_bases])
+    shape = [2 if b else 4 for b in mode_bases]
+    # per-mode codes in the product layout: 2n + m for a heterodyne (n, m), so
+    # comparing codes compares entries; sorted by total, then mode by mode
+    codes = np.indices(shape).reshape(len(shape), len(product))
+    totals = sum((c if b else (c >> 1) + (c & 1) for c, b in zip(codes, mode_bases)),
+                 np.zeros(len(product), dtype=int))
+    order = np.lexsort((*codes[::-1], totals))
+    swapped = np.arange(order.size).reshape(shape)
     for axis in (k for k, b in enumerate(mode_bases) if not b):
         swapped = np.take(swapped, [0, 2, 1, 3], axis=axis)
     conjugates = np.argsort(order)[swapped.reshape(-1)[order]]

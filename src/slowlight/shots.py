@@ -4,27 +4,32 @@ Each shot yields one complex number per photonic mode, S_k = a_k + h_k^dag,
 where h_k is an independent thermal noise mode of occupation n_noise.  Each
 shot draws an eigenvector of the state from its eigenvalue mixture as its own
 conditional state.  Its modes are then drawn one at a time from the exact
-Husimi distribution (radius from the diagonal mixture, angle from a uniform /
-cardioid mixture set by the off-diagonal term), each conditioning the state on
-the drawn amplitude, so every sampled moment matches the quantum prediction in
-expectation, not only the n, m <= 1 set the estimator reports.  The vacuum
-unit of h^dag is carried by the Husimi kernel; the added Gaussian noise has
-variance n_noise only, which lands the stated convention
-<S^dag S> = <a^dag a> + n_noise + 1.  The dark (vacuum-input) batch is drawn
-directly: its S is a circular complex Gaussian of power d = 1 + n_noise.
-estimate_moments removes d mode by mode from each shot's factors
-[1, S, S*, |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g, and
-reports the mean and variance of the products of these deconvolved factors
-in a MomentTable (flat arrays in qops.moment_layout order, one shot count).
+Husimi distribution, each conditioning the state on the drawn amplitude, so
+every sampled moment matches the quantum prediction in expectation, not only
+the n, m <= 1 set the estimator reports.  A draw takes its radius from the
+diagonal mixture and its phase from a uniform / cardioid mixture set by the
+off-diagonal term, both from Gaussian and exponential variates with no
+trigonometric function.  The vacuum unit of h^dag is carried by the Husimi
+kernel; the added Gaussian noise has variance n_noise only, which lands the
+stated convention <S^dag S> = <a^dag a> + n_noise + 1.  The dark
+(vacuum-input) batch is drawn directly: its S is a circular complex Gaussian
+of power d = 1 + n_noise.
+
+estimate_moments sums products of real per-shot factor rows, [1, x, y,
+|S|^2 - d] for S = x + iy, with one real matrix product per block, and maps
+the sums mode by mode to those of the deconvolved factors [1, S, S*,
+|S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g.  It reports the
+mean and variance of the products of these deconvolved factors in a
+MomentTable (flat arrays in qops.moment_layout order, one shot count).
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
 joint moment tables.
 
 Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
-its own counter-mode RNG key.  Estimation sums fixed blocks of 2^13 shots in
-a fixed order, so at a given commit results are reproducible bit for bit
-regardless of how the chunks would be scheduled.
+its own PCG64 stream, keyed by a SeedSequence spawn key.  Estimation sums
+fixed blocks of 2^13 shots in a fixed order, so at a given commit results are
+reproducible bit for bit regardless of how the chunks would be scheduled.
 
 Shot files are written from the arrays' own buffers and read straight into
 new arrays, with no intermediate bytes copy either way.
@@ -151,6 +156,9 @@ def load_shots(path) -> ShotBatch:
             raise ValueError(f"unsupported shot batch version {version}")
         codes = fh.read(n_modes)
         labels = {v: k for k, v in _BASIS_CODES.items()}
+        unknown = sorted(set(codes) - set(labels))
+        if unknown:
+            raise ValueError(f"shot file {path} has unknown basis code(s) {unknown}")
         bases = tuple(labels[c] for c in codes)
         n_qubit = sum(1 for b in bases if b)
         n_het = n_modes - n_qubit
@@ -164,63 +172,106 @@ def load_shots(path) -> ShotBatch:
     return ShotBatch(values, bases, outcomes, dark=bool(flags & 1))
 
 
-def _powers(flat):
-    """|amplitude|^2 summed over the last axis, as a dot of the float view."""
-    pairs = flat.view(np.float64)
-    return np.einsum("...r,...r->...", pairs, pairs)
+def _mode_stats(flat):
+    """(p0, p1, q01) of the sampled mode for each column of flat, the
+    (2, rest, columns) amplitudes with that mode in |0> and |1>: the reduced
+    state's diagonal and its <0|q|1> entry, unnormalised."""
+    power = np.square(flat.real)
+    power += np.square(flat.imag)
+    p0, p1 = power.sum(axis=1)
+    cross = flat[1].conj()
+    cross *= flat[0]
+    return p0, p1, cross.sum(axis=0)
 
 
-def _husimi_draw(flat, rng):
-    """One draw per row of flat, the (shots, 2, rest) amplitudes with the
-    sampled mode in |0> and |1>, from that mode's Husimi function.
+def _husimi_draw(p0, p1, q01, rng):
+    """One amplitude per entry of p0 from the Husimi function of the reduced
+    state q with diagonal (p0, p1) and <0|q|1> = q01 (unnormalised).
 
-    With its reduced state q, Q(a) ~ e^-|a|^2 (q00 + 2 Re(q01 a) + q11 |a|^2).
-    |a|^2 is an exponential / Gamma(2) mixture weighted q00 : q11.  Given the
-    radius r the angle density is (1 + c cos(theta + arg q01)) / 2pi with
+    Q(a) ~ e^-|a|^2 (q00 + 2 Re(q01 a) + q11 |a|^2).  |a|^2 is an
+    exponential / Gamma(2) mixture weighted q00 : q11, and given the radius
+    r the angle density is (1 + c cos(theta + arg q01)) / 2pi with
     c = 2 r |q01| / (q00 + q11 r^2) <= 1: the uniform density with weight
-    1 - c and the cardioid (1 + cos psi) / 2pi with weight c, whose draw is
-    psi = 2 atan2(N, chi_3) (tan(psi / 2) is Student t_3 over sqrt 3).
+    1 - c and the cardioid (1 + cos psi) / 2pi with weight c.  No angle is
+    formed.  A complex Gaussian z with E|z|^2 = 1 gives the radius and the
+    uniform phase at once (|z|^2 ~ Exp(1), independent of its phase); the
+    Gamma(2) branch rescales z by sqrt(1 + E / |z|^2), E ~ Exp(1).  The
+    cardioid phase is e^(i psi) = (x + iy)^2 / (x^2 + y^2) with
+    x = sqrt(chi^2_3) and y ~ N(0, 1), as tan(psi / 2) is Student t_3 over
+    sqrt 3.  Only the cardioid draws are rotated, by q01* / |q01|; where
+    q01 = 0 the weight c is 0, so none is drawn.
     """
-    size = len(flat)
-    p0, p1 = _powers(flat).T
-    q01 = np.vecdot(flat[:, 1], flat[:, 0])
+    size = len(p0)
+    alpha = rng.standard_normal(2 * size).view(complex)
+    alpha *= math.sqrt(0.5)  # the z above, with E|z|^2 = 1
+    u = rng.random((2, size))
+    z2 = np.square(alpha.real)
+    z2 += np.square(alpha.imag)
     r2 = rng.standard_exponential(size)
-    excited = rng.random(size) * (p0 + p1) < p1
-    r2[excited] += rng.standard_exponential(np.count_nonzero(excited))
-    r = np.sqrt(r2)
-    cardioid = rng.random(size) * (p0 + p1 * r2) < 2.0 * r * np.abs(q01)
-    psi = rng.uniform(-np.pi, np.pi, size)
-    k = np.count_nonzero(cardioid)
-    psi[cardioid] = 2.0 * np.arctan2(rng.standard_normal(k),
-                                     np.sqrt(rng.chisquare(3.0, k)))
-    return r * np.exp(1j * (psi - np.angle(q01)))
+    r2 *= u[0] * (p0 + p1) < p1
+    r2 += z2
+    alpha *= np.sqrt(r2 / z2)
+    mod2 = np.square(q01.real)
+    mod2 += np.square(q01.imag)
+    # u c < 1 as (u (q00 + q11 r^2))^2 < 4 r^2 |q01|^2, free of square roots
+    w = p1 * r2
+    w += p0
+    w *= u[1]
+    card = np.flatnonzero(w * w < 4.0 * r2 * mod2)
+    if card.size:
+        x2 = rng.chisquare(3.0, card.size)
+        y = rng.standard_normal(card.size)
+        half = np.sqrt(x2) + 1j * y
+        half *= half
+        half *= np.take(q01, card).conj()
+        half *= np.sqrt(np.take(r2, card) / np.take(mod2, card)) / (x2 + y * y)
+        np.put(alpha, card, half)
+    return alpha
 
 
 def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise):
     """Fill one chunk of shots in one pass over the modes.
 
     Each shot draws its mixture label, starts from that eigenvector and is
-    conditioned mode by mode on its own outcomes; the conditional amplitudes
-    stay unnormalised, as every draw uses only their ratios.
+    conditioned mode by mode, in place, on its own outcomes; the conditional
+    amplitudes stay unnormalised, as every draw uses only their ratios.  They
+    are held as (amplitudes, shots), so every step is a whole-row array
+    operation.  Mode 1's statistics are those of the eigenvectors, gathered
+    by label.  The thermal noise of every heterodyne mode is one float32
+    fill of the values buffer, to which each mode then adds its Husimi
+    amplitude.
     """
     size = len(values)
-    cond = vecs[rng.choice(len(probs), size, p=probs)]
+    labels = rng.choice(len(probs), size, p=probs)
+    noise = values.view(np.float32)
+    rng.standard_normal(dtype=np.float32, out=noise)
+    noise *= np.float32(math.sqrt(0.5 * n_noise))
+    columns = vecs.T
+    cond = np.take(columns, labels, axis=1)
     i_het = i_qub = 0
-    for basis in bases:
-        flat = cond.reshape(size, 2, -1)
+    for k, basis in enumerate(bases):
+        flat = cond.reshape(2, -1, size)
         if basis:
-            branches = np.einsum("ij,sjr->sir", _BASIS_ROWS[basis], flat)
-            p_plus, p_minus = _powers(branches).T
+            branches = (_BASIS_ROWS[basis] @ cond.reshape(2, -1)).reshape(flat.shape)
+            p_plus, p_minus = _mode_stats(branches)[:2]
             hit = rng.random(size) * (p_plus + p_minus) < p_plus
             outcomes[:, i_qub] = np.where(hit, 1, -1)
             i_qub += 1
-            cond = np.where(hit[:, None], branches[:, 0], branches[:, 1])
+            cond = np.where(hit, branches[0], branches[1])
+            continue
+        if k == 0:
+            stats = _mode_stats(columns.reshape(2, -1, len(probs)))
+            stats = [np.take(x, labels) for x in stats]
         else:
-            alpha = _husimi_draw(flat, rng)
-            noise = rng.standard_normal(2 * size).view(complex)  # N + iN
-            values[:, i_het] = alpha + math.sqrt(0.5 * n_noise) * noise
-            i_het += 1
-            cond = flat[:, 0] + alpha.conj()[:, None] * flat[:, 1]
+            stats = _mode_stats(flat)
+        alpha = _husimi_draw(*stats, rng)
+        values[:, i_het] += alpha
+        i_het += 1
+        # |0> + alpha* |1> of this mode, written over its |0> half
+        tail = flat[1]
+        tail *= alpha.conj()
+        cond = flat[0]
+        cond += tail
 
 
 def _dark_chunk(rng, values, outcomes, bases, n_noise):
@@ -230,9 +281,10 @@ def _dark_chunk(rng, values, outcomes, bases, n_noise):
     Gaussian with E|S|^2 = 1 + n_noise; a qubit mode in vacuum reads +1 in
     "z" and a fair +-1 in "x" or "y".
     """
-    size, n_het = values.shape
-    noise = rng.standard_normal((size, 2 * n_het)).view(complex)  # N + iN
-    values[:] = math.sqrt(0.5 * (1.0 + n_noise)) * noise
+    size = len(values)
+    noise = values.view(np.float32)
+    rng.standard_normal(dtype=np.float32, out=noise)
+    noise *= np.float32(math.sqrt(0.5 * (1.0 + n_noise)))
     for i, basis in enumerate(b for b in bases if b):
         outcomes[:, i] = 1 if basis == "z" else np.where(rng.random(size) < 0.5, 1, -1)
 
@@ -257,9 +309,10 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
     qubit_bases maps 1-based mode indices to "x"/"y"/"z" for modes read out
     projectively instead of by heterodyne.  Each shot draws its own mixture
     label, so no shot is tied to its neighbours.  Shot i of either batch lies
-    in chunk i // 2^16, which is drawn from the Philox key (seed, stream,
-    chunk) alone: the same seed gives the same shot i whatever the batch size
-    or the order in which chunks are computed.
+    in chunk i // 2^16, which is drawn from
+    PCG64(SeedSequence(seed, spawn_key=(stream, chunk))) alone, stream 1 for
+    the shots and 2 for the dark batch: the same seed gives the same shot i
+    whatever the batch size or the order in which chunks are computed.
     """
     if n_noise < 0.0:
         raise ValueError("n_noise must be non-negative")
@@ -284,8 +337,8 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
         outcomes = np.empty((total, n_qub), dtype=np.int8)
         stream = 2 if dark else 1
         for lo in range(0, total, _CHUNK):
-            key = np.array([seed, (stream << 32) + lo // _CHUNK], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
+            key = np.random.SeedSequence(seed, spawn_key=(stream, lo // _CHUNK))
+            rng = np.random.Generator(np.random.PCG64(key))
             chunk = values[lo:lo + _CHUNK], outcomes[lo:lo + _CHUNK]
             if dark:
                 _dark_chunk(rng, *chunk, bases, n_noise)
@@ -305,9 +358,10 @@ def dark_noise_power(dark: ShotBatch) -> np.ndarray:
     total = np.zeros(dark.values.shape[1])
     for lo in range(0, dark.count, _CHUNK):
         chunk = np.ascontiguousarray(dark.values[lo:lo + _CHUNK])
-        pairs = chunk.view(np.float32).reshape(len(chunk), -1, 2)
         # float32 squares are exact in float64, which carries the sum
-        total += np.einsum("smr,smr->m", pairs, pairs, dtype=np.float64)
+        pairs = chunk.view(np.float32).astype(np.float64)
+        pairs *= pairs
+        total += pairs.sum(axis=0).reshape(-1, 2).sum(axis=1)
     return total / dark.count - 1.0
 
 
@@ -406,8 +460,14 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     heterodyne mode indices to the power correction from
     bandwidth_gain_split.
 
-    The sums run over blocks of 2^13 shots, whose product stacks stay small
-    (a few MB at five modes); the dark power is summed in float64.
+    The products are summed over real factor rows: [1, x, y, |S|^2 - d] per
+    heterodyne mode (S = x + iy) and [1, outcome] per qubit mode, and for the
+    squares the distinct squared moduli [1, x^2 + y^2, (|S|^2 - d)^2] per
+    heterodyne mode (a qubit mode's are all 1).  The sums are then mapped mode
+    by mode: the products to [1, g^1/2 S, g^1/2 S*, g (|S|^2 - d)], and the
+    squares by index (0, 1, 1, 2) times (1, g, g, g^2).  The sums run over
+    blocks of 2^13 shots, whose product stacks stay small (a few MB at five
+    modes); the dark power is summed in float64.
     """
     if dark.mode_bases != batch.mode_bases:
         raise ValueError("dark batch modes do not match; moments of this "
@@ -426,56 +486,85 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
 
     # split the register in half so every signature product is one entry of a
     # left-half times right-half matrix product, letting BLAS accumulate the
-    # means and second moments instead of a python loop over signatures
+    # sums instead of a python loop over signatures
     split = (batch.n_modes + 1) // 2
     het_col = {mode: i for i, mode in enumerate(het)}
     qub_col = {mode: i for i, mode in enumerate(qub)}
 
-    def half_products(modes, values, outcomes):
-        """Products of one factor row per mode, first mode slowest.
-
-        The stack grows by broadcasting; a factor of 1 multiplies exactly.
-        """
-        ones = np.ones(values.shape[1], dtype=complex)
-        stack = ones[None, :]
-        for mode in modes:
-            if mode in het_col:
-                i = het_col[mode]
-                g = gain.get(mode, 1.0)
-                col = math.sqrt(g) * values[i]
-                power = g * (values[i].real**2 + values[i].imag**2 - dark_power[i])
-                rows = np.stack([ones, col, col.conj(), power.astype(complex)])
-            else:
-                rows = np.stack([ones, outcomes[qub_col[mode]]])
-            stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
+    def half_products(modes, factors, width):
+        """Products of one factor row per mode, first mode slowest, over the
+        modes `factors` has rows for (one row of ones if none).  The stack
+        grows by broadcasting."""
+        rows = [factors[mode] for mode in modes if mode in factors]
+        if not rows:
+            return np.ones((1, width))
+        stack = rows[0]
+        for more in rows[1:]:
+            stack = (stack[:, None, :] * more[None, :, :]).reshape(-1, width)
         return stack
 
-    shape = [2 if basis else 4 for basis in batch.mode_bases]
-    sum_prod = np.zeros((math.prod(shape[:split]), math.prod(shape[split:])),
-                        dtype=complex)
-    sum_sq = np.zeros(sum_prod.shape)
-    left_modes = range(1, split + 1)
-    right_modes = range(split + 1, batch.n_modes + 1)
+    halves = (range(1, split + 1), range(split + 1, batch.n_modes + 1))
+    sum_prod = sum_sq = 0.0
     for lo in range(0, batch.count, _MOMENT_BLOCK):
-        hi = min(lo + _MOMENT_BLOCK, batch.count)
-        values = np.ascontiguousarray(batch.values[lo:hi].T, dtype=complex)
-        outcomes = (np.ascontiguousarray(batch.outcomes[lo:hi].T, dtype=complex)
-                    if qub else None)
-        left = half_products(left_modes, values, outcomes)
-        right = half_products(right_modes, values, outcomes)
-        sum_prod += left @ right.T
-        # rebinding frees the complex stacks before the squares are formed
-        left, right = np.abs(left), np.abs(right)
-        sum_sq += (left * left) @ (right * right).T
+        block = batch.values[lo:lo + _MOMENT_BLOCK].T
+        width = block.shape[1]
+        # per heterodyne mode [1, x, y, |S|^2 - d] and its distinct squares
+        # [1, x^2 + y^2, (|S|^2 - d)^2]; per qubit mode [1, outcome], whose
+        # squares are all 1
+        real = np.empty((len(het), 4, width))
+        real[:, 0] = 1.0
+        real[:, 1] = block.real
+        real[:, 2] = block.imag
+        square = np.empty((len(het), 3, width))
+        square[:, 0] = 1.0
+        power = square[:, 1]
+        np.square(real[:, 1], out=power)
+        power += np.square(real[:, 2])
+        np.subtract(power, dark_power[:, None], out=real[:, 3])
+        np.square(real[:, 3], out=square[:, 2])
+        factors = {mode: real[i] for mode, i in het_col.items()}
+        if qub:
+            signs = np.ones((len(qub), 2, width))
+            signs[:, 1] = batch.outcomes[lo:lo + _MOMENT_BLOCK].T
+            factors.update((mode, signs[i]) for mode, i in qub_col.items())
+        left, right = (half_products(modes, factors, width) for modes in halves)
+        sum_prod = sum_prod + left @ right.T
+        factors = {mode: square[i] for mode, i in het_col.items()}
+        left, right = (half_products(modes, factors, width) for modes in halves)
+        sum_sq = sum_sq + left @ right.T
 
+    # mode by mode, the real sums become those of [1, g^1/2 S, g^1/2 S*,
+    # g (|S|^2 - d)] and the square sums those of the four squared moduli
+    to_complex, to_squares = [], []
+    for mode, basis in enumerate(batch.mode_bases, start=1):
+        if basis:
+            to_complex.append(None)
+            to_squares.append(np.ones((2, 1)))
+            continue
+        g = gain.get(mode, 1.0)
+        root = math.sqrt(g)
+        to_complex.append(np.array([[1, 0, 0, 0], [0, root, 1j * root, 0],
+                                    [0, root, -1j * root, 0], [0, 0, 0, g]]))
+        to_squares.append(np.array([[1, 0, 0], [0, g, 0], [0, g, 0], [0, 0, g * g]]))
+    shape = [2 if basis else 4 for basis in batch.mode_bases]
     count = batch.count
-    means = sum_prod / count
+    means = _map_modes(sum_prod.reshape(shape), to_complex) / count
+    sum_sq = _map_modes(sum_sq.reshape([1 if basis else 3 for basis in batch.mode_bases]),
+                        to_squares)
     spread = sum_sq - count * np.abs(means) ** 2
     variances = np.maximum(spread, 0.0) / max(count - 1, 1)
     # the sums are in the product layout, first mode slowest
     order = qops.moment_layout(batch.mode_bases)[1]
     return MomentTable(batch.mode_bases, means.reshape(-1)[order],
                        variances.reshape(-1)[order], count)
+
+
+def _map_modes(array, maps):
+    """array with maps[k] applied along its axis k (None leaves it as is)."""
+    for axis, matrix in enumerate(maps):
+        if matrix is not None:
+            array = np.moveaxis(np.tensordot(matrix, array, axes=(1, axis)), 0, axis)
+    return array
 
 
 def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float:

@@ -9,6 +9,7 @@ against the taper transmittance computed by the dynamics layer.
 import itertools
 import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +50,45 @@ def test_vacuum_carries_the_commutator_unit():
     assert abs(power.mean() - 1.0) < 3.0 * power.std() / np.sqrt(len(power))
     assert abs(values.mean()) < 3.0 * values.std() / np.sqrt(len(values))
     assert batch.values.dtype == np.complex64
+
+
+def _antinormal_moment(rho, p, q):
+    """Tr(rho a^p (a^dag)^q) for a {|0>, |1>} density matrix, taken in a Fock
+    space deep enough for (a^dag)^q to act exactly."""
+    dim = 2 + q
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    full = np.zeros((dim, dim), dtype=complex)
+    full[:2, :2] = rho
+    return complex(np.trace(full @ np.linalg.matrix_power(a, p)
+                            @ np.linalg.matrix_power(a.conj().T, q)))
+
+
+_COHERENT_MIXTURE = np.array([[0.6, 0.25 - 0.15j], [0.25 + 0.15j, 0.4]])
+
+
+@pytest.mark.parametrize("state", [
+    np.array([1.0, 0.0]),
+    np.array([0.0, 1.0]),
+    *(np.array([math.sqrt(0.4), math.sqrt(0.6) * np.exp(1j * phase)])
+      for phase in (0.0, 0.5 * np.pi, 2.0 * np.pi / 3.0)),
+    _COHERENT_MIXTURE,
+], ids=["vacuum", "one", "phase0", "phase90", "phase120", "mixed"])
+def test_husimi_draws_have_the_antinormal_moments(state):
+    """At n_noise 0 each shot is one Husimi draw, so E[a^p a*^q] over the
+    shots is Tr(rho a^p (a^dag)^q), within 4 SE, for E[a], E[a^2], E[|a|^2],
+    E[|a|^2 a] and E[|a|^4].  |1> has q01 = 0, where no cardioid draw may
+    occur; at the complex phases a conjugated rotation moves E[a] and
+    E[|a|^2 a] to their conjugates, many SE away."""
+    state = np.asarray(state, dtype=complex)
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    batch, _ = shots.synthesize_shots(state, 0.0, 200_000, seed=23, dark_count=1)
+    alpha = batch.values[:, 0].astype(complex)
+    power = np.abs(alpha) ** 2
+    for (p, q), sample in (((1, 0), alpha), ((2, 0), alpha ** 2), ((1, 1), power),
+                           ((2, 1), power * alpha), ((2, 2), power ** 2)):
+        truth = _antinormal_moment(rho, p, q)
+        se = np.std(sample) / math.sqrt(len(sample))
+        assert abs(sample.mean() - truth) < 4.0 * se, (p, q)
 
 
 def test_single_photon_power_at_paper_noise():
@@ -185,6 +225,58 @@ def test_variances_are_those_of_the_deconvolved_products():
         var = np.var(product, ddof=1)
         assert abs(table.variance(sig) - var) <= 1e-10 * var, sig
         assert abs(table.mean(sig) - product.mean()) <= 1e-12 * max(1.0, np.sqrt(var))
+
+
+def _complex_path_table(batch, dark, gain):
+    """The complex factor path that the real factors replaced, kept as an
+    oracle: per 2^13-shot block, stacks of [1, g^1/2 S, g^1/2 S*,
+    g (|S|^2 - d)] and [1, outcome] rows over each half of the register, one
+    complex GEMM for the sums and one of the squared moduli for the squares."""
+    het, qub = batch.heterodyne_modes, batch.qubit_modes
+    dark_power = shots.dark_noise_power(dark) + 1.0
+    split = (batch.n_modes + 1) // 2
+
+    def half_products(modes, values, outcomes):
+        ones = np.ones(values.shape[1], dtype=complex)
+        stack = ones[None, :]
+        for mode in modes:
+            if mode in het:
+                i = het.index(mode)
+                g = gain.get(mode, 1.0)
+                col = math.sqrt(g) * values[i]
+                power = g * (np.abs(values[i]) ** 2 - dark_power[i])
+                rows = np.stack([ones, col, col.conj(), power.astype(complex)])
+            else:
+                rows = np.stack([ones, outcomes[qub.index(mode)]])
+            stack = (stack[:, None, :] * rows[None, :, :]).reshape(-1, ones.size)
+        return stack
+
+    sum_prod = sum_sq = 0.0
+    for lo in range(0, batch.count, 1 << 13):
+        values = batch.values[lo:lo + (1 << 13)].T.astype(complex)
+        outcomes = batch.outcomes[lo:lo + (1 << 13)].T.astype(complex) if qub else None
+        left = half_products(range(1, split + 1), values, outcomes)
+        right = half_products(range(split + 1, batch.n_modes + 1), values, outcomes)
+        sum_prod = sum_prod + left @ right.T
+        sum_sq = sum_sq + np.abs(left) ** 2 @ (np.abs(right) ** 2).T
+    means = sum_prod.reshape(-1) / batch.count
+    variances = (sum_sq.reshape(-1) - batch.count * np.abs(means) ** 2) / (batch.count - 1)
+    order = qops.moment_layout(batch.mode_bases)[1]
+    return means[order], np.maximum(variances, 0.0)[order]
+
+
+def test_real_factor_sums_match_the_complex_products():
+    """The real factor rows, mapped mode by mode to the complex table, give
+    the complex path's means and variances at roundoff, with gains on both
+    heterodyne modes of a mixed layout.  Errors are taken as in
+    test_moment_blocks_agree_with_whole_chunks."""
+    batch, dark = _mixed_batch()
+    gain = {1: 1.07, 3: 0.93}
+    table = shots.estimate_moments(batch, dark, gain=gain)
+    means, variances = _complex_path_table(batch, dark, gain)
+    scale = np.maximum(np.abs(means), np.sqrt(variances))
+    assert np.all(np.abs(table.means - means) <= 1e-12 * scale)
+    assert np.all(np.abs(table.variances - variances) <= 1e-12 * variances)
 
 
 @pytest.mark.parametrize("name", ["ring5", "cluster4_2d"])
@@ -329,6 +421,17 @@ def test_signature_orders_are_the_earlier_ones():
         tuple(e[::-1] if isinstance(e, tuple) else e for e in sig) for sig in signatures]
 
 
+def test_moment_layout_lexsort_is_the_key_sort():
+    """moment_layout's lexsort over per-mode codes gives the order of a
+    Python sort by signature_key, heterodyne and mixed, at six modes."""
+    for bases in (("",) * 6, ("", "x", "", "", "z", ""), ("y", "", "z", "", "x", "")):
+        product = list(itertools.product(*((0, 1) if b else qops.MODE_ORDERS for b in bases)))
+        by_key = sorted(range(len(product)), key=lambda j: qops.signature_key(product[j]))
+        signatures, order, _ = qops.moment_layout(bases)
+        assert order.tolist() == by_key
+        assert list(signatures) == [product[j] for j in by_key]
+
+
 def test_reported_variance_matches_bootstrap(bell_run):
     batch, dark, table = bell_run
     rng = np.random.default_rng(11)
@@ -455,6 +558,17 @@ def test_load_shots_rejects_trailing_bytes(tmp_path):
     shots.save_shots(batch, path)
     path.write_bytes(path.read_bytes() + bytes(5))
     with pytest.raises(ValueError, match="5 bytes longer than"):
+        shots.load_shots(path)
+
+
+def test_load_shots_rejects_an_unknown_basis_code(tmp_path):
+    batch, _ = shots.synthesize_shots(BELL, 0.5, 1_000, seed=8, qubit_bases={2: "z"})
+    path = tmp_path / "coded.shot"
+    shots.save_shots(batch, path)
+    data = bytearray(path.read_bytes())
+    data[struct.calcsize(shots._HEADER) + 1] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=r"coded\.shot has unknown basis code\(s\) \[7\]"):
         shots.load_shots(path)
 
 
