@@ -61,37 +61,24 @@ def pauli_string(label: str) -> np.ndarray:
 MODE_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def signature_key(sig):
-    """Total order, then the signature; a qubit mode's entry is 0 or 1."""
-    return (sum(sum(e) if isinstance(e, tuple) else e for e in sig), sig)
-
-
 @lru_cache(maxsize=32)
 def moment_layout(mode_bases: tuple):
-    """(signatures, order, conjugates) of a moment table over mode_bases.
+    """(signatures, conjugates) of a moment table over mode_bases.
 
     signatures: the product of each mode's entries (MODE_ORDERS for a
-    heterodyne mode "", 0 and 1 for a qubit mode), sorted by signature_key.
-    order: signatures[j] is entry order[j] of the product layout, first mode
-    slowest, so x[order] puts a flat array x in signature order.
+    heterodyne mode "", 0 and 1 for a qubit mode), first mode slowest.  Each
+    mode's entries ascend, so this is also the signatures' tuple order, and
+    the identity signature comes first.
     conjugates[j]: the index of signatures[j]'s conjugate, which swaps each
-    heterodyne (0, 1) and (1, 0).  The cached arrays are read-only.
+    heterodyne (0, 1) and (1, 0).  The cached array is read-only.
     """
-    product = list(itertools.product(*((0, 1) if b else MODE_ORDERS for b in mode_bases)))
-    shape = [2 if b else 4 for b in mode_bases]
-    # per-mode codes in the product layout: 2n + m for a heterodyne (n, m), so
-    # comparing codes compares entries; sorted by total, then mode by mode
-    codes = np.indices(shape).reshape(len(shape), len(product))
-    totals = sum((c if b else (c >> 1) + (c & 1) for c, b in zip(codes, mode_bases)),
-                 np.zeros(len(product), dtype=int))
-    order = np.lexsort((*codes[::-1], totals))
-    swapped = np.arange(order.size).reshape(shape)
+    signatures = tuple(itertools.product(*((0, 1) if b else MODE_ORDERS for b in mode_bases)))
+    conjugates = np.arange(len(signatures)).reshape([2 if b else 4 for b in mode_bases])
     for axis in (k for k, b in enumerate(mode_bases) if not b):
-        swapped = np.take(swapped, [0, 2, 1, 3], axis=axis)
-    conjugates = np.argsort(order)[swapped.reshape(-1)[order]]
-    order.setflags(write=False)
+        conjugates = np.take(conjugates, [0, 2, 1, 3], axis=axis)
+    conjugates = conjugates.reshape(-1)
     conjugates.setflags(write=False)
-    return tuple(product[j] for j in order), order, conjugates
+    return signatures, conjugates
 
 
 def graph_state(n: int, edges) -> np.ndarray:

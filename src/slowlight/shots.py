@@ -20,7 +20,8 @@ estimate_moments sums products of real per-shot factor rows, [1, x, y,
 the sums mode by mode to those of the deconvolved factors [1, S, S*,
 |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g.  It reports the
 mean and variance of the products of these deconvolved factors in a
-MomentTable (flat arrays in qops.moment_layout order, one shot count).
+MomentTable (flat arrays in the product layout of qops.moment_layout, as the
+sums come out, and one shot count).
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -372,9 +373,11 @@ class MomentTable:
     A signature entry is an (n, m) pair for a heterodyne mode (the moment
     (a^dag)^n a^m) or 0/1 for a qubit mode (whether its +-1 outcome
     multiplies the product).  means and the per-shot sample variances hold
-    one value per signature in signatures() order, qops.moment_layout; every
-    mean averages count shots, so its variance is variance / count.  The
-    constructor checks the lengths, variances >= 0 and count >= 1.
+    one value per signature in signatures() order, qops.moment_layout's
+    product layout, which is also tuple order; every mean averages count
+    shots, so its variance is variance / count.  The constructor checks the
+    lengths, variances >= 0 and count >= 1; mean() and variance() raise
+    KeyError for a signature outside the layout.
     """
 
     mode_bases: tuple
@@ -400,7 +403,12 @@ class MomentTable:
     def _index(self, signature) -> int:
         signatures = qops.moment_layout(self.mode_bases)[0]
         sig = tuple(signature)
-        j = bisect.bisect_left(signatures, qops.signature_key(sig), key=qops.signature_key)
+        try:
+            j = bisect.bisect_left(signatures, sig)
+        except TypeError:
+            # an entry of the wrong kind for its mode: a pair on a qubit mode
+            # or an integer on a heterodyne one
+            raise KeyError(sig) from None
         if j == len(signatures) or signatures[j] != sig:
             raise KeyError(sig)
         return j
@@ -553,10 +561,7 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                         to_squares)
     spread = sum_sq - count * np.abs(means) ** 2
     variances = np.maximum(spread, 0.0) / max(count - 1, 1)
-    # the sums are in the product layout, first mode slowest
-    order = qops.moment_layout(batch.mode_bases)[1]
-    return MomentTable(batch.mode_bases, means.reshape(-1)[order],
-                       variances.reshape(-1)[order], count)
+    return MomentTable(batch.mode_bases, means.reshape(-1), variances.reshape(-1), count)
 
 
 def _map_modes(array, maps):
@@ -575,6 +580,9 @@ def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float
     the sampler reproduces all Husimi moments; any single-excitation state
     gives zero.
     """
+    if mode not in batch.heterodyne_modes:
+        raise ValueError(f"mode {mode} is not one of the heterodyne modes "
+                         f"{batch.heterodyne_modes}")
     i = batch.heterodyne_modes.index(mode)
     d = float(dark_noise_power(dark)[i]) + 1.0
     power = np.abs(batch.values[:, i].astype(complex)) ** 2
@@ -684,13 +692,19 @@ def bandwidth_gain_split(slow: MomentTable, fast: MomentTable,
 
     Both tables must estimate the same nominally-one-photon emission, slow
     and fast pulse class respectively; the ratio of their <a^dag a> readings
-    is the correction factor for fast-class moments.
+    is the correction factor for fast-class moments.  `mode` must be a
+    heterodyne mode of both tables.
     """
-    sig_slow = tuple((1, 1) if m == mode else (0, 0)
-                     for m in range(1, len(slow.mode_bases) + 1))
-    sig_fast = tuple((1, 1) if m == mode else (0, 0)
-                     for m in range(1, len(fast.mode_bases) + 1))
-    ratio = float(np.real(slow.mean(sig_slow)) / np.real(fast.mean(sig_fast)))
+    def photon_number(table):
+        bases = table.mode_bases
+        if not 1 <= mode <= len(bases) or bases[mode - 1]:
+            raise ValueError(f"mode {mode} is not a heterodyne mode of a table "
+                             f"over mode_bases {bases}")
+        return float(np.real(table.mean(tuple(
+            (1, 1) if m == mode else 0 if b else (0, 0)
+            for m, b in enumerate(bases, start=1)))))
+
+    ratio = photon_number(slow) / photon_number(fast)
     if not 0.8 <= ratio <= 1.2:
         raise ValueError(f"calibration alarm: bandwidth gain split {ratio:.3f} "
                          "outside [0.8, 1.2]")

@@ -16,9 +16,11 @@ projection onto physical states is the eigenvalue simplex projection from
 :mod:`slowlight.qops`.
 
 Each A_j is a Kronecker product of single-mode 2 x 2 maps with 0/1 entries,
-so the (4^n - 1) x 4^n design that maps vec(rho) to the moments is built
-once per mode count as a sparse matrix with 5^n - 2^n nonzeros, and every
-fit runs on it.  The gradient step is 1 / (2 lambda_max) of the weighted
+so the 4^n x 4^n design that maps vec(rho) to the moments, in the table's
+own product layout, is built once per mode count as a sparse matrix with
+5^n nonzeros.  Its first row, the identity signature's, is the unit trace;
+every fit runs on the rows past it, and the bootstrap on the whole square
+design.  The gradient step is 1 / (2 lambda_max) of the weighted
 normal operator D+ W D, with lambda_max found by Lanczos iteration from a
 fixed start vector, so no 4^n x 4^n Hessian is ever formed for a state fit
 and the step is reproducible bit for bit.
@@ -105,9 +107,7 @@ def moments_from_state(state, variance: float = 1.0, count: int = 1,
     """
     rho = _state_matrix(state)
     n_modes = _photon_count(rho.shape[0])
-    design = _design_for_modes(n_modes)[1]
-    # the identity signature comes first, with the unit trace as its mean
-    means = np.concatenate([[np.trace(rho)], design @ rho.reshape(-1)])
+    means = _design_for_modes(n_modes) @ rho.reshape(-1)
     if variance_source is not None:
         return MomentTable(variance_source.mode_bases, means,
                            variance_source.variances, count)
@@ -151,7 +151,7 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     regenerating raw shot records each time.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5EED]))
-    row = _draw_hermitian_rows(qops.moment_layout(table.mode_bases)[2], table.means,
+    row = _draw_hermitian_rows(qops.moment_layout(table.mode_bases)[1], table.means,
                                table.variances / table.count, 1, rng)[0]
     return MomentTable(table.mode_bases, row, table.variances, table.count)
 
@@ -271,50 +271,47 @@ _MODE_MAP = sp.csr_matrix(np.array([
 
 @lru_cache(maxsize=8)
 def _design_for_modes(n_modes: int):
-    """Sparse rows of the moment design matrix, identity signature excluded.
+    """Square sparse moment design: row j maps the row-major vec(rho) to the
+    moment Tr(A_j rho) of signature j of qops.moment_layout.
 
-    Row j is moment_operator(signature j).T.reshape(-1), so the design maps the
-    row-major vec(rho) to the moments Tr(A_j rho).  It is the Kronecker power
-    of the single-mode map, whose rows are in the product layout of
-    qops.moment_layout and whose columns interleave (i_1, j_1, i_2, j_2, ...);
-    rows are then picked in signature order and columns reordered to row-major
-    (i_1, ..., i_n, j_1, ..., j_n).  The unit-trace row is enforced by the
-    projection already, and the huge weight a floored zero variance would give
-    it only wrecks the step size.  The cached matrix is read-only.
+    Row j is moment_operator(signature j).T.reshape(-1).  The design is the
+    Kronecker power of the single-mode map, whose rows are already in the
+    product layout and whose columns interleave (i_1, j_1, i_2, j_2, ...);
+    the columns are reordered to row-major (i_1, ..., i_n, j_1, ..., j_n).
+    Row 0, the identity signature's, is vec(I), the unit trace.  The cached
+    matrix is read-only.
     """
     design = _MODE_MAP
     for _ in range(n_modes - 1):
         design = sp.kron(design, _MODE_MAP, format="csr")
-    # the identity is the only signature of total order 0, so it comes first
-    signatures, order, _ = qops.moment_layout(("",) * n_modes)
-    # a product-layout index is the Kronecker power's row: entry (n, m) of
-    # mode k is the digit 2n + m of weight 4^(n_modes - 1 - k)
-    kept, rows = signatures[1:], order[1:]
     columns = np.arange(4**n_modes).reshape((2, 2) * n_modes).transpose(
         list(range(0, 2 * n_modes, 2)) + list(range(1, 2 * n_modes, 2)))
-    design = design[rows][:, columns.reshape(-1)]
+    design = design[:, columns.reshape(-1)]
     # canonical (sorted, no duplicates) before freezing, so that scipy never
     # has to tidy the shared arrays in place
     design.sum_duplicates()
     for array in (design.data, design.indices, design.indptr):
         array.setflags(write=False)
-    return kept, design
+    return design
 
 
 class _StateProblem:
     """Design, targets and weights of one table.
 
     The design is the cached sparse matrix of :func:`_design_for_modes`,
-    which depends only on the mode count.  The targets are the table's means
-    past the identity, which comes first, and the weights the inverse
-    variances of those means.
+    which depends only on the mode count, past its identity row.  The
+    targets are the table's means past the identity, which comes first, and
+    the weights the inverse variances of those means.
     """
 
     def __init__(self, table: MomentTable):
         n_modes = len(table.mode_bases)
         if n_modes == 0 or any(table.mode_bases):
             raise ValueError("state tomography needs heterodyne moments on every mode")
-        self.design = _design_for_modes(n_modes)[1]
+        # the unit-trace row is enforced by the projection already, and the
+        # huge weight a floored zero variance would give it only wrecks the
+        # step size
+        self.design = _design_for_modes(n_modes)[1:]
         self.dim = 2**n_modes
         self.targets = table.means[1:]
         self.variances = table.variances[1:] / table.count
@@ -377,24 +374,20 @@ def depolarized_chi(chi: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * np.asarray(chi, dtype=complex) + p * np.eye(16) / 16.0
 
 
+# column 16 n + m is vec(P_n (x) P_m*), the superoperator of chi_nm = 1; the
+# columns are orthogonal with squared norm 16
+_SUPEROP_BASIS = np.einsum("nab,mcd->acbdnm", _PAULIS_2Q, _PAULIS_2Q.conj(),
+                           order="C").reshape(256, 256)
+
+
 def chi_to_superop(chi: np.ndarray) -> np.ndarray:
     """Row-major superoperator S with vec(E(rho)) = S @ vec(rho)."""
-    s = np.zeros((16, 16), dtype=complex)
-    for n in range(16):
-        for m in range(16):
-            c = chi[n, m]
-            if c != 0.0:
-                s += c * np.kron(_PAULIS_2Q[n], _PAULIS_2Q[m].conj())
-    return s
+    return (_SUPEROP_BASIS @ np.asarray(chi, dtype=complex).reshape(-1)).reshape(16, 16)
 
 
 def superop_to_chi(s: np.ndarray) -> np.ndarray:
-    chi = np.zeros((16, 16), dtype=complex)
-    for n in range(16):
-        for m in range(16):
-            basis = np.kron(_PAULIS_2Q[n], _PAULIS_2Q[m].conj())
-            chi[n, m] = np.trace(basis.conj().T @ s) / 16.0
-    return chi
+    chi = _SUPEROP_BASIS.conj().T @ np.asarray(s, dtype=complex).reshape(-1)
+    return chi.reshape(16, 16) / 16.0
 
 
 def process_fidelity(chi_a: np.ndarray, chi_b: np.ndarray) -> float:
@@ -499,10 +492,11 @@ def _process_design(model: PrepModel | None):
         2.0 * (model.readout_fidelity if model else 1.0) - 1.0 if p != "I" else 1.0
         for p, _ in CORRELATOR_LABELS
     ])
-    # rows ordered prep-major: (prep 0, correlator 0..14), (prep 1, ...)
-    left = np.einsum("nab,ibc->niac", _PAULIS_2Q, states)
-    full = np.einsum("niac,mcd->nmiad", left, _PAULIS_2Q.conj().transpose(0, 2, 1))
-    design = np.einsum("jda,nmiad->ijnm", measure, full)
+    # Tr(O_j P_n rho_i P_m+) = sum_ac (P_n rho_i)[a, c] (P_m+ O_j)[c, a], rows
+    # ordered prep-major: (prep 0, correlator 0..14), (prep 1, ...)
+    left = _PAULIS_2Q @ states[:, None]
+    right = _PAULIS_2Q.conj().transpose(0, 2, 1) @ measure[:, None]
+    design = np.tensordot(left, right, axes=([2, 3], [3, 2])).transpose(0, 2, 1, 3)
     design = design * shrink[None, :, None, None]
     return design.reshape(16 * 15, 256)
 
@@ -527,17 +521,10 @@ def simulate_process_measurements(chi: np.ndarray, model: PrepModel | None = Non
     return means.reshape(16, 15), variances.reshape(16, 15)
 
 
-def _tp_constraint():
-    """Affine trace-preservation map: rows give entries of sum chi_nm P_m+ P_n."""
-    a = np.zeros((16, 256), dtype=complex)
-    for n in range(16):
-        for m in range(16):
-            a[:, 16 * n + m] = (_PAULIS_2Q[m].conj().T @ _PAULIS_2Q[n]).reshape(-1)
-    b = np.eye(4, dtype=complex).reshape(-1)
-    return a, b
-
-
-_TP_A, _TP_B = _tp_constraint()
+# affine trace-preservation map: row 4 a + c gives entry (a, c) of
+# sum chi_nm P_m+ P_n, which must be the identity _TP_B
+_TP_A = np.einsum("mba,nbc->acnm", _PAULIS_2Q.conj(), _PAULIS_2Q, order="C").reshape(16, 256)
+_TP_B = np.eye(4, dtype=complex).reshape(-1)
 # A+ y as a 16 x 16 matrix is the contraction of y with this stack
 _TP_ADJ = _TP_A.conj().reshape(16, 16, 16)
 CPTP_TOL = 1e-12
@@ -733,11 +720,11 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
     """Parametric bootstrap interval for the direct fidelity to a target.
 
-    The estimate is linear in the moments.  The unit-trace row vec(I) on top
-    of the moment design D makes a square, invertible full design A, and the
-    weights c solve A^T c = vec(sigma^T), so Tr(rho sigma) = c_0 + sum_j c_j
-    m_j for every rho: the identity moment enters as 1, the unit trace the
-    fit also enforces.  For a pure target sigma that overlap is the
+    The estimate is linear in the moments.  The moment design A is square and
+    invertible, its identity row being the unit trace vec(I), and the weights
+    c solve A^T c = vec(sigma^T), so Tr(rho sigma) = c_0 + sum_j c_j m_j for
+    every rho: the identity moment enters as 1, the unit trace the fit also
+    enforces.  For a pure target sigma that overlap is the
     fidelity.  Moment vectors m* are drawn around the measured means, not
     around a fitted model, with the recorded variance of each mean and
     conjugate signature pairs kept conjugate; ``fidelities`` holds the
@@ -755,14 +742,13 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     if sigma.shape[0] != problem.dim:
         raise ValueError(f"target has dimension {sigma.shape[0]}, but the "
                          f"table's states have dimension {problem.dim}")
-    trace_row = sp.csr_matrix(np.eye(problem.dim).reshape(1, -1))
-    full = sp.vstack([trace_row, problem.design], format="csr")
-    weights = spla.spsolve(full.T, sigma.T.reshape(-1))
+    design = _design_for_modes(len(table.mode_bases))
+    weights = spla.spsolve(design.T, sigma.T.reshape(-1))
     estimate = float(np.real(weights[0] + weights[1:] @ problem.targets))
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
     # the identity is its own conjugate, so the other rows pair among themselves
-    partners = qops.moment_layout(table.mode_bases)[2][1:] - 1
+    partners = qops.moment_layout(table.mode_bases)[1][1:] - 1
     drawn = _draw_hermitian_rows(partners, problem.targets, problem.variances,
                                  resamples, rng)
     fidelities = np.real(weights[0] + drawn @ weights[1:])

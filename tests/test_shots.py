@@ -261,8 +261,7 @@ def _complex_path_table(batch, dark, gain):
         sum_sq = sum_sq + np.abs(left) ** 2 @ (np.abs(right) ** 2).T
     means = sum_prod.reshape(-1) / batch.count
     variances = (sum_sq.reshape(-1) - batch.count * np.abs(means) ** 2) / (batch.count - 1)
-    order = qops.moment_layout(batch.mode_bases)[1]
-    return means[order], np.maximum(variances, 0.0)[order]
+    return means, np.maximum(variances, 0.0)
 
 
 def test_real_factor_sums_match_the_complex_products():
@@ -392,15 +391,10 @@ def test_gain_is_refused_off_the_heterodyne_modes():
 
 
 def test_signature_orders_are_the_earlier_ones():
-    """qops.moment_layout and MomentTable.signatures keep the orders the
-    signature lists had as separate rules: (total, signature) over the binary
-    codes, and (total, str(signature)) over a table's signatures, heterodyne
-    or mixed.  moment_layout's order takes the product layout (first mode
-    slowest) to that order, and its conjugates index each signature's
-    conjugate."""
-    def total(sig):
-        return sum(sum(e) if isinstance(e, tuple) else e for e in sig)
-
+    """qops.moment_layout and MomentTable.signatures list the product of each
+    mode's entries, first mode slowest: the binary codes in counting order
+    for heterodyne modes, which is also the sorted order, heterodyne or
+    mixed.  conjugates index each signature's conjugate."""
     def table(bases):
         size = len(qops.moment_layout(bases)[0])
         return shots.MomentTable(bases, np.zeros(size), np.ones(size), 1)
@@ -408,28 +402,33 @@ def test_signature_orders_are_the_earlier_ones():
     for n in range(1, 6):
         codes = [tuple(((c >> 2 * (n - 1 - k) + 1) & 1, (c >> 2 * (n - 1 - k)) & 1)
                        for k in range(n)) for c in range(4 ** n)]
-        by_code = sorted(codes, key=lambda s: (sum(a + b for a, b in s), s))
-        assert list(qops.moment_layout(("",) * n)[0]) == by_code
-        assert table(("",) * n).signatures() == sorted(codes, key=lambda s: (total(s), str(s)))
-    bases = ("", "x", "", "z")
-    product = list(itertools.product(qops.MODE_ORDERS, (0, 1), qops.MODE_ORDERS, (0, 1)))
-    expected = sorted(product, key=lambda s: (total(s), str(s)))
-    assert table(bases).signatures() == expected
-    signatures, order, conjugates = qops.moment_layout(bases)
-    assert [product[j] for j in order] == expected == list(signatures)
-    assert [signatures[k] for k in conjugates] == [
-        tuple(e[::-1] if isinstance(e, tuple) else e for e in sig) for sig in signatures]
-
-
-def test_moment_layout_lexsort_is_the_key_sort():
-    """moment_layout's lexsort over per-mode codes gives the order of a
-    Python sort by signature_key, heterodyne and mixed, at six modes."""
-    for bases in (("",) * 6, ("", "x", "", "", "z", ""), ("y", "", "z", "", "x", "")):
+        assert list(qops.moment_layout(("",) * n)[0]) == codes == sorted(codes)
+        assert table(("",) * n).signatures() == codes
+    for bases in (("", "x", "", "z"), ("y", "", "z", "", "x", "")):
         product = list(itertools.product(*((0, 1) if b else qops.MODE_ORDERS for b in bases)))
-        by_key = sorted(range(len(product)), key=lambda j: qops.signature_key(product[j]))
-        signatures, order, _ = qops.moment_layout(bases)
-        assert order.tolist() == by_key
-        assert list(signatures) == [product[j] for j in by_key]
+        signatures, conjugates = qops.moment_layout(bases)
+        assert table(bases).signatures() == product == list(signatures) == sorted(product)
+        assert [signatures[k] for k in conjugates] == [
+            tuple(e[::-1] if isinstance(e, tuple) else e for e in sig) for sig in signatures]
+        assert not conjugates.flags.writeable
+
+
+def test_table_lookup_raises_key_error_off_the_layout():
+    """mean and variance raise KeyError for any signature outside the
+    layout: an entry of the wrong kind for its mode, an entry outside the
+    n, m <= 1 set, or the wrong length, heterodyne or mixed."""
+    for bases, outside in (
+            (("", ""), [(1, 1), ((0, 0), 1), (0, (1, 1)), ((2, 0), (0, 0)),
+                        ((0, 0),), ((0, 0), (0, 0), (0, 0))]),
+            (("", "x"), [((0, 0), (0, 0)), (1, 1), (0, 0), ((0, 0), 2), ((0, 0),),
+                         ((0, 0), 1, 0)])):
+        size = len(qops.moment_layout(bases)[0])
+        table = shots.MomentTable(bases, np.zeros(size), np.ones(size), 1)
+        for sig in outside:
+            with pytest.raises(KeyError):
+                table.mean(sig)
+            with pytest.raises(KeyError):
+                table.variance(sig)
 
 
 def test_reported_variance_matches_bootstrap(bell_run):
@@ -746,6 +745,30 @@ def test_bandwidth_split_identity_and_alarm():
     half = shots.MomentTable(("",), means, np.ones(4), 1000)
     with pytest.raises(ValueError, match="alarm"):
         shots.bandwidth_gain_split(table, half)
+
+
+def test_bandwidth_split_and_two_photon_moment_on_qubit_read_modes():
+    """On a layout with a qubit-read mode, the gain split reads <a+a> of a
+    heterodyne mode with the qubit mode's entry 0, and both it and
+    two_photon_moment refuse a qubit mode or one outside 1..n by name."""
+    bases = ("", "x", "")
+    signatures = qops.moment_layout(bases)[0]
+    means = np.zeros(len(signatures), dtype=complex)
+    means[signatures.index(((0, 0), 0, (1, 1)))] = 0.8
+    slow = shots.MomentTable(bases, means, np.ones(len(signatures)), 1000)
+    means = means.copy()
+    means[signatures.index(((0, 0), 0, (1, 1)))] = 0.75
+    fast = shots.MomentTable(bases, means, np.ones(len(signatures)), 1000)
+    assert shots.bandwidth_gain_split(slow, fast, mode=3) == 0.8 / 0.75
+    for mode in (2, 0, 4):
+        with pytest.raises(ValueError, match=rf"mode {mode} is not a heterodyne mode"):
+            shots.bandwidth_gain_split(slow, fast, mode=mode)
+    batch, dark = shots.synthesize_shots(_mixed_three_mode_state(), 0.5, 2_000,
+                                         seed=1, qubit_bases={2: "x"})
+    assert np.isfinite(shots.two_photon_moment(batch, dark, mode=3))
+    for mode in (2, 0, 4):
+        with pytest.raises(ValueError, match=rf"mode {mode} is not one of the heterodyne"):
+            shots.two_photon_moment(batch, dark, mode=mode)
 
 
 def test_bandwidth_split_reproduces_taper_gap():

@@ -173,16 +173,19 @@ def test_state_fit_input_validation(cluster_states):
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
 def test_sparse_design_matches_dense_moment_rows(n_modes):
-    signatures, design = _design_for_modes(n_modes)
+    """The design is square, in the table's layout, with 5^n nonzeros; row j
+    is vec of signature j's moment operator, and row 0 is vec(I)."""
+    design = _design_for_modes(n_modes)
     assert sp.issparse(design)
-    assert design.shape == (4**n_modes - 1, 4**n_modes)
-    assert design.nnz == 5**n_modes - 2**n_modes
+    assert design.shape == (4**n_modes, 4**n_modes)
+    assert design.nnz == 5**n_modes
     assert not design.data.flags.writeable
+    assert np.array_equal(design[0].toarray()[0], np.eye(2**n_modes).reshape(-1))
     if n_modes <= 5:
+        signatures = qops.moment_layout(("",) * n_modes)[0]
         dense = np.array([qops.moment_operator(sig, n_modes).T.reshape(-1)
                           for sig in signatures])
         assert np.array_equal(design.toarray(), dense)
-        assert signatures == qops.moment_layout(("",) * n_modes)[0][1:]
 
 
 def test_curvature_step_is_reproducible_and_exact(noisy_table):
@@ -517,6 +520,26 @@ def test_prep_model_validation():
         PrepModel(thermal_pop=-0.1)
     with pytest.raises(ValueError, match="readout"):
         PrepModel(readout_fidelity=0.5)
+
+
+def test_process_design_matches_a_per_entry_trace_loop():
+    """Row (prep i, correlator j), column 16 n + m of the process design is
+    the shrunk trace Tr(O_j P_n rho_i P_m+), formed one entry at a time."""
+    model = PrepModel(loss=0.1, thermal_pop=0.02, readout_fidelity=0.97)
+    states = prep_states(model)
+    paulis = tomography._PAULIS_2Q
+    expected = np.empty((16, 15, 16, 16), dtype=complex)
+    for i in range(16):
+        for j, (p, op) in enumerate(tomography.CORRELATOR_LABELS):
+            measure = np.kron(qops.PAULIS[p], qops.single_mode_moment(*op))
+            shrink = 2.0 * model.readout_fidelity - 1.0 if p != "I" else 1.0
+            for n in range(16):
+                for m in range(16):
+                    expected[i, j, n, m] = shrink * np.trace(
+                        measure @ paulis[n] @ states[i] @ paulis[m].conj().T)
+    design = _process_design(model)
+    assert design.shape == (240, 256)
+    assert np.abs(design - expected.reshape(240, 256)).max() < 1e-14
 
 
 def test_measurement_grid_is_linear_in_the_process():
