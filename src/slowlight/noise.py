@@ -14,8 +14,11 @@ During a schedule the |e> level accumulates the integrated detuning as phase
 and |f> accumulates twice that (number-operator coupling); the noise is far
 slower than any pulse, so phases are applied per step window rather than
 integrated through pulse shapes.  Each realization's phase per step window
-is handed to the schedule interpreter in protocol, which runs all
-realizations in one batched pass.
+is handed to the schedule interpreter in protocol.  That interpreter runs
+the schedule once, as emitter-level histories (one per sequence of levels
+g/e/f, each a single amplitude on one photon column); a realization is the
+sum of those amplitudes, each turned by the phase its level sequence picks
+up from the realization's kicks.
 
 Channels on the photon register (loss on fed-back bins, the lumped control
 depolarizer) are exact Kraus maps.  The budget composes everything in the
@@ -55,6 +58,11 @@ class OneOverFSpec:
     calibrated_t2: float | None = None
 
     def __post_init__(self):
+        # NaN fails no comparison below, so finiteness is checked first
+        for label in ("amplitude", "f_min", "sample_rate", "exponent"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"noise.{label} must be finite, got {value!r}")
         if self.f_min <= 0.0 or self.f_min > 50.0:
             raise ValueError("noise.f_min must lie in (0, 50] Hz")
         if self.sample_rate <= 0.0:

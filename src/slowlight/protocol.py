@@ -12,6 +12,13 @@ feedback scattering event applies |e><e| (x) sigma_z on the named bin.
 Mirror gating and idles carry timing metadata only; the compiled state does
 not depend on them.
 
+Every step maps a basis state to basis states, so the one interpreter,
+_run, splits a schedule into emitter-level histories: one per sequence of
+levels the emitter takes after each step, each carrying a single amplitude
+on one basis column.  A run is the sum of its histories; emitter phase
+kicks (the dephasing Monte Carlo in noise) turn each history by the phase
+its level sequence accumulates, and the ideal compile is the kick-free case.
+
 The published circuit library covers the states generated on the device,
 with per-photon virtual-Z offsets folded into the pre-emission ef pulses so
 that graph-family targets come out in the standard graph-state gauge
@@ -37,6 +44,9 @@ SCATTER_TIME = 110e-9
 ECHO_GAP = 45e-9
 
 _AMP_TOL = 1e-9
+# a history amplitude at or below one ulp of the unit norm is roundoff: a pi
+# pulse leaves cos(pi/2) = 6.1e-17 on the branch it empties
+_ROUNDOFF_AMP = np.finfo(float).eps
 
 TARGET_GRAPHS = {
     "cluster2": (2, ((1, 2),)),
@@ -293,6 +303,48 @@ def compile_and_run(steps) -> PureState:
     return PureState(_run(steps)[0])
 
 
+def _histories(steps):
+    """Emitter-level histories of a schedule run from |g> (x) vacuum.
+
+    Every step maps a basis state |level, photons> to basis states: a
+    rotation splits it over the two levels of its transition, emission
+    turns |f> into |e> with the photon's bit set, and feedback flips a sign.
+    So the run is a sum of histories, one per sequence of emitter levels,
+    each a single amplitude on one basis column.  Returns (levels, columns,
+    amplitudes, n): levels[h, i] in {0, 1, 2} is history h's level (g, e, f)
+    after step i, columns[h] its flat index into the (3, 2^n) amplitudes,
+    and amplitudes[h] its amplitude.  Histories whose amplitude falls to
+    _ROUNDOFF_AMP are dropped.  A split that no emission follows doubles the
+    history count, so a schedule with k ge pi/2 pulses has up to 2^k of them.
+    """
+    n = _validate(steps)
+    # (levels so far, current level, photon column, amplitude)
+    rows = [((), 0, 0, 1.0 + 0.0j)]
+    for step in steps:
+        if step.kind == "rotation":
+            u = _rotation_matrix(step)
+            pair = (0, 1) if step.transition == "ge" else (1, 2)
+        grown = []
+        for path, level, column, amp in rows:
+            if step.kind == "rotation" and level in pair:
+                for to in pair:
+                    branch = amp * u[to, level]
+                    if abs(branch) > _ROUNDOFF_AMP:
+                        grown.append((path + (to,), to, column, branch))
+                continue
+            if step.kind == "emit" and level == 2:
+                level, column = 1, column | 1 << (n - step.photon)
+            elif step.kind == "cz_feedback" and level == 1 \
+                    and column >> (n - step.photon) & 1:
+                amp = -amp
+            grown.append((path + (level,), level, column, amp))
+        rows = grown
+    levels = np.array([row[0] for row in rows], dtype=np.int8).reshape(len(rows), len(steps))
+    columns = np.array([level * 2 ** n + column for _, level, column, _ in rows])
+    amplitudes = np.array([row[3] for row in rows], dtype=complex)
+    return levels, columns, amplitudes, n
+
+
 def _run(steps, kicks=None) -> np.ndarray:
     """Amplitudes (R, 3, 2, ..., 2) of R runs of a schedule from |g> (x) vacuum.
 
@@ -300,33 +352,26 @@ def _run(steps, kicks=None) -> np.ndarray:
     (R, len(steps)), are emitter phases: after step i, row r's |e> amplitude
     picks up exp(i kicks[r, i]) and its |f> amplitude exp(2i kicks[r, i]).
     Without kicks there is one row and no phase.
+
+    The kicks only multiply each level by a phase, so a row is the sum over
+    the schedule's histories (_histories) of exp(i theta_h) amplitudes[h] on
+    column h, with theta_h = sum_i levels[h, i] kicks[r, i].  Both sums run
+    elementwise in a fixed order, so a row never depends on the other rows.
     """
-    n = _validate(steps)
-    rows = 1 if kicks is None else kicks.shape[0]
-    psi = np.zeros((rows, 3) + (2,) * n, dtype=complex)
-    psi[(slice(None), 0) + (0,) * n] = 1.0
-    if kicks is not None:
-        e_kick = np.exp(1j * kicks).reshape(kicks.shape + (1,) * n)
-        f_kick = np.exp(2j * kicks).reshape(kicks.shape + (1,) * n)
-    for i, step in enumerate(steps):
-        if step.kind == "rotation":
-            psi = np.moveaxis(np.tensordot(_rotation_matrix(step), psi, axes=(1, 1)), 0, 1)
-        elif step.kind == "emit":
-            psi = _apply_emit(psi, step.photon)
-        elif step.kind == "cz_feedback":
-            psi[(slice(None), 1) + (slice(None),) * (step.photon - 1) + (1,)] *= -1.0
-        if kicks is not None:
-            psi[:, 1] *= e_kick[:, i]
-            psi[:, 2] *= f_kick[:, i]
-    return psi
-
-
-def _apply_emit(psi: np.ndarray, photon: int) -> np.ndarray:
-    out = psi.copy()
-    skip = (slice(None),) * (photon - 1)
-    out[(slice(None), 1) + skip + (1,)] = psi[(slice(None), 2) + skip + (0,)]
-    out[:, 2] = 0.0
-    return out
+    levels, columns, amplitudes, n = _histories(steps)
+    kicks = np.zeros((1, len(steps))) if kicks is None else np.asarray(kicks, dtype=float)
+    if kicks.ndim != 2 or kicks.shape[0] < 1 or kicks.shape[1] != len(steps):
+        raise ValueError(f"kicks have shape {kicks.shape}; a {len(steps)}-step "
+                         f"schedule needs (R, {len(steps)}) with R >= 1")
+    rows = kicks.shape[0]
+    by_step = np.ascontiguousarray(kicks.T)
+    out = np.zeros((3 * 2 ** n, rows), dtype=complex)
+    for path, column, amp in zip(levels, columns, amplitudes):
+        theta = np.zeros(rows)
+        for i in np.flatnonzero(path):
+            theta += path[i] * by_step[i]
+        out[column] += amp * np.exp(1j * theta)
+    return out.T.reshape((rows, 3) + (2,) * n)
 
 
 def _photon_rows(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:

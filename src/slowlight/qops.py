@@ -182,6 +182,8 @@ def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix is not finite")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise ValueError("density matrix is not Hermitian")
     trace = np.trace(rho)

@@ -298,3 +298,11 @@ def test_spec_validation_errors():
         noise.ChannelStack(loss=1.0)
     with pytest.raises(ValueError, match="columns summing to 1"):
         noise.ChannelStack(confusion=np.array([[0.9, 0.2], [0.2, 0.9]]))
+
+
+@pytest.mark.parametrize("field", ["amplitude", "f_min", "sample_rate", "exponent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_fields(field, value):
+    kwargs = {"amplitude": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"noise.{field} must be finite"):
+        noise.OneOverFSpec(**kwargs)

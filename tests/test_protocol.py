@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowlight import noise, shots, tomography
 from slowlight import protocol as P
@@ -222,6 +224,17 @@ def test_validate_density_reports_its_own_trace_message():
         qops.validate_density(np.eye(2))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_validate_density_rejects_non_finite_entries(entry):
+    rho = np.eye(2, dtype=complex) / 2.0
+    rho[entry] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        qops.validate_density(rho)
+    rho[entry] = math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        P.DensityMatrix(rho)
+
+
 def test_fidelity_is_exact_on_every_rank():
     rng = np.random.default_rng(17)
     for rank in range(1, 17):
@@ -245,6 +258,138 @@ def test_zero_kicks_reproduce_compile_and_run():
     kicked = P._run(steps, np.zeros((3, len(steps))))
     for row in kicked:
         assert np.array_equal(row, plain)
+
+
+def _batched_run(steps, kicks):
+    """Reference interpreter: every step applied to a dense (R, 3, 2, ..., 2)
+    batch of amplitudes, each row's kicks multiplied in after each step."""
+    n = P._validate(steps)
+    psi = np.zeros((kicks.shape[0], 3) + (2,) * n, dtype=complex)
+    psi[(slice(None), 0) + (0,) * n] = 1.0
+    e_kick = np.exp(1j * kicks).reshape(kicks.shape + (1,) * n)
+    f_kick = np.exp(2j * kicks).reshape(kicks.shape + (1,) * n)
+    for i, step in enumerate(steps):
+        if step.kind == "rotation":
+            psi = np.moveaxis(np.tensordot(P._rotation_matrix(step), psi, axes=(1, 1)), 0, 1)
+        elif step.kind == "emit":
+            skip = (slice(None),) * (step.photon - 1)
+            psi[(slice(None), 1) + skip + (1,)] = psi[(slice(None), 2) + skip + (0,)]
+            psi[:, 2] = 0.0
+        elif step.kind == "cz_feedback":
+            psi[(slice(None), 1) + (slice(None),) * (step.photon - 1) + (1,)] *= -1.0
+        psi[:, 1] *= e_kick[:, i]
+        psi[:, 2] *= f_kick[:, i]
+    return psi
+
+
+def _assert_matches_batched(steps, kicks):
+    np.testing.assert_allclose(P._run(steps, kicks), _batched_run(steps, kicks),
+                               rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", P.TARGET_NAMES)
+def test_history_run_matches_batched_interpreter(name):
+    steps = P.published_circuit(name)
+    kicks = np.random.default_rng(7).normal(scale=0.5, size=(20, len(steps)))
+    _assert_matches_batched(steps, kicks)
+    _assert_matches_batched(steps, np.zeros((1, len(steps))))
+
+
+def test_history_run_matches_batched_interpreter_on_calibrated_noise(monkeypatch):
+    spec = noise.calibrate_dephasing(seed=0)
+    schedules = [P.published_circuit(name) for name in P.TARGET_NAMES]
+    seen = []
+    run = P._run
+    monkeypatch.setattr(P, "_run", lambda steps, kicks: seen.append(kicks) or run(steps, kicks))
+    for steps in schedules:
+        noise._dephased_vectors(steps, spec, realizations=200)
+        assert seen[-1].shape == (200, len(steps))
+        assert np.abs(seen[-1]).max() > 1e-3
+        _assert_matches_batched(steps, seen[-1])
+
+
+@pytest.mark.parametrize("name", P.TARGET_NAMES)
+def test_history_count_doubles_with_each_ge_half_pulse(name):
+    steps = P.published_circuit(name)
+    halves = sum(1 for s in steps if s.kind == "rotation" and s.transition == "ge"
+                 and s.angle == math.pi / 2)
+    levels, columns, amplitudes, n = P._histories(steps)
+    assert levels.shape == (2 ** halves, len(steps))
+    # on the published circuits every history ends on a column of its own
+    assert len(set(columns.tolist())) == len(columns)
+    assert np.sum(np.abs(amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_histories_sharing_a_column_are_summed():
+    steps = [P.rotation("ge", math.pi / 2), P.rotation("ge", math.pi / 2)]
+    levels, columns, _, _ = P._histories(steps)
+    assert levels.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert sorted(columns.tolist()) == [0, 0, 1, 1]
+    kicks = np.random.default_rng(3).normal(scale=0.5, size=(9, 2))
+    _assert_matches_batched(steps, kicks)
+    np.testing.assert_allclose(np.abs(P.compile_and_run(steps).amplitudes), [0.0, 1.0, 0.0],
+                               rtol=0.0, atol=1e-15)
+
+
+def test_roundoff_histories_are_dropped_and_small_ones_kept():
+    # a pi pulse leaves cos(pi/2) = 6e-17 behind; pi - 1e-6 leaves 5e-7
+    assert len(P._histories([P.rotation("ge", math.pi)])[2]) == 1
+    steps = [P.rotation("ge", math.pi - 1e-6), P.rotation("ef", math.pi)]
+    levels, _, amplitudes, _ = P._histories(steps)
+    assert levels.tolist() == [[0, 0], [1, 2]]
+    assert abs(amplitudes[0]) == pytest.approx(5e-7, rel=1e-9)
+    kicks = np.random.default_rng(4).normal(scale=0.5, size=(5, 2))
+    _assert_matches_batched(steps, kicks)
+
+
+@st.composite
+def _schedules(draw):
+    """A valid schedule of up to eight steps over at most three photons."""
+    steps, emitted = [], 0
+    angles = st.one_of(st.sampled_from([math.pi / 2, math.pi, math.pi - 1e-6]),
+                       st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["rotation", "emit", "cz_feedback", "mirror_gate",
+                                     "idle"]))
+        if kind == "emit" and emitted < 3:
+            emitted += 1
+            steps.append(P.emit(emitted))
+        elif kind == "cz_feedback" and emitted:
+            steps.append(P.cz_feedback(draw(st.integers(1, emitted))))
+        elif kind == "mirror_gate":
+            steps.append(P.mirror_gate(draw(st.sampled_from(["open", "close"]))))
+        elif kind == "idle":
+            steps.append(P.idle(1e-8))
+        else:
+            steps.append(P.rotation(draw(st.sampled_from(["ge", "ef"])), draw(angles),
+                                    draw(st.floats(-math.pi, math.pi))))
+    return steps
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_schedules(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_history_run_matches_batched_interpreter_on_random_schedules(steps, rows, seed):
+    kicks = np.random.default_rng(seed).normal(scale=0.5, size=(rows, len(steps)))
+    _assert_matches_batched(steps, kicks)
+
+
+def test_run_rejects_kicks_of_the_wrong_shape():
+    steps = P.published_circuit("cluster2")
+    for shape in ((2, len(steps) + 1), (2, len(steps) - 1), (0, len(steps)), (len(steps),)):
+        with pytest.raises(ValueError, match=rf"kicks have shape \({shape[0]},.*"
+                                             rf"\(R, {len(steps)}\) with R >= 1"):
+            P._run(steps, np.zeros(shape))
+
+
+def test_kicks_leaving_the_emitter_excited_are_caught_per_realization():
+    # a Ramsey pair returns the emitter to |g> only without phase kicks
+    ramsey = [P.rotation("ge", math.pi / 2), P.idle(1e-8),
+              P.rotation("ge", math.pi / 2, axis_phase=math.pi)]
+    np.testing.assert_allclose(P.compile_and_run(ramsey).photons(), [1.0], atol=1e-15)
+    kicks = np.zeros((3, 3))
+    kicks[1, 1] = 0.2
+    with pytest.raises(ValueError, match="disentangling"):
+        P._photon_rows(P._run(ramsey, kicks))
 
 
 def test_density_json_schema_round_trip():
