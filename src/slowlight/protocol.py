@@ -314,8 +314,10 @@ def _histories(steps):
     amplitudes, n): levels[h, i] in {0, 1, 2} is history h's level (g, e, f)
     after step i, columns[h] its flat index into the (3, 2^n) amplitudes,
     and amplitudes[h] its amplitude.  Histories whose amplitude falls to
-    _ROUNDOFF_AMP are dropped.  A split that no emission follows doubles the
-    history count, so a schedule with k ge pi/2 pulses has up to 2^k of them.
+    _ROUNDOFF_AMP or below are dropped.  A rotation that leaves weight on
+    both levels of its transition doubles the histories there, so the count
+    grows as 2^(number of such rotations) however few photons there are;
+    the published circuits have 2^(number of ge pi/2 pulses).
     """
     n = _validate(steps)
     # (levels so far, current level, photon column, amplitude)
@@ -365,11 +367,13 @@ def _run(steps, kicks=None) -> np.ndarray:
                          f"schedule needs (R, {len(steps)}) with R >= 1")
     rows = kicks.shape[0]
     by_step = np.ascontiguousarray(kicks.T)
+    # levels[h, i] * kicks[:, i] for the levels 1 and 2 (doubling is exact)
+    by_level = (None, by_step, 2.0 * by_step)
     out = np.zeros((3 * 2 ** n, rows), dtype=complex)
     for path, column, amp in zip(levels, columns, amplitudes):
         theta = np.zeros(rows)
         for i in np.flatnonzero(path):
-            theta += path[i] * by_step[i]
+            theta += by_level[path[i]][i]
         out[column] += amp * np.exp(1j * theta)
     return out.T.reshape((rows, 3) + (2,) * n)
 
