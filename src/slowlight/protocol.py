@@ -12,12 +12,11 @@ feedback scattering event applies |e><e| (x) sigma_z on the named bin.
 Mirror gating and idles carry timing metadata only; the compiled state does
 not depend on them.
 
-Every step maps a basis state to basis states, so the one interpreter,
-_run, splits a schedule into emitter-level histories: one per sequence of
-levels the emitter takes after each step, each carrying a single amplitude
-on one basis column.  A run is the sum of its histories; emitter phase
-kicks (the dephasing Monte Carlo in noise) turn each history by the phase
-its level sequence accumulates, and the ideal compile is the kick-free case.
+The one interpreter, _run, sums a schedule's emitter-level histories: every
+step maps a basis state to basis states, so each sequence of emitter levels
+carries one amplitude on one basis column.  Phase kicks from the dephasing
+Monte Carlo in noise turn each history by the phase its levels accumulate;
+the ideal compile is the kick-free case.
 
 The published circuit library covers the states generated on the device,
 with per-photon virtual-Z offsets folded into the pre-emission ef pulses so
@@ -341,7 +340,7 @@ def _histories(steps):
                 amp = -amp
             grown.append((path + (level,), level, column, amp))
         rows = grown
-    levels = np.array([row[0] for row in rows], dtype=np.int8).reshape(len(rows), len(steps))
+    levels = np.array([row[0] for row in rows], dtype=np.int8)
     columns = np.array([level * 2 ** n + column for _, level, column, _ in rows])
     amplitudes = np.array([row[3] for row in rows], dtype=complex)
     return levels, columns, amplitudes, n
