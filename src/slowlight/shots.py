@@ -28,9 +28,17 @@ outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
 joint moment tables.
 
 Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
-its own PCG64 stream, keyed by a SeedSequence spawn key.  Estimation sums
-fixed blocks of 2^13 shots in a fixed order, so at a given commit results are
-reproducible bit for bit regardless of how the chunks would be scheduled.
+its own PCG64 stream, keyed by a SeedSequence spawn key, into its own rows of
+the output arrays.  The chunks run on one worker per CPU available to the
+process, up to the number of chunks: the calling thread plus helper threads
+(none on one CPU).  When mode 1 is heterodyne, each worker conditions its
+shots in its own state buffer of 2^(n-1) * 2^16 complex128 amplitudes (8 MB
+at four modes, 32 MB at six), which the calling thread allocates, so that
+the memory returns to its heap and not to a helper's malloc arena; a
+worker's other temporaries come to about 10 MB.  Estimation sums fixed
+blocks of 2^13 shots in a fixed order, so at a given commit results are
+reproducible bit for bit, whatever the number of CPUs or the order in which
+the workers take the chunks.
 
 Shot files are written from the arrays' own buffers and read straight into
 new arrays, with no intermediate bytes copy either way.
@@ -41,8 +49,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -54,6 +64,8 @@ _CHUNK = 1 << 16
 # estimate_moments' shots per block: its per-block stacks (a few MB) stay in
 # cache, where whole chunks would not
 _MOMENT_BLOCK = 1 << 13
+# synthesis' shots per block of a pass over the conditional states
+_STATE_BLOCK = 1 << 13
 _MAGIC = b"SHOT"
 _HEADER = "<4sIQHH"
 _VERSION = 1
@@ -176,13 +188,21 @@ def load_shots(path) -> ShotBatch:
 def _mode_stats(flat):
     """(p0, p1, q01) of the sampled mode for each column of flat, the
     (2, rest, columns) amplitudes with that mode in |0> and |1>: the reduced
-    state's diagonal and its <0|q|1> entry, unnormalised."""
-    power = np.square(flat.real)
-    power += np.square(flat.imag)
-    p0, p1 = power.sum(axis=1)
-    cross = flat[1].conj()
-    cross *= flat[0]
-    return p0, p1, cross.sum(axis=0)
+    state's diagonal and its <0|q|1> entry, unnormalised.  Each column's sums
+    are its own, so they are taken over blocks of columns, whose temporaries
+    stay small."""
+    size = flat.shape[2]
+    p0, p1 = np.empty((2, size))
+    q01 = np.empty(size, dtype=flat.dtype)
+    for lo in range(0, size, _STATE_BLOCK):
+        block = flat[:, :, lo:lo + _STATE_BLOCK]
+        power = np.square(block.real)
+        power += np.square(block.imag)
+        p0[lo:lo + _STATE_BLOCK], p1[lo:lo + _STATE_BLOCK] = power.sum(axis=1)
+        cross = block[1].conj()
+        cross *= block[0]
+        q01[lo:lo + _STATE_BLOCK] = cross.sum(axis=0)
+    return p0, p1, q01
 
 
 def _husimi_draw(p0, p1, q01, rng):
@@ -230,17 +250,20 @@ def _husimi_draw(p0, p1, q01, rng):
     return alpha
 
 
-def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise):
+def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state):
     """Fill one chunk of shots in one pass over the modes.
 
     Each shot draws its mixture label, starts from that eigenvector and is
     conditioned mode by mode, in place, on its own outcomes; the conditional
     amplitudes stay unnormalised, as every draw uses only their ratios.  They
     are held as (amplitudes, shots), so every step is a whole-row array
-    operation.  Mode 1's statistics are those of the eigenvectors, gathered
-    by label.  The thermal noise of every heterodyne mode is one float32
-    fill of the values buffer, to which each mode then adds its Husimi
-    amplitude.
+    operation.  Mode 1's statistics are those of the eigenvectors, taken by
+    label.  A heterodyne mode 1 then writes each shot's v0 + alpha* v1, from
+    the halves of its eigenvector, block by block into `state` (a flat buffer
+    of at least 2^(n-1) * len(values) amplitudes), where the later modes
+    condition it; a qubit mode 1 starts from the gathered eigenvectors.  The
+    thermal noise of every heterodyne mode is one float32 fill of the values
+    buffer, to which each mode then adds its Husimi amplitude.
     """
     size = len(values)
     labels = rng.choice(len(probs), size, p=probs)
@@ -248,11 +271,12 @@ def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise):
     rng.standard_normal(dtype=np.float32, out=noise)
     noise *= np.float32(math.sqrt(0.5 * n_noise))
     columns = vecs.T
-    cond = np.take(columns, labels, axis=1)
+    half = len(columns) // 2
+    cond = np.take(columns, labels, axis=1) if bases[0] else None
     i_het = i_qub = 0
     for k, basis in enumerate(bases):
-        flat = cond.reshape(2, -1, size)
         if basis:
+            flat = cond.reshape(2, -1, size)
             branches = (_BASIS_ROWS[basis] @ cond.reshape(2, -1)).reshape(flat.shape)
             p_plus, p_minus = _mode_stats(branches)[:2]
             hit = rng.random(size) * (p_plus + p_minus) < p_plus
@@ -264,15 +288,27 @@ def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise):
             stats = _mode_stats(columns.reshape(2, -1, len(probs)))
             stats = [np.take(x, labels) for x in stats]
         else:
+            flat = cond.reshape(2, -1, size)
             stats = _mode_stats(flat)
         alpha = _husimi_draw(*stats, rng)
         values[:, i_het] += alpha
         i_het += 1
-        # |0> + alpha* |1> of this mode, written over its |0> half
-        tail = flat[1]
-        tail *= alpha.conj()
-        cond = flat[0]
-        cond += tail
+        # |0> + alpha* |1> of this mode: after mode 1 written over its |0>
+        # half, for mode 1 formed from the eigenvector halves into state
+        conj = alpha.conj()
+        if k == 0:
+            cond = state[:half * size].reshape(half, size)
+            for lo in range(0, size, _STATE_BLOCK):
+                picked = labels[lo:lo + _STATE_BLOCK]
+                tail = np.take(columns[half:], picked, axis=1)
+                tail *= conj[lo:lo + _STATE_BLOCK]
+                np.add(np.take(columns[:half], picked, axis=1), tail,
+                       out=cond[:, lo:lo + _STATE_BLOCK])
+        else:
+            tail = flat[1]
+            tail *= conj
+            cond = flat[0]
+            cond += tail
 
 
 def _dark_chunk(rng, values, outcomes, bases, n_noise):
@@ -301,6 +337,24 @@ def _state_ensemble(rho):
     return probs, vecs[:, keep].T
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shot_count(name: str, value) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
                      qubit_bases: dict | None = None,
                      dark_count: int | None = None):
@@ -312,15 +366,22 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
     label, so no shot is tied to its neighbours.  Shot i of either batch lies
     in chunk i // 2^16, which is drawn from
     PCG64(SeedSequence(seed, spawn_key=(stream, chunk))) alone, stream 1 for
-    the shots and 2 for the dark batch: the same seed gives the same shot i
-    whatever the batch size or the order in which chunks are computed.
+    the shots and 2 for the dark batch, and written only to its own rows:
+    the same seed gives the same shot i, bit for bit, whatever the batch size
+    or the order in which chunks are computed.
+
+    The chunks of both batches run on min(CPUs available to the process,
+    number of chunks) workers: the calling thread and helper threads, all
+    taking shot chunks and then dark chunks from one shared iterator; with
+    one CPU no thread starts.  When mode 1 is heterodyne, every worker owns
+    a state buffer of 2^(n-1) * 2^16 amplitudes of 16 B (8 MB at four
+    modes), allocated here by the calling thread and passed to the worker;
+    its other temporaries come to about 10 MB.
     """
-    if n_noise < 0.0:
-        raise ValueError("n_noise must be non-negative")
-    if count < 1:
-        raise ValueError("shot count must be at least 1")
-    if dark_count is not None and dark_count < 1:
-        raise ValueError("dark_count must be at least 1")
+    if not math.isfinite(n_noise) or n_noise < 0.0:
+        raise ValueError(f"n_noise must be finite and non-negative, got {n_noise}")
+    count = _shot_count("shot count", count)
+    dark_count = count if dark_count is None else _shot_count("dark_count", dark_count)
     probs, vecs = _state_ensemble(rho)
     n_modes = protocol._photon_count(vecs.shape[1])
     bases = [""] * n_modes
@@ -333,21 +394,48 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
     bases = tuple(bases)
     n_qub = sum(1 for b in bases if b)
 
-    def run(total, dark):
+    batches = []
+    chunks = []
+    for total, stream in ((count, 1), (dark_count, 2)):
         values = np.empty((total, n_modes - n_qub), dtype=np.complex64)
         outcomes = np.empty((total, n_qub), dtype=np.int8)
-        stream = 2 if dark else 1
-        for lo in range(0, total, _CHUNK):
-            key = np.random.SeedSequence(seed, spawn_key=(stream, lo // _CHUNK))
-            rng = np.random.Generator(np.random.PCG64(key))
-            chunk = values[lo:lo + _CHUNK], outcomes[lo:lo + _CHUNK]
-            if dark:
-                _dark_chunk(rng, *chunk, bases, n_noise)
-            else:
-                _sample_chunk(rng, *chunk, probs, vecs, bases, n_noise)
-        return ShotBatch(values, bases, outcomes if n_qub else None, dark=dark)
+        batches.append(ShotBatch(values, bases, outcomes if n_qub else None, dark=stream == 2))
+        chunks += [(stream, i, values[lo:lo + _CHUNK], outcomes[lo:lo + _CHUNK])
+                   for i, lo in enumerate(range(0, total, _CHUNK))]
+    pending = iter(chunks)
+    taking = threading.Lock()
+    errors = []
 
-    return run(count, False), run(count if dark_count is None else dark_count, True)
+    def work(state):
+        try:
+            while True:
+                with taking:
+                    chunk = next(pending, None)
+                if chunk is None:
+                    return
+                stream, i, values, outcomes = chunk
+                key = np.random.SeedSequence(seed, spawn_key=(stream, i))
+                rng = np.random.Generator(np.random.PCG64(key))
+                if stream == 2:
+                    _dark_chunk(rng, values, outcomes, bases, n_noise)
+                else:
+                    _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
+        except Exception as err:
+            errors.append(err)
+
+    workers = min(_cpu_count(), len(chunks))
+    size = 0 if bases[0] else len(vecs[0]) // 2 * _CHUNK
+    states = [np.empty(size, dtype=vecs.dtype) for _ in range(workers)]
+    helpers = [threading.Thread(target=work, args=(state,))
+               for state in states[1:]]
+    for helper in helpers:
+        helper.start()
+    work(states[0])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return tuple(batches)
 
 
 def dark_noise_power(dark: ShotBatch) -> np.ndarray:
@@ -376,8 +464,8 @@ class MomentTable:
     one value per signature in signatures() order, qops.moment_layout's
     product layout, which is also tuple order; every mean averages count
     shots, so its variance is variance / count.  The constructor checks the
-    lengths, variances >= 0 and count >= 1; mean() and variance() raise
-    KeyError for a signature outside the layout.
+    lengths, finite means and variances, variances >= 0 and count >= 1;
+    mean() and variance() raise KeyError for a signature outside the layout.
     """
 
     mode_bases: tuple
@@ -394,6 +482,10 @@ class MomentTable:
         if self.means.shape != (size,) or self.variances.shape != (size,):
             raise ValueError(f"a table over mode_bases {self.mode_bases} holds {size} moments, "
                              f"not {self.means.shape} means and {self.variances.shape} variances")
+        for name, array in (("means", self.means), ("variances", self.variances)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"moment {name} are not finite: {np.sum(~np.isfinite(array))} "
+                                 f"of {array.size} are NaN or inf")
         if not np.all(self.variances >= 0.0):
             raise ValueError("moment variances must be non-negative")
         if self.count < 1:
@@ -455,6 +547,19 @@ class MomentTable:
                            [float(row["variance"]) for row in ordered], counts[0])
 
 
+def _check_readings(kind: str, batch: ShotBatch) -> None:
+    """Refuse a batch with a NaN or infinite value or a qubit outcome other
+    than +-1, which would otherwise surface as NaN moments or negative
+    variances."""
+    parts = np.ascontiguousarray(batch.values).view(np.float32)
+    # min and max carry any NaN and reach any inf, with no temporary array
+    if parts.size and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+        raise ValueError(f"the {kind} batch holds values that are not finite (NaN or inf)")
+    if batch.outcomes is not None and np.any(np.abs(batch.outcomes) != 1):
+        stray = sorted(set(np.unique(batch.outcomes).tolist()) - {-1, 1})
+        raise ValueError(f"the {kind} batch holds qubit outcomes {stray}; each must be +1 or -1")
+
+
 def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                      gain: dict | None = None) -> MomentTable:
     """Means and variances of every n, m <= 1 joint moment, over batch.count shots.
@@ -490,6 +595,8 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
     if batch.count < 1:
         raise ValueError("shot batch holds no shots; every mean needs at least one")
+    for kind, readings in (("shots", batch), ("dark", dark)):
+        _check_readings(kind, readings)
     dark_power = dark_noise_power(dark) + 1.0
 
     # split the register in half so every signature product is one entry of a

@@ -6,10 +6,14 @@ model against second-order perturbation theory, and the bandwidth split
 against the taper transmittance computed by the dynamics layer.
 """
 
+import hashlib
 import itertools
 import json
 import math
 import struct
+import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -516,6 +520,84 @@ def test_chunks_do_not_depend_on_the_batch_size():
     assert not np.array_equal(short[0].values[65_536:], long[0].values[65_536:70_000])
 
 
+def _stream_digest(batches) -> str:
+    digest = hashlib.sha256()
+    for batch in batches:
+        digest.update(batch.values.tobytes())
+        digest.update(batch.outcomes.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the shot and dark streams of a three-chunk call (two dark
+# chunks), as drawn by serial per-chunk synthesis with numpy 2.4
+GOLDEN_STREAMS = {
+    2: ("x", "60b4dfccb6e846ce19868245a086ba29ded0b2818a19da97eda06dbda097afad"),
+    1: ("y", "47b98c40c09ae9d6d5ef363a7935a30dfa57d2acb00a094253779f08756b560a"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STREAMS))
+def test_shot_streams_match_their_golden_digest(mode):
+    """A heterodyne-first (mode 2 read in x) and a qubit-first (mode 1 read
+    in y) layout keep every bit of both streams."""
+    basis, golden = GOLDEN_STREAMS[mode]
+    batches = shots.synthesize_shots(_mixed_three_mode_state(), 0.5, 150_000, seed=23,
+                                     qubit_bases={mode: basis}, dark_count=140_000)
+    assert _stream_digest(batches) == golden
+
+
+def test_two_workers_match_one_bit_for_bit(monkeypatch):
+    """Forcing two workers (and four, more than the CPUs of a small host),
+    whatever the host's CPU count, gives the one-worker streams on every one
+    of ten runs, with threads switching as often as the interpreter allows
+    and more than one of them drawing shot chunks."""
+    rho = _mixed_three_mode_state()
+
+    def draw():
+        return _stream_digest(shots.synthesize_shots(rho, 1.0, 200_001, seed=29,
+                                                     qubit_bases={3: "y"},
+                                                     dark_count=131_073))
+
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 1)
+    serial = draw()
+    threads = set()
+    sample_chunk = shots._sample_chunk
+
+    def traced(*args):
+        threads.add(threading.get_ident())
+        sample_chunk(*args)
+
+    monkeypatch.setattr(shots, "_sample_chunk", traced)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4) * 5:
+            monkeypatch.setattr(shots, "_cpu_count", lambda: workers)
+            assert draw() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) >= 2
+
+
+def test_one_worker_needs_less_than_a_whole_chunk_gather(monkeypatch):
+    """At six modes one worker's transient memory stays below the 64 MiB
+    (2^6 amplitudes x 2^16 shots x 16 B) that gathering each shot's whole
+    eigenvector took."""
+    rng = np.random.Generator(np.random.Philox(key=[6, 0]))
+    vecs = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    rho = vecs @ vecs.conj().T
+    rho /= np.trace(rho)
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        batch, dark = shots.synthesize_shots(rho, 1.0, 1 << 16, seed=2, dark_count=1 << 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    transient = peak - batch.values.nbytes - dark.values.nbytes
+    assert transient < 64 * (1 << 16) * 16
+
+
 def test_batch_io_round_trip(tmp_path):
     batch, dark = shots.synthesize_shots(BELL, 0.5, 5_000, seed=8,
                                          qubit_bases={2: "y"})
@@ -690,6 +772,50 @@ def test_estimation_validation():
         shots.estimate_moments(batch, other_dark)
     with pytest.raises(ValueError, match="dark batch"):
         shots.dark_noise_power(batch)
+
+
+def test_synthesis_refuses_non_finite_noise_and_fractional_counts():
+    for n_noise in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="n_noise"):
+            shots.synthesize_shots(BELL, n_noise, 100)
+    with pytest.raises(ValueError, match="shot count must be an integer"):
+        shots.synthesize_shots(BELL, 0.5, 1000.7)
+    with pytest.raises(ValueError, match="dark_count must be an integer"):
+        shots.synthesize_shots(BELL, 0.5, 1000, dark_count=1000.7)
+    batch, dark = shots.synthesize_shots(BELL, 0.5, np.int64(100), dark_count=np.int32(50))
+    assert (batch.count, dark.count) == (100, 50)
+
+
+def test_estimation_refuses_non_finite_values_and_stray_outcomes():
+    """A NaN or infinite reading names its batch instead of surfacing as
+    matmul warnings and a variance error; a qubit outcome must be +-1."""
+    batch, dark = shots.synthesize_shots(BELL, 0.5, 2_000, seed=1)
+    for kind, bad in (("shots", math.nan), ("dark", math.inf), ("shots", complex(0, -math.inf))):
+        broken = [shots.ShotBatch(b.values.copy(), b.mode_bases, dark=b.dark) for b in (batch, dark)]
+        broken[kind == "dark"].values[17, 1] = bad
+        with pytest.raises(ValueError, match=f"{kind} batch holds values that are not finite"):
+            shots.estimate_moments(*broken)
+    batch, dark = shots.synthesize_shots(BELL, 0.5, 2_000, seed=1, qubit_bases={1: "z"})
+    for kind in ("shots", "dark"):
+        broken = [shots.ShotBatch(b.values, b.mode_bases, b.outcomes.copy(), dark=b.dark)
+                  for b in (batch, dark)]
+        broken[kind == "dark"].outcomes[5, 0] = 3
+        with pytest.raises(ValueError, match=rf"{kind} batch holds qubit outcomes \[3\]"):
+            shots.estimate_moments(*broken)
+
+
+def test_moment_table_refuses_non_finite_entries():
+    bases = ("", "")
+    size = len(qops.moment_layout(bases)[0])
+    means, variances = np.zeros(size, dtype=complex), np.ones(size)
+    shots.MomentTable(bases, means, variances, 1)
+    for name, array, bad in (("means", means, complex(math.nan, 0.0)),
+                             ("variances", variances, math.inf)):
+        broken = array.copy()
+        broken[3] = bad
+        entries = {"means": means, "variances": variances, name: broken}
+        with pytest.raises(ValueError, match=f"moment {name} are not finite"):
+            shots.MomentTable(bases, entries["means"], entries["variances"], 1)
 
 
 def test_stark_shift_zero_drive_and_perturbative_limit():
