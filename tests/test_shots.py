@@ -528,8 +528,9 @@ def _stream_digest(batches) -> str:
     return digest.hexdigest()
 
 
-# sha256 of the shot and dark streams of a three-chunk call (two dark
-# chunks), as drawn by serial per-chunk synthesis with numpy 2.4
+# sha256 of the shot and dark streams of a call of three shot chunks and
+# three dark chunks, the last of each partial, as drawn by serial per-chunk
+# synthesis with numpy 2.4
 GOLDEN_STREAMS = {
     2: ("x", "60b4dfccb6e846ce19868245a086ba29ded0b2818a19da97eda06dbda097afad"),
     1: ("y", "47b98c40c09ae9d6d5ef363a7935a30dfa57d2acb00a094253779f08756b560a"),
