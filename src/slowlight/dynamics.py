@@ -10,11 +10,15 @@ sqrt(photons/s).
 `evolve` samples the controls once per call, on every substep time of its
 fixed RK4 grid, so the step bound is checked where the integrator looks.
 Stretches where the Hamiltonian does not change advance by the cached RK4
-step matrix; the rest take the four-stage RK4 step.
+step matrix.  Every other step, a varying step, is the same RK4 step
+regrouped: the cached increment of the Hamiltonian with every control at
+zero, plus a correction confined to the four sites the controls act on.
+That correction is a 16 x 16 map per step, formed for blocks of steps at
+once, so a varying step costs three small matrix-vector products.
 
 `cz_phase` runs two branches, emitter in 'g' and in 'e', whose controls are
 equal until the CZ window opens.  That shared prefix, which holds the
-emission and nearly all of the four-stage steps, is stepped once; each
+emission and nearly all of the varying steps, is stepped once; each
 branch then finishes alone.  Both records equal standalone `evolve` runs
 of the branch systems bit for bit.
 """
@@ -32,6 +36,8 @@ TWO_PI = 2.0 * np.pi
 FAR_DETUNED = TWO_PI * 3.0e9
 # output samples per evolve() record, by default
 SAMPLES = 2000
+# varying steps whose stage maps are formed together
+BLOCK = 512
 
 
 def _as_callable(value):
@@ -122,10 +128,13 @@ class LatticeSystem:
         return coef
 
     def _rate_bound(self, coef: np.ndarray) -> float:
+        """Largest rate of the static lattice, of the nominal emitter
+        coupling and of the coefficients coef, which count with their
+        magnitude: a coupling scaled past 1 or of either sign."""
         wg = self.waveguide
         return max(4.0 * wg.hop_j, wg.output_rate, abs(wg.taper_detuning1),
-                   abs(wg.taper_detuning2), self.emitter_g + self.parasitic_g,
-                   float(np.abs(coef[..., 1:]).max(initial=0.0)))
+                   abs(wg.taper_detuning2), abs(self.emitter_g) + abs(self.parasitic_g),
+                   float(np.abs(coef).max(initial=0.0)))
 
     def max_rate(self, t) -> float:
         """Largest rate present at times t; sets the stable step."""
@@ -141,7 +150,8 @@ class OutputRecord:
     populations: per-site |psi|^2 at the sample times, shape (len(t), dim)
     final_state: state vector at the end of the run
     dt, steps  : the RK4 step and the number of steps taken
-    cached_steps: how many of those steps used a cached step matrix
+    cached_steps: how many of those steps advanced by the cached step
+                 matrix of a constant stretch; the others are varying steps
     The last three are None on records built by hand.
     """
 
@@ -201,6 +211,127 @@ def _taylor4_increment(x: np.ndarray) -> np.ndarray:
     the diagonal would otherwise repeat coherently on every cached step."""
     eye = np.eye(len(x), dtype=complex)
     return x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
+
+
+def _control_sites(system: LatticeSystem) -> list:
+    """The sites the controls act on, pair by pair: emitter and cell 1,
+    mirror and cell N."""
+    return [system.i_emitter, system.i_first, system.i_mirror, system.i_last]
+
+
+# the entries of the control block, over the sites emitter, cell 1, mirror,
+# cell N, that each coefficient g_e, d_e, d_m, g_m fills
+_CONTROL_ENTRIES = (((0, 1), (1, 0)), ((0, 0),), ((2, 2),), ((2, 3), (3, 2)))
+
+
+def _hamiltonian(system: LatticeSystem, k) -> np.ndarray:
+    """Dense H for one coefficient set k = (g_e, d_e, d_m, g_m)."""
+    h = system._h0.copy()
+    sites = _control_sites(system)
+    for value, entries in zip(k, _CONTROL_ENTRIES):
+        for i, j in entries:
+            h[sites[i], sites[j]] += value
+    return h
+
+
+def _zero_control_step(system: LatticeSystem, dt: float):
+    """The factors that every varying step on one lattice with step dt
+    shares.  With A0 = -i dt H0, H0 the Hamiltonian with every control at
+    zero, and P the four control sites, they are
+
+      stacked  the RK4 increment T4(A0) - I above V = [P^T A0^b], b = 0..3,
+               one (dim + 16) x dim matrix, so one product gives both;
+      weights  the dim x 16 map from the stage corrections (q1, q2, q3, q4)
+               to the step: q_s enters its own stage as P q_s and each
+               later one through A0, so with RK4's weights (1, 2, 2, 1) / 6
+               its columns are P/6 + A0 P/6 + A0^2 P/12 + A0^3 P/24,
+               P/3 + A0 P/6 + A0^2 P/12, P/3 + A0 P/6 and P/6;
+      g1, g2   G_b = P^T A0^b P as sparse 4 x 4 maps (see _stage_maps).
+    """
+    a0 = -1j * dt * system._h0
+    sites = _control_sites(system)
+    powers = [np.eye(system.dim, dtype=complex)]
+    for _ in range(3):
+        powers.append(a0 @ powers[-1])
+    stacked = np.concatenate([_taylor4_increment(a0)] + [p[sites] for p in powers])
+    u0, u1, u2, u3 = (p[:, sites] for p in powers)
+    weights = np.concatenate([u0 / 6.0 + u1 / 6.0 + u2 / 12.0 + u3 / 24.0,
+                              u0 / 3.0 + u1 / 6.0 + u2 / 12.0,
+                              u0 / 3.0 + u1 / 6.0, u0 / 6.0], axis=1)
+    g1, g2 = ({(int(i), int(j)): complex(g[i, j]) for i, j in zip(*np.nonzero(g))}
+              for g in (p[np.ix_(sites, sites)] for p in powers[1:3]))
+    return stacked, weights, g1, g2
+
+
+def _sparse_product(a: dict, b: dict) -> dict:
+    """a b for 4 x 4 maps held as {(row, column): entry} without their zero
+    entries; an entry is a number or an array over steps."""
+    out = {}
+    for (i, j), x in a.items():
+        for (jj, k), y in b.items():
+            if j == jj:
+                out[i, k] = out[i, k] + x * y if (i, k) in out else x * y
+    return out
+
+
+def _sparse_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, y in b.items():
+        out[key] = out[key] + y if key in out else y
+    return out
+
+
+def _scaled(a: dict, w: float) -> dict:
+    return {key: w * x for key, x in a.items()}
+
+
+def _stage_maps(k: np.ndarray, dt: float, g1: dict, g2: dict) -> np.ndarray:
+    """The stage maps of the regrouped RK4 step, shape (L, 16, 16), for the
+    substep coefficients k of L steps, shape (3, 4, L).
+
+    With d_s the control block at the step's substep s times -i dt and
+    v = V psi = (v0, v1, v2, v3), the RK4 stages add P q_s to the stages of
+    the zero-control step, where
+        q1 = d1 v0
+        q2 = d2 (v0 + v1/2 + q1/2)
+        q3 = d2 (v0 + v1/2 + v2/4 + G1 q1/4 + q2/2)
+        q4 = d3 (v0 + v1 + v2/2 + v3/4 + G2 q1/4 + G1 q2/2 + q3).
+    Row block s and column block b of step l's map hold q_s's part from
+    v_b, so that (q1, q2, q3, q4) = maps[l] v.  Each block is formed as a
+    sparse map of arrays over the steps; products skip the zeros of G and
+    any coefficient that is zero over all L steps.  That drops exact zeros
+    only, so no step's map depends on the other steps formed with it (up to
+    the sign of a zero).
+    """
+    out = np.zeros((k.shape[2], 16, 16), dtype=complex)
+    ctl = -1j * dt * k
+    d = [{} for _ in range(3)]
+    for c, entries in enumerate(_CONTROL_ENTRIES):
+        if k[:, c].any():
+            for s in range(3):
+                d[s].update((e, ctl[s, c]) for e in entries)
+    identity = {(i, i): 1.0 for i in range(4)}
+    half = _scaled(identity, 0.5)
+    # per stage: its substep, the weights of v0..v3 in its argument, and
+    # the maps that take in the earlier stages
+    stages = ((0, (1.0,), ()),
+              (1, (1.0, 0.5), (half,)),
+              (1, (1.0, 0.5, 0.25), (_scaled(g1, 0.25), half)),
+              (2, (1.0, 1.0, 0.5, 0.25),
+               (_scaled(g2, 0.25), _scaled(g1, 0.5), identity)))
+    q = []
+    for s, (sub, weights, feeds) in enumerate(stages):
+        maps = []
+        for b, w in enumerate(weights):
+            x = _scaled(identity, w)
+            for feed, earlier in zip(feeds, q):
+                if b < len(earlier):
+                    x = _sparse_sum(x, _sparse_product(feed, earlier[b]))
+            maps.append(_sparse_product(d[sub], x))
+            for (i, j), entry in maps[-1].items():
+                out[:, 4 * s + i, 4 * b + j] = entry
+        q.append(maps)
+    return out
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
@@ -274,13 +405,23 @@ class _Run:
     amplitude at every step so far and the populations sampled so far.
 
     The steps fall into runs, maximal stretches with one constant
-    coefficient set, fixed once from the whole grid.  `advance` steps to a
-    sample boundary (a multiple of `every`, or the last step); a stretch of
-    steps is always cut at the same points whatever boundaries it is
-    advanced to, so the record does not depend on them.  `cache` maps a
-    coefficient set to its step matrices, which depend only on that set, dt
-    and `every`; runs on the same lattice with equal dt and step count may
-    share it.
+    coefficient set, fixed once from the whole grid.  A run of one step is a
+    varying step; `edges` cuts the grid into constant runs and stretches of
+    consecutive varying steps.  `advance` steps to a sample boundary (a
+    multiple of `every`, or the last step); a constant run is always cut at
+    the same points whatever boundaries it is advanced to.
+
+    A varying step n takes y = [T4(A0) - I; V] psi and then
+    psi + y[:dim] + W (Q_n y[dim:]), see _zero_control_step.  The stage maps
+    Q_n are formed BLOCK varying steps at a time, in blocks fixed by the
+    steps' ranks among all varying steps of the grid, and no step's map
+    depends on the others in its block.  So the record does not depend on
+    the boundaries `advance` is called with.
+
+    `cache` maps a coefficient set to its step matrices, which depend only
+    on that set, dt and `every`, and None to the zero-control factors,
+    which depend only on the lattice and dt; runs on the same lattice with
+    equal dt and step count may share it.
     """
 
     def __init__(self, system: LatticeSystem, psi, t, coef, dt, samples, cache):
@@ -300,7 +441,16 @@ class _Run:
         self.cached_steps = 0
         steady = (coef == coef[:1]).all(axis=(0, 2))
         linked = steady[:-1] & steady[1:] & (coef[0, :-1] == coef[0, 1:]).all(axis=1)
-        self.edges = np.concatenate(([0], np.flatnonzero(~linked) + 1, [n_steps]))
+        cuts = np.concatenate(([0], np.flatnonzero(~linked) + 1, [n_steps]))
+        # a run of one step is a varying step; consecutive ones form one
+        # stretch, as a constant run does
+        lengths = np.diff(cuts)
+        self.varies = np.repeat(lengths < 2, lengths)
+        inner = cuts[1:-1]
+        inner = inner[~(self.varies[inner - 1] & self.varies[inner])]
+        self.edges = np.concatenate(([0], inner, [n_steps]))
+        self.varying = np.flatnonzero(self.varies)
+        self.block = None, None
 
     def take_prefix(self, other: "_Run") -> None:
         """Continue from `other`'s state and records, which must have been
@@ -311,22 +461,25 @@ class _Run:
         self.pops[:n // self.every + 1] = other.pops[:n // self.every + 1]
         self.cached_steps = other.cached_steps
 
+    def _stage_block(self, j: int) -> np.ndarray:
+        """The stage maps of the varying steps of ranks j * BLOCK to
+        (j + 1) * BLOCK - 1 on the whole grid, kept until the next block is
+        asked for.  The block is padded with zero-control steps to a multiple
+        of 16 steps, so that each of its steps takes the main path of the
+        vectorised loops, never their remainder, whose arithmetic may
+        differ."""
+        if self.block[0] != j:
+            steps = self.varying[j * BLOCK:(j + 1) * BLOCK]
+            k = np.zeros((3, 4, -(-len(steps) // 16) * 16))
+            k[..., :len(steps)] = self.coef[:, steps].transpose(0, 2, 1)
+            self.block = j, _stage_maps(k, self.dt, *self.cache[None][2:])
+        return self.block[1]
+
     def advance(self, end: int) -> None:
         """Step from `n` to the sample boundary `end`."""
         system, coef, dt, every = self.system, self.coef, self.dt, self.every
         n_steps, amp, pops, cache = self.n_steps, self.amp, self.pops, self.cache
-        h0 = system._h0
-        m, c, i_out = system.i_mirror, system.i_last, system.i_taper2
-
-        def h_times(y, k):
-            # H y for the coefficients k; y is a state or a matrix of columns
-            g_e, d_e, d_m, g_m = k
-            out = h0 @ y
-            out[0] += d_e * y[0] + g_e * y[1]
-            out[1] += g_e * y[0]
-            out[m] += d_m * y[m] + g_m * y[c]
-            out[c] += g_m * y[m]
-            return out
+        dim, i_out = system.dim, system.i_taper2
 
         def keep(n, psi):
             if n % every == 0 or n == n_steps:
@@ -338,26 +491,29 @@ class _Run:
             a, b = self.edges[i:i + 2].tolist()
             stop = min(b, end)
             i += 1
-            if b - a < 2:
-                for n in range(n, stop):
-                    k0, k1, k2 = coef[:, n].tolist()
-                    s1 = h_times(psi, k0)
-                    s2 = h_times(psi - 0.5j * dt * s1, k1)
-                    s3 = h_times(psi - 0.5j * dt * s2, k1)
-                    s4 = h_times(psi - 1j * dt * s3, k2)
-                    psi = psi - (1j * dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                    amp[n + 1] = psi[i_out]
-                    keep(n + 1, psi)
-                n = stop
+            if self.varies[a]:
+                if None not in cache:
+                    cache[None] = _zero_control_step(system, dt)
+                stacked, weights = cache[None][:2]
+                rank = int(np.searchsorted(self.varying, n))
+                while n < stop:
+                    j, first = divmod(rank, BLOCK)
+                    count = min(stop - n, BLOCK - first)
+                    for q in self._stage_block(j)[first:first + count]:
+                        y = stacked @ psi
+                        psi = psi + y[:dim] + weights @ (q @ y[dim:])
+                        n += 1
+                        amp[n] = psi[i_out]
+                        keep(n, psi)
+                    rank += count
                 continue
             key = tuple(coef[0, a].tolist())
             if key not in cache:
                 # increments E_k = M^k - I of the step matrix M, through
                 # E_(k+1) = E_k + E_1 + E_k E_1; row i_out of E_k gives the
                 # output amplitude k steps ahead
-                h = h_times(np.eye(system.dim, dtype=complex), key)
-                inc = _taylor4_increment(-1j * dt * h)
-                rows = np.empty((every, system.dim), dtype=complex)
+                inc = _taylor4_increment(-1j * dt * _hamiltonian(system, key))
+                rows = np.empty((every, dim), dtype=complex)
                 block = inc
                 rows[0] = inc[i_out]
                 for k in range(1, every):
@@ -408,9 +564,12 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
     to those of a neighbouring step advances by the cached step matrix
     T4(X) = I + X + X^2/2 + X^3/6 + X^4/24, X = -i dt H, and its powers up
     to the next sample time.  For a constant H that polynomial is exactly
-    the RK4 step, so caching it leaves the integrator, its step and its
-    truncation error unchanged; results differ from stage-by-stage RK4 only
-    by roundoff.  Steps where a control varies take the four-stage step.
+    the RK4 step.  Every other step takes the RK4 step regrouped as
+    psi + (T4(A0) - I) psi + W Q_n V psi, with A0 = -i dt H at zero
+    controls, V and W the rows and columns of A0's powers at the four
+    control sites, and Q_n the step's stage map (see _stage_maps).  Neither
+    changes the integrator, its step or its truncation error; results
+    differ from stage-by-stage RK4 only by roundoff.
     """
     dt, t, coef = _grid(system, horizon, dt)
     run = _Run(system, _initial_state(system, initial), t, coef, dt, samples, {})
@@ -425,10 +584,11 @@ def _evolve_branches(reference: LatticeSystem, branch: LatticeSystem,
 
     When both grids have one dt, the shared steps end at the last sample
     boundary before the first step whose coefficients differ: up to there
-    both runs cut their steps at the same points and use the same step
-    matrices.  The branch then takes the reference's state and records and
-    each run finishes alone, so both records equal the standalone runs bit
-    for bit.
+    both runs cut their steps at the same points, use the same step
+    matrices and give each varying step the same stage map, which depends
+    on that step's coefficients alone.  The branch then takes the
+    reference's state and records and each run finishes alone, so both
+    records equal the standalone runs bit for bit.
     """
     dt, t, coef = _grid(reference, horizon, None)
     ref = _Run(reference, _initial_state(reference, "emitter"), t, coef, dt,

@@ -289,9 +289,13 @@ def build_amplitude_table(spec: TransmonSpec, phi_bias: float,
                           points: int = 512) -> AmplitudeTable:
     """Tabulate |xi_+1| vs Phi_AC with per-amplitude DC correction.
 
-    The table stops where the DC correction stops being solvable or at the
-    first local maximum of |xi_+1|, whichever comes first, so the stored
-    map is strictly monotone and invertible by linear interpolation.
+    Amplitudes rise along a fixed grid, each with its DC offset solved
+    from the last one's.  The scan stops at the first amplitude whose DC
+    correction cannot be solved or whose |xi_+1| falls below the one
+    before, so the table ends at the first local maximum of |xi_+1| and no
+    amplitude past the one that stopped it is solved.  Points equal to
+    their predecessor are dropped, so the stored map is strictly monotone
+    and invertible by linear interpolation.
     """
     curve = spec.transition_curve(transition)
     target = float(curve(phi_bias))
@@ -309,8 +313,9 @@ def build_amplitude_table(spec: TransmonSpec, phi_bias: float,
         dcs[i] = hint = dc
         tone = FluxTone(phi_bias, amps[i], omega_mod, dc)
         xi[i] = abs(sideband_spectrum(spec, tone, transition).emission_amplitude)
-    peak = int(np.argmax(xi[:end]))
-    end = min(end, peak + 1)
+        if xi[i] < xi[i - 1]:
+            end = i
+            break
     keep = np.concatenate(([True], np.diff(xi[:end]) > 0.0))
     return AmplitudeTable(
         phi_bias=phi_bias, omega_mod=omega_mod, transition=transition,

@@ -7,6 +7,7 @@ reflection, and long-lattice wavepacket scattering runs.
 """
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -155,6 +156,25 @@ def test_step_bound_holds_inside_a_window_the_probes_miss():
     assert rec.dt <= 0.05 / fastest
     with pytest.raises(ValueError, match=r"too coarse.*2\.000e\+09 Hz"):
         evolve(system, "emitter", 400e-9, dt=2e-11)
+
+
+@pytest.mark.parametrize("emitter_g, scale", [
+    (G_EF, 10.0),
+    (-TWO_PI * 500e6, 1.0),
+], ids=["scaled_past_one", "negative"])
+def test_step_bound_counts_the_coupling_on_the_grid(emitter_g, scale):
+    """The emitter coupling enters the bound with the magnitude it has on
+    the grid: scaled ten times past its nominal value, or negative, it
+    outruns the output rate that bounded dt before."""
+    system = LatticeSystem(SPEC, emitter_g, coupling_scale=scale)
+    coupling = abs(scale * emitter_g)
+    assert coupling > 3.0 * SPEC.output_rate
+    assert system.max_rate(np.linspace(0.0, 20e-9, 5)) == coupling
+    with pytest.raises(ValueError, match="too coarse"):
+        evolve(system, "emitter", 20e-9, dt=5.27e-11)
+    rec = evolve(system, "emitter", 20e-9)
+    assert rec.dt <= 0.05 / coupling
+    assert abs(rec.emitted_energy + rec.remaining_norm - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("control", [
@@ -343,6 +363,103 @@ def test_cz_branches_equal_standalone_runs_bit_for_bit(monkeypatch, mirror_syste
     assert np.array_equal(rec.final_state, alone_e.final_state)
     assert rec.emitted_energy == alone_e.emitted_energy
     assert (rec.steps, rec.cached_steps) == (alone_e.steps, alone_e.cached_steps)
+
+
+def test_mirror_edge_inside_the_emission_matches_the_scalar_loop(mirror_system):
+    # the mirror closes while the coupling still rises, so the steps around
+    # the edge vary in both control pairs at once
+    t_env, xi_env = erf_envelope(15e-9, 0.33, XI_PULSE, 30e-9, 0.1e-9)
+    system = LatticeSystem(
+        SPEC, G_EF, 0.0, G_MIRROR,
+        coupling_scale=lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0),
+        mirror_detuning=lambda t: np.where(t <= 12.34e-9, 0.0, FAR_DETUNED))
+    horizon = 60e-9
+    rec = evolve(system, "emitter", horizon)
+    _, _, coef = dynamics._grid(system, horizon, None)
+    varies = (coef != coef[:1]).any(axis=0)
+    assert np.any(varies[:, 0] & varies[:, 3])
+    _assert_matches_oracle(rec, system, "emitter", horizon)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3])
+def test_short_lattices_couple_the_control_pairs_and_match_the_scalar_loop(n_cells):
+    """With two or three cells, cell 1 and cell N lie within two hops, so
+    the zero-control step links the emitter pair to the mirror pair; the
+    varying steps must carry that link."""
+    spec = dataclasses.replace(SPEC, n_cells=n_cells)
+    t_env, xi_env = erf_envelope(4e-9, 0.0, 0.8, 12e-9, 0.1e-9)
+    system = LatticeSystem(
+        spec, G_EF, 0.0, G_MIRROR,
+        coupling_scale=lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0),
+        emitter_detuning=lambda t: TWO_PI * 40e6 * np.sin(TWO_PI * 90e6 * t),
+        mirror_detuning=lambda t: np.where(t <= 7.1e-9, TWO_PI * 25e6, FAR_DETUNED))
+    horizon = 20e-9
+    rec = evolve(system, "emitter", horizon)
+    _, _, g1, g2 = dynamics._zero_control_step(system, rec.dt)
+    assert any(i < 2 <= j for i, j in list(g1) + list(g2))
+    assert rec.cached_steps < rec.steps // 2
+    _assert_matches_oracle(rec, system, "emitter", horizon)
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(scale=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+                      st.floats(0.0, 2.0 * np.pi)),
+       detunings=st.tuples(*[st.floats(-TWO_PI * 200e6, TWO_PI * 200e6)] * 2),
+       rates=st.tuples(*[st.floats(TWO_PI * 5e6, TWO_PI * 80e6)] * 3),
+       window=st.tuples(st.floats(0.0, 20e-9), st.floats(0.0, 20e-9)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_smooth_controls_close_the_ledger_and_match_the_scalar_loop(
+        scale, detunings, rates, window, seed):
+    """Every coefficient changes inside the run: the coupling and both
+    detunings follow random sines, and the mirror coupling switches at the
+    edges of a random window."""
+    mean, swing, phase = scale
+    d_e, d_m = detunings
+    w_g, w_e, w_m = rates
+    on, off = sorted(window)
+    system = LatticeSystem(
+        SPEC, G_EF, TWO_PI * 2e6, G_MIRROR,
+        coupling_scale=lambda t: mean + swing * np.sin(w_g * t + phase),
+        emitter_detuning=lambda t: d_e * np.cos(w_e * t),
+        mirror_detuning=lambda t: np.where((on <= t) & (t <= off),
+                                           d_m * np.sin(w_m * t + 1.0), FAR_DETUNED))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    psi /= np.linalg.norm(psi)
+    rec = evolve(system, psi, 30e-9, samples=60)
+    assert rec.cached_steps == 0 or swing == 0.0
+    assert abs(rec.emitted_energy + rec.remaining_norm - 1.0) < 1e-6
+    _assert_matches_oracle(rec, system, psi, 30e-9, samples=60)
+
+
+def test_record_does_not_depend_on_where_advance_stops():
+    # about 2,000 varying steps: the cuts fall inside, between and across
+    # the blocks whose stage maps are formed together
+    t_env, xi_env = erf_envelope(15e-9, 0.33, XI_PULSE, 45e-9, 0.1e-9)
+    system = LatticeSystem(
+        SPEC, G_EF, 0.0, G_MIRROR,
+        coupling_scale=lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0),
+        mirror_detuning=lambda t: np.where(t <= 20e-9, 0.0, FAR_DETUNED))
+    dt, t, coef = dynamics._grid(system, 60e-9, None)
+
+    def run():
+        return dynamics._Run(system, dynamics._initial_state(system, "emitter"),
+                             t, coef, dt, 300, {})
+
+    whole = run()
+    whole.advance(whole.n_steps)
+    assert len(whole.varying) > 1.5 * dynamics.BLOCK
+    cut = run()
+    every = cut.every
+    for end in (every, 7 * every, 113 * every, 114 * every, 150 * every,
+                whole.n_steps):
+        cut.advance(end)
+    a, b = whole.record(), cut.record()
+    assert np.array_equal(a.a_out, b.a_out)
+    assert np.array_equal(a.populations, b.populations)
+    assert np.array_equal(a.final_state, b.final_state)
+    assert a.emitted_energy == b.emitted_energy
+    assert a.cached_steps == b.cached_steps
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)

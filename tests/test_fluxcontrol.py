@@ -1,10 +1,13 @@
 """Sideband arithmetic, DC correction, envelopes, and pre-distortion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from slowlight import fluxcontrol
 from slowlight.fluxcontrol import (
     FluxTone,
     TransmonSpec,
@@ -101,6 +104,75 @@ def test_working_point_reaches_design_weight():
     tone = FluxTone(bias, float(amp), W_MOD, float(table.dc_for(0.22)))
     sp = sideband_spectrum(spec, tone)
     assert abs(sp.emission_amplitude) == pytest.approx(0.22, abs=2e-3)
+
+
+def _full_scan_table(spec, bias, omega_mod, points):
+    """The table as a scan over every amplitude until a DC solve fails, cut
+    at the largest |xi_+1|: the scan build_amplitude_table stops early."""
+    curve = spec.transition_curve("ef")
+    target = float(curve(bias))
+    amps = np.linspace(0.0, (0.5 - abs(bias)) * 0.999, points)
+    dcs = np.zeros_like(amps)
+    xi = np.zeros_like(amps)
+    hint = 0.0
+    end = len(amps)
+    for i in range(1, len(amps)):
+        dc = fluxcontrol._solve_dc(curve, bias, amps[i], target, hint)
+        if dc is None:
+            end = i
+            break
+        dcs[i] = hint = dc
+        tone = FluxTone(bias, amps[i], omega_mod, dc)
+        xi[i] = abs(sideband_spectrum(spec, tone, "ef").emission_amplitude)
+    end = min(end, int(np.argmax(xi[:end])) + 1)
+    keep = np.concatenate(([True], np.diff(xi[:end]) > 0.0))
+    return amps[:end][keep], xi[:end][keep], dcs[:end][keep]
+
+
+def test_amplitude_table_stops_at_the_first_maximum_without_changing_it(monkeypatch):
+    # at 300 MHz the working point reaches the 80 ns pulse's peak of 0.529;
+    # |xi_+1| first falls at the 139th amplitude of 512, past its maximum
+    spec = TransmonSpec.emitter()
+    bias = emitter_bias()
+    w_mod = TWO_PI * 300e6
+    solves = []
+    solve_dc = fluxcontrol._solve_dc
+
+    def counted(*args, **kwargs):
+        solves.append(args[2])
+        return solve_dc(*args, **kwargs)
+
+    monkeypatch.setattr(fluxcontrol, "_solve_dc", counted)
+    table = build_amplitude_table.__wrapped__(spec, bias, w_mod)
+    assert len(table.xi_abs) == 138
+    assert len(solves) <= len(table.xi_abs) + 1
+    phi_ac, xi_abs, phi_dc = _full_scan_table(spec, bias, w_mod, 512)
+    assert np.array_equal(table.phi_ac, phi_ac)
+    assert np.array_equal(table.xi_abs, xi_abs)
+    assert np.array_equal(table.phi_dc, phi_dc)
+
+
+def test_amplitude_table_ends_at_the_first_of_two_peaks(monkeypatch):
+    """|xi_+1| that dips after a first peak and then rises past it: the
+    table ends at the first peak and stays invertible, where a cut at the
+    largest value kept the dip's rising side out of order."""
+    first, second = 0.05, 0.12
+
+    def two_peaks(spec, tone, transition="ef"):
+        a = tone.phi_ac
+        xi = 0.4 * np.exp(-((a - first) / 0.02) ** 2) \
+            + 0.6 * np.exp(-((a - second) / 0.02) ** 2)
+        return SimpleNamespace(emission_amplitude=complex(xi))
+
+    spec = TransmonSpec.emitter()
+    bias = emitter_bias()
+    monkeypatch.setattr(fluxcontrol, "sideband_spectrum", two_peaks)
+    table = build_amplitude_table.__wrapped__(spec, bias, W_MOD, "ef", 256)
+    assert np.all(np.diff(table.xi_abs) > 0.0)
+    step = (0.5 - abs(bias)) * 0.999 / 255
+    assert first - step <= table.phi_ac[-1] <= first + step
+    assert table.xi_max == pytest.approx(0.4, abs=0.01)
+    assert table.amplitude_for(0.3) < first
 
 
 def test_dc_shift_grows_with_amplitude():
