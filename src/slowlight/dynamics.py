@@ -59,7 +59,9 @@ class LatticeSystem:
     coupling_scale (dimensionless, in [0, 1]), emitter_detuning and
     mirror_detuning (rad/s, relative to the passband center).  A callable
     is called with an array of times and must return an array of the same
-    shape (or a scalar, which is broadcast).
+    shape (or a scalar, which is broadcast).  The couplings and every
+    sampled control value must be finite; a NaN or infinite one raises
+    ValueError.
     """
 
     def __init__(self, waveguide: WaveguideSpec, emitter_g: float,
@@ -70,6 +72,9 @@ class LatticeSystem:
         self.emitter_g = float(emitter_g)
         self.parasitic_g = float(parasitic_g)
         self.mirror_g = float(mirror_g)
+        for name in ("emitter_g", "parasitic_g", "mirror_g"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         self.coupling_scale = _as_callable(
             0.0 if coupling_scale is None else coupling_scale)
         self.emitter_detuning = _as_callable(
@@ -105,12 +110,17 @@ class LatticeSystem:
 
     def _control(self, name: str, t: np.ndarray) -> np.ndarray:
         try:
-            return np.broadcast_to(np.asarray(getattr(self, name)(t), dtype=float),
-                                   t.shape)
+            values = np.broadcast_to(np.asarray(getattr(self, name)(t), dtype=float),
+                                     t.shape)
         except (TypeError, ValueError) as exc:
             raise TypeError(
                 f"control {name} must accept an array of times and return "
                 f"values of the same shape") from exc
+        if not np.isfinite(values).all():
+            first = t[~np.isfinite(values)].min()
+            raise ValueError(f"control {name} is NaN or infinite at t = {first:.4g} s, "
+                             "its earliest such sampled time")
+        return values
 
     def _coefficients(self, t) -> np.ndarray:
         """The four time-dependent entries of H at times t, stacked on a

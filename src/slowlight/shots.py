@@ -16,12 +16,20 @@ stated convention <S^dag S> = <a^dag a> + n_noise + 1.  The dark
 of power d = 1 + n_noise.
 
 estimate_moments sums products of real per-shot factor rows, [1, x, y,
-|S|^2 - d] for S = x + iy, with one real matrix product per block, and maps
-the sums mode by mode to those of the deconvolved factors [1, S, S*,
-|S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g.  It reports the
-mean and variance of the products of these deconvolved factors in a
-MomentTable (flat arrays in the product layout of qops.moment_layout, as the
-sums come out, and one shot count).
+|S|^2 - d] for S = x + iy, with one real matrix product per block of 2^13
+shots, and maps the sums mode by mode to those of the deconvolved factors
+[1, S, S*, |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g.  It
+reports the mean and variance of the products of these deconvolved factors
+in a MomentTable (flat arrays in the product layout of qops.moment_layout,
+as the sums come out, and one shot count).  The blocks, like the 2^16-shot
+chunks of the dark power d, are cut into one contiguous run per worker:
+min(CPUs available to the process, blocks) of them, the calling thread plus
+helper threads (none on one CPU or for a single block).  Each worker writes
+its blocks' sums into their own slots of an array of per-block partial sums
+that the calling thread allocates; the calling thread then adds the partials
+in block order, starting from 0, which are the additions a serial pass
+makes.  So the tables are the same bit for bit whatever the number of
+workers or the timing of their threads.
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -35,10 +43,7 @@ process, up to the number of chunks: the calling thread plus helper threads
 shots in its own state buffer of 2^(n-1) * 2^16 complex128 amplitudes (8 MB
 at four modes, 32 MB at six), which the calling thread allocates, so that
 the memory returns to its heap and not to a helper's malloc arena; a
-worker's other temporaries come to about 10 MB.  Estimation sums fixed
-blocks of 2^13 shots in a fixed order, so at a given commit results are
-reproducible bit for bit, whatever the number of CPUs or the order in which
-the workers take the chunks.
+worker's other temporaries come to about 10 MB.
 
 Shot files are written from the arrays' own buffers and read straight into
 new arrays, with no intermediate bytes copy either way.
@@ -345,6 +350,38 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _run_workers(work, tasks) -> None:
+    """Call work(task) for every task: the first on the calling thread, each
+    other on a helper thread of its own (none for a single task).  Returns
+    once all have ended, raising the first exception any of them raised."""
+    errors = []
+
+    def guarded(task):
+        try:
+            work(task)
+        except Exception as err:
+            errors.append(err)
+
+    helpers = [threading.Thread(target=guarded, args=(task,)) for task in tasks[1:]]
+    for helper in helpers:
+        helper.start()
+    guarded(tasks[0])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _block_runs(count: int, block: int) -> list:
+    """The blocks of `block` shots that cover `count` shots, cut into
+    min(CPUs available to the process, blocks) contiguous runs of block
+    indices whose lengths differ by at most one, in block order."""
+    blocks = -(-count // block)
+    workers = min(_cpu_count(), blocks)
+    return [range(blocks * w // workers, blocks * (w + 1) // workers)
+            for w in range(workers)]
+
+
 def _shot_count(name: str, value) -> int:
     try:
         value = operator.index(value)
@@ -404,53 +441,60 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
                    for i, lo in enumerate(range(0, total, _CHUNK))]
     pending = iter(chunks)
     taking = threading.Lock()
-    errors = []
 
     def work(state):
-        try:
-            while True:
-                with taking:
-                    chunk = next(pending, None)
-                if chunk is None:
-                    return
-                stream, i, values, outcomes = chunk
-                key = np.random.SeedSequence(seed, spawn_key=(stream, i))
-                rng = np.random.Generator(np.random.PCG64(key))
-                if stream == 2:
-                    _dark_chunk(rng, values, outcomes, bases, n_noise)
-                else:
-                    _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
-        except Exception as err:
-            errors.append(err)
+        while True:
+            with taking:
+                chunk = next(pending, None)
+            if chunk is None:
+                return
+            stream, i, values, outcomes = chunk
+            key = np.random.SeedSequence(seed, spawn_key=(stream, i))
+            rng = np.random.Generator(np.random.PCG64(key))
+            if stream == 2:
+                _dark_chunk(rng, values, outcomes, bases, n_noise)
+            else:
+                _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
 
     workers = min(_cpu_count(), len(chunks))
     size = 0 if bases[0] else len(vecs[0]) // 2 * _CHUNK
-    states = [np.empty(size, dtype=vecs.dtype) for _ in range(workers)]
-    helpers = [threading.Thread(target=work, args=(state,))
-               for state in states[1:]]
-    for helper in helpers:
-        helper.start()
-    work(states[0])
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    _run_workers(work, [np.empty(size, dtype=vecs.dtype) for _ in range(workers)])
     return tuple(batches)
 
 
 def dark_noise_power(dark: ShotBatch) -> np.ndarray:
-    """Per-mode thermal occupation n_noise, the dark power less the vacuum unit."""
+    """Per-mode thermal occupation n_noise, the dark power less the vacuum unit.
+
+    A batch with a NaN or infinite value or a qubit outcome other than +-1
+    is refused with a ValueError before any sum.  The squared float32 parts
+    are summed in float64, where their squares are exact, over chunks of
+    2^16 shots.  The chunks are cut into min(CPUs available to the process,
+    chunks) contiguous runs, one per worker: the calling thread and helper
+    threads (none on one CPU or for a single chunk).  Each worker writes
+    its chunks' per-mode sums into their rows of a (chunks, modes) partial
+    array, and the calling thread adds the rows in chunk order, starting
+    from zeros, so the result is the same bit for bit whatever the number of
+    workers.
+    """
     if not dark.dark:
         raise ValueError("noise power must be read from a dark batch")
     if dark.count < 1:
         raise ValueError("dark batch holds no shots to read the noise power from")
+    _check_readings("dark", dark)
+    runs = _block_runs(dark.count, _CHUNK)
+    partials = np.empty((runs[-1].stop, dark.values.shape[1]))
+
+    def work(run):
+        for c in run:
+            chunk = np.ascontiguousarray(dark.values[c * _CHUNK:(c + 1) * _CHUNK])
+            pairs = chunk.view(np.float32).astype(np.float64)
+            pairs *= pairs
+            partials[c] = pairs.sum(axis=0).reshape(-1, 2).sum(axis=1)
+
+    _run_workers(work, runs)
     total = np.zeros(dark.values.shape[1])
-    for lo in range(0, dark.count, _CHUNK):
-        chunk = np.ascontiguousarray(dark.values[lo:lo + _CHUNK])
-        # float32 squares are exact in float64, which carries the sum
-        pairs = chunk.view(np.float32).astype(np.float64)
-        pairs *= pairs
-        total += pairs.sum(axis=0).reshape(-1, 2).sum(axis=1)
+    for partial in partials:
+        total += partial
     return total / dark.count - 1.0
 
 
@@ -580,7 +624,19 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     by mode: the products to [1, g^1/2 S, g^1/2 S*, g (|S|^2 - d)], and the
     squares by index (0, 1, 1, 2) times (1, g, g, g^2).  The sums run over
     blocks of 2^13 shots, whose product stacks stay small (a few MB at five
-    modes); the dark power is summed in float64.
+    modes); the dark power is summed in float64 by dark_noise_power.
+
+    Both batches are checked for non-finite values and stray outcomes, once
+    each, before any arithmetic.  The blocks are cut into min(CPUs available
+    to the process, blocks) contiguous runs, one per worker: the calling
+    thread takes the first and a helper thread each other (none on one CPU or
+    for a single block).  A worker writes each of its blocks' two sums, of
+    products and of squares, into that block's slot of a per-block partial
+    array (blocks x left-half rows x right-half rows, 8 KB a block at five
+    heterodyne modes).  Once all have ended the calling thread adds the
+    partials in block order, starting from 0.0, the additions a one-worker
+    pass makes, so the table is the same bit for bit whatever the number of
+    workers.  An exception in any worker is raised here after all have ended.
     """
     if dark.mode_bases != batch.mode_bases:
         raise ValueError("dark batch modes do not match; moments of this "
@@ -595,8 +651,7 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
     if batch.count < 1:
         raise ValueError("shot batch holds no shots; every mean needs at least one")
-    for kind, readings in (("shots", batch), ("dark", dark)):
-        _check_readings(kind, readings)
+    _check_readings("shots", batch)
     dark_power = dark_noise_power(dark) + 1.0
 
     # split the register in half so every signature product is one entry of a
@@ -619,34 +674,49 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         return stack
 
     halves = (range(1, split + 1), range(split + 1, batch.n_modes + 1))
+    shape = [2 if basis else 4 for basis in batch.mode_bases]
+    square_shape = [1 if basis else 3 for basis in batch.mode_bases]
+    runs = _block_runs(batch.count, _MOMENT_BLOCK)
+    # one left-half by right-half sum of products and of squares per block
+    prod_parts = np.empty((runs[-1].stop, math.prod(shape[:split]), math.prod(shape[split:])))
+    sq_parts = np.empty((runs[-1].stop, math.prod(square_shape[:split]),
+                         math.prod(square_shape[split:])))
+
+    def work(run):
+        for b in run:
+            lo = b * _MOMENT_BLOCK
+            block = batch.values[lo:lo + _MOMENT_BLOCK].T
+            width = block.shape[1]
+            # per heterodyne mode [1, x, y, |S|^2 - d] and its distinct
+            # squares [1, x^2 + y^2, (|S|^2 - d)^2]; per qubit mode
+            # [1, outcome], whose squares are all 1
+            real = np.empty((len(het), 4, width))
+            real[:, 0] = 1.0
+            real[:, 1] = block.real
+            real[:, 2] = block.imag
+            square = np.empty((len(het), 3, width))
+            square[:, 0] = 1.0
+            power = square[:, 1]
+            np.square(real[:, 1], out=power)
+            power += np.square(real[:, 2])
+            np.subtract(power, dark_power[:, None], out=real[:, 3])
+            np.square(real[:, 3], out=square[:, 2])
+            factors = {mode: real[i] for mode, i in het_col.items()}
+            if qub:
+                signs = np.ones((len(qub), 2, width))
+                signs[:, 1] = batch.outcomes[lo:lo + _MOMENT_BLOCK].T
+                factors.update((mode, signs[i]) for mode, i in qub_col.items())
+            left, right = (half_products(modes, factors, width) for modes in halves)
+            prod_parts[b] = left @ right.T
+            factors = {mode: square[i] for mode, i in het_col.items()}
+            left, right = (half_products(modes, factors, width) for modes in halves)
+            sq_parts[b] = left @ right.T
+
+    _run_workers(work, runs)
     sum_prod = sum_sq = 0.0
-    for lo in range(0, batch.count, _MOMENT_BLOCK):
-        block = batch.values[lo:lo + _MOMENT_BLOCK].T
-        width = block.shape[1]
-        # per heterodyne mode [1, x, y, |S|^2 - d] and its distinct squares
-        # [1, x^2 + y^2, (|S|^2 - d)^2]; per qubit mode [1, outcome], whose
-        # squares are all 1
-        real = np.empty((len(het), 4, width))
-        real[:, 0] = 1.0
-        real[:, 1] = block.real
-        real[:, 2] = block.imag
-        square = np.empty((len(het), 3, width))
-        square[:, 0] = 1.0
-        power = square[:, 1]
-        np.square(real[:, 1], out=power)
-        power += np.square(real[:, 2])
-        np.subtract(power, dark_power[:, None], out=real[:, 3])
-        np.square(real[:, 3], out=square[:, 2])
-        factors = {mode: real[i] for mode, i in het_col.items()}
-        if qub:
-            signs = np.ones((len(qub), 2, width))
-            signs[:, 1] = batch.outcomes[lo:lo + _MOMENT_BLOCK].T
-            factors.update((mode, signs[i]) for mode, i in qub_col.items())
-        left, right = (half_products(modes, factors, width) for modes in halves)
-        sum_prod = sum_prod + left @ right.T
-        factors = {mode: square[i] for mode, i in het_col.items()}
-        left, right = (half_products(modes, factors, width) for modes in halves)
-        sum_sq = sum_sq + left @ right.T
+    for prod, sq in zip(prod_parts, sq_parts):
+        sum_prod = sum_prod + prod
+        sum_sq = sum_sq + sq
 
     # mode by mode, the real sums become those of [1, g^1/2 S, g^1/2 S*,
     # g (|S|^2 - d)] and the square sums those of the four squared moduli
@@ -661,11 +731,9 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         to_complex.append(np.array([[1, 0, 0, 0], [0, root, 1j * root, 0],
                                     [0, root, -1j * root, 0], [0, 0, 0, g]]))
         to_squares.append(np.array([[1, 0, 0], [0, g, 0], [0, g, 0], [0, 0, g * g]]))
-    shape = [2 if basis else 4 for basis in batch.mode_bases]
     count = batch.count
     means = _map_modes(sum_prod.reshape(shape), to_complex) / count
-    sum_sq = _map_modes(sum_sq.reshape([1 if basis else 3 for basis in batch.mode_bases]),
-                        to_squares)
+    sum_sq = _map_modes(sum_sq.reshape(square_shape), to_squares)
     spread = sum_sq - count * np.abs(means) ** 2
     variances = np.maximum(spread, 0.0) / max(count - 1, 1)
     return MomentTable(batch.mode_bases, means.reshape(-1), variances.reshape(-1), count)
@@ -685,12 +753,14 @@ def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float
     Beyond the n, m <= 1 table, but the closed-form deconvolution
     raw<|S|^4> - 4 d <|S|^2> + 2 d^2 (d the raw dark power) is exact because
     the sampler reproduces all Husimi moments; any single-excitation state
-    gives zero.
+    gives zero.  Both batches are checked for non-finite values as in
+    estimate_moments.
     """
     if mode not in batch.heterodyne_modes:
         raise ValueError(f"mode {mode} is not one of the heterodyne modes "
                          f"{batch.heterodyne_modes}")
     i = batch.heterodyne_modes.index(mode)
+    _check_readings("shots", batch)
     d = float(dark_noise_power(dark)[i]) + 1.0
     power = np.abs(batch.values[:, i].astype(complex)) ** 2
     return float(np.mean(power ** 2) - 4.0 * d * np.mean(power) + 2.0 * d * d)

@@ -187,6 +187,29 @@ def test_controls_must_take_arrays_of_times(control):
         evolve(system, "emitter", 20e-9)
 
 
+@pytest.mark.parametrize("name, control", [
+    ("coupling_scale", lambda t: np.where(t < 5e-9, 1.0, np.nan)),
+    ("emitter_detuning", lambda t: np.where(t < 5e-9, 0.0, -np.inf)),
+    ("mirror_detuning", lambda t: np.where(t < 5e-9, FAR_DETUNED, np.nan)),
+    ("mirror_detuning", np.nan),
+])
+def test_non_finite_controls_are_refused_by_name(name, control):
+    """A control that turns NaN or infinite partway through a 20 ns run
+    raises instead of running to a NaN record, and a NaN mirror detuning is
+    not read as far detuned."""
+    system = LatticeSystem(SPEC, G_UC, mirror_g=G_MIRROR, **{name: control})
+    with pytest.raises(ValueError, match=f"control {name} is NaN or infinite"):
+        evolve(system, "emitter", 20e-9)
+
+
+@pytest.mark.parametrize("name", ["emitter_g", "parasitic_g", "mirror_g"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_couplings_are_refused(name, value):
+    couplings = {"emitter_g": G_UC, "parasitic_g": 0.0, "mirror_g": G_MIRROR, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LatticeSystem(SPEC, **couplings)
+
+
 @pytest.mark.parametrize("initial, message", [
     (-1, "outside 0..53"),
     (54, "outside 0..53"),

@@ -580,6 +580,75 @@ def test_two_workers_match_one_bit_for_bit(monkeypatch):
     assert len(threads) >= 2
 
 
+def test_estimation_workers_give_the_one_worker_tables(monkeypatch):
+    """Tables and dark powers from 2 and 4 workers equal the one-worker ones
+    bit for bit on every one of ten runs, on a layout with a qubit mode and
+    gains, with 11 moment blocks and 3 dark chunks (a multiple of neither
+    worker count) and threads switching as often as the interpreter allows."""
+    batch, dark = shots.synthesize_shots(_mixed_three_mode_state(), 1.0,
+                                         10 * shots._MOMENT_BLOCK + 1, seed=31,
+                                         qubit_bases={2: "x"}, dark_count=2 * shots._CHUNK + 1)
+    gain = {1: 0.9, 3: 1.1}
+
+    def estimate():
+        table = shots.estimate_moments(batch, dark, gain)
+        return table.means, table.variances, shots.dark_noise_power(dark)
+
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 1)
+    serial = estimate()
+    threads = set()
+    run_workers = shots._run_workers
+
+    def traced(work, tasks):
+        def observed(task):
+            threads.add(threading.get_ident())
+            work(task)
+        run_workers(observed, tasks)
+
+    monkeypatch.setattr(shots, "_run_workers", traced)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4) * 5:
+            monkeypatch.setattr(shots, "_cpu_count", lambda: workers)
+            for got, want in zip(estimate(), serial):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) >= 2
+
+
+def test_a_helper_worker_error_reaches_the_caller():
+    """An exception raised on a helper thread is raised by the call, after
+    every worker has ended."""
+    done = []
+
+    def work(task):
+        if task == 2:
+            raise ArithmeticError(f"task {task} on a helper thread")
+        done.append(task)
+
+    with pytest.raises(ArithmeticError, match="task 2 on a helper thread"):
+        shots._run_workers(work, [0, 1, 2, 3])
+    assert sorted(done) == [0, 1, 3]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("kind", ["shots", "dark"])
+def test_noise_power_and_two_photon_moment_refuse_non_finite_values(kind, bad):
+    """dark_noise_power and two_photon_moment refuse a NaN or infinite
+    reading with estimate_moments' error instead of returning NaN or inf."""
+    batch, dark = shots.synthesize_shots(BELL, 0.5, 2_000, seed=1)
+    broken = [shots.ShotBatch(b.values.copy(), b.mode_bases, dark=b.dark) for b in (batch, dark)]
+    broken[kind == "dark"].values[17, 1] = bad
+    message = f"{kind} batch holds values that are not finite"
+    with pytest.raises(ValueError, match=message):
+        shots.two_photon_moment(*broken, mode=1)
+    if kind == "dark":
+        with pytest.raises(ValueError, match=message):
+            shots.dark_noise_power(broken[1])
+
+
 def test_one_worker_needs_less_than_a_whole_chunk_gather(monkeypatch):
     """At six modes one worker's transient memory stays below the 64 MiB
     (2^6 amplitudes x 2^16 shots x 16 B) that gathering each shot's whole
