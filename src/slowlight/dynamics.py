@@ -199,12 +199,6 @@ class OutputRecord:
     def peak_time(self) -> float:
         return float(self.t[np.argmax(self.flux)])
 
-    def to_csv(self, path):
-        header = "time_s,re_a_out,im_a_out,flux_per_s"
-        data = np.column_stack([self.t, self.a_out.real, self.a_out.imag,
-                                self.flux])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _substep_grid(system: LatticeSystem, horizon: float, dt: float):
     """Step times t_0..t_n (accumulated like repeated t += dt) and the

@@ -1,5 +1,6 @@
 """Flux-modulated transmon control: tuning curves, modulation sidebands,
-pulse envelopes and flux-line pre-distortion.
+pulse envelopes and the amplitude tables that turn a sideband envelope into
+flux tracks.
 
 The emitter is parked at a static bias and a fast sinusoidal flux tone
 converts its transition into a comb of sidebands; the first lower sideband
@@ -9,12 +10,13 @@ arithmetic; the quantum propagation lives in `dynamics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# scipy.optimize and scipy.signal are imported inside the functions that use
-# them: at module level they cost about a second on every import of the layer
+# scipy.optimize is imported inside _solve_dc, its one user: at module level
+# it costs about a second on every import of the layer
 from scipy.special import erf
 
 TWO_PI = 2.0 * np.pi
@@ -27,28 +29,25 @@ class TransmonSpec:
     omega_ge_max : top-sweet-spot g-e transition (rad/s)
     eta          : anharmonicity omega_ef - omega_ge (rad/s, negative)
     asymmetry    : SQUID junction asymmetry d in [0, 1); 0 = symmetric
-    t1, t2_star  : lifetimes (s); t1 may be None when unused
-    thermal_pop  : residual excited-state population at idle
     """
 
     omega_ge_max: float
     eta: float
     asymmetry: float = 0.0
-    t1: float | None = None
-    t2_star: float | None = None
-    thermal_pop: float = 0.0
 
     def __post_init__(self):
+        # NaN fails no comparison below, so finiteness is checked first
+        for label in ("omega_ge_max", "eta", "asymmetry"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"transmon.{label} must be finite, got {value!r}")
         if self.eta >= 0.0:
             raise ValueError("transmon.eta must be negative")
         if not 0.0 <= self.asymmetry < 1.0:
             raise ValueError("transmon.asymmetry must lie in [0, 1)")
-        if not 0.0 <= self.thermal_pop < 0.5:
-            raise ValueError("transmon.thermal_pop must lie in [0, 0.5)")
 
     @classmethod
-    def from_hz(cls, f_ge_max_hz, eta_hz, f_ge_min_hz=None, asymmetry=None,
-                t1=None, t2_star=None, thermal_pop=0.0):
+    def from_hz(cls, f_ge_max_hz, eta_hz, f_ge_min_hz=None, asymmetry=None):
         """Build from Hz inputs; asymmetry fit from f_ge_min when given."""
         w_max = TWO_PI * f_ge_max_hz
         eta = TWO_PI * eta_hz
@@ -60,13 +59,12 @@ class TransmonSpec:
                 if w_min >= w_max:
                     raise ValueError("transmon.f_ge_min must be below f_ge_max")
                 asymmetry = ((w_min - eta) / (w_max - eta)) ** 2
-        return cls(omega_ge_max=w_max, eta=eta, asymmetry=asymmetry,
-                   t1=t1, t2_star=t2_star, thermal_pop=thermal_pop)
+        return cls(omega_ge_max=w_max, eta=eta, asymmetry=asymmetry)
 
     @classmethod
     def emitter(cls):
         """The emission qubit: 6.21 GHz sweet spot, -273 MHz anharmonicity."""
-        return cls.from_hz(6.21e9, -273e6, t2_star=561e-9, thermal_pop=0.01)
+        return cls.from_hz(6.21e9, -273e6)
 
     def omega_ge(self, phi):
         """g-e transition vs flux (in flux quanta), standard asymmetric form."""
@@ -202,37 +200,6 @@ def _solve_dc(curve, phi_bias, amp, target, hint=0.0):
     return None
 
 
-def dc_correction(spec, phi_bias, phi_ac, omega_mod=None, transition="ef",
-                  tol=TWO_PI * 1.0e3):
-    """Static flux offset that restores the cycle-averaged frequency.
-
-    Modulation drags the mean transition away from its static value; the
-    returned Phi_DC (same shape as phi_ac) cancels that shift to within
-    `tol` (rad/s).  Raises when no offset can restore the frequency, which
-    happens once the drive swings over too much of the tuning curve.
-    """
-    curve = _as_curve(spec, transition)
-    phi_ac = np.atleast_1d(np.asarray(phi_ac, dtype=float))
-    target = float(curve(phi_bias))
-
-    out = np.empty_like(phi_ac)
-    hint = 0.0
-    for i in np.argsort(phi_ac):
-        amp = phi_ac[i]
-        if amp == 0.0:
-            out[i] = 0.0
-            continue
-        dc = _solve_dc(curve, phi_bias, amp, target, hint)
-        if dc is None:
-            raise ValueError(
-                f"no static offset restores the mean frequency at "
-                f"phi_ac={amp:.4f} (bias {phi_bias:.4f})")
-        if abs(float(_cycle_mean(curve, phi_bias, dc, amp)) - target) > tol:
-            raise ValueError("dc correction did not converge to tolerance")
-        out[i] = hint = dc
-    return out if out.size > 1 else float(out[0])
-
-
 def erf_envelope(t_r: float, delta: float, xi_max: float,
                  window: float, dt: float):
     """Smooth turn-on envelope xi(t) = xi_max * erf(t / t_r + delta)^2.
@@ -332,11 +299,6 @@ class FluxDrive:
     phi_ac: np.ndarray
     phi_dc: np.ndarray
 
-    def to_csv(self, path):
-        header = "time_s,phi_ac_Phi0,phi_dc_Phi0"
-        data = np.column_stack([self.t, self.phi_ac, self.phi_dc])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def drive_from_envelope(spec: TransmonSpec, phi_bias: float, omega_mod: float,
                         t: np.ndarray, xi_target: np.ndarray,
@@ -355,148 +317,3 @@ def drive_from_envelope(spec: TransmonSpec, phi_bias: float, omega_mod: float,
         phi_ac=table.amplitude_for(xi_target),
         phi_dc=table.dc_for(xi_target),
     )
-
-
-# ---------------------------------------------------------------------------
-# flux-line pre-distortion
-
-
-@dataclass(frozen=True)
-class ResponseTerm:
-    """One fitted kernel of the step response: amp * exp(-t/tau) * cos(w t + phase)."""
-
-    amp: float
-    tau: float
-    omega: float
-    phase: float
-
-
-def _model_step(t, terms):
-    s = np.ones_like(t)
-    for term in terms:
-        s = s + term.amp * np.exp(-t / term.tau) * np.cos(term.omega * t + term.phase)
-    return s
-
-
-def _fit_terms(t, s, x0):
-    """Joint refinement of a flat [amp, tau, omega, phase]*n parameter vector."""
-    from scipy.optimize import least_squares
-
-    dt = t[1] - t[0]
-    n_par = len(x0) // 4
-
-    def residual_of(x):
-        trail = [ResponseTerm(*x[i:i + 4]) for i in range(0, len(x), 4)]
-        return _model_step(t, trail) - s
-
-    lo = np.array([-2.0, dt / 2.0, 0.0, -np.pi] * n_par)
-    hi = np.array([2.0, t[-1] * 100.0, np.pi / dt, np.pi] * n_par)
-    x0 = np.clip(np.asarray(x0, dtype=float), lo + 1e-15, hi - 1e-15)
-    scale = np.array([0.02, t[-1] / 10.0, 1.0 / dt / 50.0, 1.0] * n_par)
-    return least_squares(residual_of, x0, bounds=(lo, hi), x_scale=scale,
-                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-
-
-def fit_step_response(t: np.ndarray, s: np.ndarray, max_terms: int = 4,
-                      rms_tol: float = 1e-4):
-    """Fit the normalised step response with up to `max_terms` kernels.
-
-    Each kernel is amp * exp(-t/tau) * cos(omega t + phase).  Terms are
-    added greedily: a candidate is fitted to the current residual alone
-    (seeded both as a pure decay and at the residual's dominant Fourier
-    component), then all terms are refined jointly.  Stops once the RMS
-    misfit drops below `rms_tol`.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    dt = t[1] - t[0]
-    terms: list[ResponseTerm] = []
-
-    for _ in range(max_terms):
-        resid = _model_step(t, terms) - s
-        rms = float(np.sqrt(np.mean(resid ** 2)))
-        if rms < rms_tol:
-            break
-        r = -resid
-        amp0 = float(r[np.argmax(np.abs(r[:max(1, len(r) // 20)]))])
-        if amp0 == 0.0:
-            amp0 = 1e-6
-        mag = np.abs(r)
-        down = np.nonzero(mag < np.abs(amp0) / np.e)[0]
-        tau0 = t[down[0]] if len(down) and down[0] > 0 else t[-1] / 4.0
-        spec_r = np.abs(np.fft.rfft(r))
-        spec_r[0] = 0.0
-        w_fft = TWO_PI * int(np.argmax(spec_r)) / (len(r) * dt)
-        best = None
-        for w0 in (0.0, w_fft):
-            for tau_seed in (tau0, tau0 / 5.0, tau0 * 5.0):
-                # candidate alone against the residual (offset back to 1)
-                sol = _fit_terms(t, 1.0 + r, [amp0, tau_seed, w0, 0.0])
-                if best is None or sol.cost < best.cost:
-                    best = sol
-        x_joint = []
-        for term in terms:
-            x_joint.extend([term.amp, term.tau, term.omega, term.phase])
-        x_joint.extend(best.x)
-        sol = _fit_terms(t, s, x_joint)
-        terms = [ResponseTerm(*sol.x[i:i + 4]) for i in range(0, len(sol.x), 4)]
-    return terms
-
-
-def _step_to_kernel(step: np.ndarray) -> np.ndarray:
-    """Discrete impulse response whose running sum reproduces `step`."""
-    h = np.empty_like(step)
-    h[0] = step[0]
-    h[1:] = np.diff(step)
-    return h
-
-
-def apply_distortion(step: np.ndarray, waveform: np.ndarray) -> np.ndarray:
-    """Push a waveform through the channel described by its step response."""
-    h = _step_to_kernel(np.asarray(step, dtype=float))
-    return np.convolve(h, np.asarray(waveform, dtype=float))[:len(waveform)]
-
-
-def predistort_square(t: np.ndarray, step: np.ndarray, target: np.ndarray,
-                      max_terms: int = 4, fir_len: int = 64) -> np.ndarray:
-    """Pre-compensated waveform for a channel with the given step response.
-
-    Fits <= `max_terms` exponential / oscillatory-exponential kernels to the
-    modelled response, applies their exact inverse recursively, then adds a
-    short FIR stage that cancels the residual model mismatch over the first
-    `fir_len` samples.  Convolving the channel with the result reproduces
-    `target` to well within 0.2 percent once the output has risen.
-
-    This is the only caller of scipy.signal, which is imported here rather
-    than with the module: it costs about half a second and pulls in
-    scipy.stats.
-    """
-    from scipy.signal import lfilter
-
-    t = np.asarray(t, dtype=float)
-    step = np.asarray(step, dtype=float)
-    target = np.asarray(target, dtype=float)
-    tail = slice(int(0.9 * len(step)), None)
-    s_inf = float(np.mean(step[tail]))
-    if s_inf <= 0.0:
-        raise ValueError("step response settles at a non-positive value")
-    # extrapolate the late-time drift over the record length; a response
-    # still sliding toward its asymptote cannot be normalised reliably
-    slope = np.polyfit(t[tail], step[tail], 1)[0]
-    if abs(slope) * (t[-1] - t[0]) > 0.01 * s_inf:
-        raise ValueError("step response has not settled within the record")
-    s = step / s_inf
-
-    terms = fit_step_response(t, s, max_terms=max_terms)
-    h_model = _step_to_kernel(_model_step(t, terms))
-    h_true = _step_to_kernel(s)
-
-    # inverse of the fitted kernels: FIR h_model has an exact IIR inverse
-    w_iir = lfilter([1.0], h_model, target)
-    # short-scale FIR correction for what the fit missed
-    d = lfilter([1.0], h_model, h_true)
-    imp = np.zeros(min(fir_len, len(t)))
-    imp[0] = 1.0
-    c = lfilter([1.0], d[:len(imp)], imp)
-    w = np.convolve(c, w_iir)[:len(target)]
-    return w / s_inf

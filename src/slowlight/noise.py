@@ -28,9 +28,8 @@ order dephasing -> loss -> control and reports incremental infidelities.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -86,16 +85,12 @@ class ChannelStack:
     thermal_pop: float = 0.01
     residual_f: float = 0.01
     cz_depol: float = 0.01
-    confusion: np.ndarray = field(default_factory=lambda: READOUT_CONFUSION.copy())
 
     def __post_init__(self):
         for label in ("loss", "thermal_pop", "residual_f", "cz_depol"):
             value = getattr(self, label)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"channels.{label} must lie in [0, 1)")
-        c = np.asarray(self.confusion, dtype=float)
-        if c.shape != (2, 2) or np.max(np.abs(c.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("channels.confusion must be 2x2 with columns summing to 1")
 
 
 @lru_cache(maxsize=1)
@@ -403,7 +398,3 @@ def error_budget(name: str = "cluster4_2d",
             "fed_back_photons": fed,
         },
     }
-
-
-def budget_json(budget: dict) -> str:
-    return json.dumps(budget, sort_keys=True, indent=2)

@@ -27,7 +27,6 @@ that graph-family targets come out in the standard graph-state gauge
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -81,6 +80,12 @@ class ProtocolStep:
     envelope: str | None = None
     action: str | None = None
     duration: float = 0.0
+
+    def __post_init__(self):
+        for label in ("angle", "axis_phase", "duration"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"step.{label} must be finite, got {value!r}")
 
 
 def rotation(transition: str, angle: float, axis_phase: float = 0.0,
@@ -169,27 +174,6 @@ class PureState:
     def photon_density(self, tol: float = 1e-9) -> "DensityMatrix":
         return DensityMatrix.from_pure(self.photons(tol=tol))
 
-    def to_json(self) -> str:
-        labels = []
-        flat = self.amplitudes.reshape(3, -1)
-        for lvl in "gef":
-            for idx in range(flat.shape[1]):
-                labels.append(f"{lvl}|{idx:0{self.n_photons}b}" if self.n_photons else f"{lvl}|")
-        entries = [[float(a.real), float(a.imag)] for a in flat.reshape(-1)]
-        return json.dumps({"n_photons": self.n_photons, "basis": labels,
-                           "amplitudes": entries}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PureState":
-        """Read the schema to_json writes; the amplitudes come back bit for bit."""
-        payload = json.loads(text)
-        n = payload["n_photons"]
-        entries = np.asarray(payload["amplitudes"], dtype=float)
-        if entries.shape != (3 * 2 ** n, 2) or len(payload["basis"]) != len(entries):
-            raise ValueError(f"a {n}-photon state needs {3 * 2 ** n} amplitude pairs "
-                             f"and basis labels")
-        return cls((entries[:, 0] + 1j * entries[:, 1]).reshape((3,) + (2,) * n))
-
 
 class DensityMatrix:
     """Validated photon-register density matrix."""
@@ -205,24 +189,6 @@ class DensityMatrix:
         vector = np.asarray(vector, dtype=complex)
         vector = vector / np.linalg.norm(vector)
         return cls(np.outer(vector, vector.conj()))
-
-    def to_json(self, extra: dict | None = None) -> str:
-        """The density-matrix schema (kind, dim, n_photons, basis labels, real,
-        imag) with extra keys merged in; from_json reads it back."""
-        n, dim = self.n_photons, self.matrix.shape[0]
-        payload = {"kind": "density_matrix", "dim": dim, "n_photons": n,
-                   "basis": [f"{idx:0{n}b}" if n else "" for idx in range(dim)],
-                   "real": self.matrix.real.tolist(), "imag": self.matrix.imag.tolist()}
-        if extra:
-            payload.update(extra)
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        payload = json.loads(text)
-        if payload.get("kind") != "density_matrix":
-            raise ValueError("not a serialized density matrix")
-        return cls(np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"]))
 
 
 def coerce_state(state) -> np.ndarray:

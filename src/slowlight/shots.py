@@ -52,13 +52,11 @@ new arrays, with no intermediate bytes copy either way.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import operator
 import os
 import struct
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -558,38 +556,6 @@ class MomentTable:
     def signatures(self):
         return list(qops.moment_layout(self.mode_bases)[0])
 
-    def to_json(self) -> str:
-        rows = [{"signature": sig, "mean": [mean.real, mean.imag], "variance": var,
-                 "count": self.count}
-                for sig, mean, var in zip(self.signatures(), self.means.tolist(),
-                                          self.variances.tolist())]
-        return json.dumps({"mode_bases": list(self.mode_bases), "moments": rows},
-                          indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "MomentTable":
-        """Read to_json's schema: one row per signature of the layout, each
-        once, all with the same count, in any order."""
-        data = json.loads(text)
-        bases = tuple(data["mode_bases"])
-        signatures = qops.moment_layout(bases)[0]
-        rows = {}
-        for row in data["moments"]:
-            sig = tuple(tuple(s) if isinstance(s, list) else s
-                        for s in row["signature"])
-            if sig in rows:
-                raise ValueError(f"signature {sig} is listed twice")
-            rows[sig] = row
-        ordered = [rows.pop(sig, None) for sig in signatures]
-        if None in ordered or rows:
-            raise ValueError(f"moment table is missing {ordered.count(None)} of the "
-                             f"{len(signatures)} signatures and has {len(rows)} outside them")
-        counts = sorted({int(row["count"]) for row in ordered})
-        if len(counts) > 1:
-            raise ValueError(f"moment rows disagree on the shot count: {counts}")
-        return MomentTable(bases, [complex(*row["mean"]) for row in ordered],
-                           [float(row["variance"]) for row in ordered], counts[0])
-
 
 def _check_readings(kind: str, batch: ShotBatch) -> None:
     """Refuse a batch with a NaN or infinite value or a qubit outcome other
@@ -766,103 +732,6 @@ def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float
     return float(np.mean(power ** 2) - 4.0 * d * np.mean(power) + 2.0 * d * d)
 
 
-@dataclass(frozen=True)
-class CalibrationG:
-    """Absolute power calibration of the measurement chain.
-
-    g_scale converts recorded drive amplitude (ADC volts) to the field
-    amplitude |alpha| in sqrt(photons/s); eta_det = 1/(1 + n_noise) is the
-    implied quantum measurement efficiency; fast_correction is the
-    bandwidth-class gain fix applied to fast-pulse moments.
-    """
-
-    g_scale: float
-    n_noise: float
-    fast_correction: float = 1.0
-
-    def __post_init__(self):
-        if self.g_scale <= 0.0:
-            raise ValueError("calibration scale must be positive")
-        if self.n_noise < 0.0:
-            raise ValueError("n_noise must be non-negative")
-
-    @property
-    def eta_det(self) -> float:
-        return 1.0 / (1.0 + self.n_noise)
-
-
-def stark_shift(omega: float, delta: float, anharmonicity: float,
-                levels: int = 5) -> float:
-    """Drive-induced shift of the lowest transition of a weakly anharmonic ladder.
-
-    In the drive frame the bare ladder is j*delta + j(j-1)/2*anharmonicity and
-    the drive couples neighbours with sqrt(j)*omega/2.  The shift is the
-    dressed g-e splitting minus delta, with dressed levels identified by
-    largest bare overlap.  All arguments in rad/s.
-    """
-    if levels < 2:
-        raise ValueError("need at least two ladder levels")
-    if delta == 0.0:
-        raise ValueError("drive must be detuned from the transition")
-    if abs(omega) > 0.5 * abs(delta):
-        warnings.warn("drive beyond the dispersive regime: omega > |delta|/2",
-                      stacklevel=2)
-    j = np.arange(levels, dtype=float)
-    h = np.diag(j * delta + 0.5 * j * (j - 1.0) * anharmonicity)
-    coupling = 0.5 * omega * np.sqrt(j[1:])
-    h += np.diag(coupling, 1) + np.diag(coupling, -1)
-    vals, vecs = np.linalg.eigh(h)
-    g_idx = int(np.argmax(np.abs(vecs[0, :])))
-    e_idx = int(np.argmax(np.abs(vecs[1, :])))
-    if g_idx == e_idx:
-        raise RuntimeError("dressed levels are not resolvable at this drive")
-    return float((vals[e_idx] - vals[g_idx]) - delta)
-
-
-def stark_shift_perturbative(omega: float, delta: float,
-                             anharmonicity: float) -> float:
-    """Second-order weak-drive limit of stark_shift (three-level physics)."""
-    return 0.5 * omega ** 2 * (1.0 / delta - 1.0 / (delta + anharmonicity))
-
-
-def ac_stark_calibration(volts, shifts, delta: float, anharmonicity: float,
-                         gamma_1d: float, levels: int = 5,
-                         n_noise: float = 0.0) -> CalibrationG:
-    """Fit the volts-to-amplitude scale from a measured shift-vs-drive curve.
-
-    The model drive is omega = |alpha| sqrt(4 gamma_1d) with |alpha| =
-    g_scale * V; the single free parameter is g_scale.
-    """
-    from scipy.optimize import curve_fit
-
-    volts = np.asarray(volts, dtype=float)
-    shifts = np.asarray(shifts, dtype=float)
-    if volts.ndim != 1 or volts.shape != shifts.shape or len(volts) < 2:
-        raise ValueError("need matching drive and shift arrays of length >= 2")
-
-    def model(v, g_scale):
-        omegas = np.abs(g_scale) * v * math.sqrt(4.0 * gamma_1d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return np.array([stark_shift(w, delta, anharmonicity, levels)
-                             for w in omegas])
-
-    # weak-drive closed form seeds the single-parameter fit
-    slope = shifts[-1] / (volts[-1] ** 2)
-    curvature = 0.5 * (1.0 / delta - 1.0 / (delta + anharmonicity))
-    omega0 = math.sqrt(abs(slope / curvature)) if curvature != 0.0 else 1.0
-    p0 = omega0 / math.sqrt(4.0 * gamma_1d)
-    try:
-        popt, _ = curve_fit(model, volts, shifts, p0=[p0], maxfev=2000)
-    except RuntimeError as err:
-        raise RuntimeError(f"power calibration fit did not converge: {err}") from err
-    g_scale = float(abs(popt[0]))
-    if np.max(np.abs(g_scale * volts * math.sqrt(4.0 * gamma_1d))) > 0.5 * abs(delta):
-        warnings.warn("strongest calibration point is beyond the dispersive "
-                      "regime: omega > |delta|/2", stacklevel=2)
-    return CalibrationG(g_scale=g_scale, n_noise=n_noise)
-
-
 def bandwidth_gain_split(slow: MomentTable, fast: MomentTable,
                          mode: int = 1) -> float:
     """Fast-class power correction from matched full-excitation preparations.
@@ -886,29 +755,3 @@ def bandwidth_gain_split(slow: MomentTable, fast: MomentTable,
         raise ValueError(f"calibration alarm: bandwidth gain split {ratio:.3f} "
                          "outside [0.8, 1.2]")
     return ratio
-
-
-def mode_matching_function(record, bandwidth: float, window=None,
-                           grid_points: int = 4096):
-    """Matched filter f(t) for one emitted pulse: smoothed field, unit norm.
-
-    Resamples the record's mean field on a uniform grid, applies a Gaussian
-    low-pass of width 3x the photon bandwidth, and normalizes to
-    integral |f|^2 dt = 1, mirroring the demodulate-filter-normalize chain.
-    """
-    if bandwidth <= 0.0:
-        raise ValueError("photon bandwidth must be positive")
-    t, a = record.t, record.a_out
-    if window is not None:
-        keep = (t >= window[0]) & (t <= window[1])
-        t, a = t[keep], a[keep]
-    grid = np.linspace(t[0], t[-1], grid_points)
-    field = np.interp(grid, t, a.real) + 1j * np.interp(grid, t, a.imag)
-    spectrum = np.fft.fft(field)
-    freqs = np.fft.fftfreq(grid_points, grid[1] - grid[0])
-    spectrum *= np.exp(-0.5 * (freqs / (3.0 * bandwidth)) ** 2)
-    smoothed = np.fft.ifft(spectrum)
-    norm = np.trapezoid(np.abs(smoothed) ** 2, grid)
-    if norm <= 0.0:
-        raise ValueError("record carries no field in the matching window")
-    return grid, smoothed / math.sqrt(norm)

@@ -63,7 +63,6 @@ biases the MLE never enters, and the interval is not clipped to [0, 1].
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -767,40 +766,3 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
         "seed": int(seed),
         "fidelities": fidelities,
     }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def state_to_json(state, extra: dict | None = None) -> str:
-    """A state in the DensityMatrix JSON schema; see DensityMatrix.to_json."""
-    return DensityMatrix(_state_matrix(state)).to_json(extra)
-
-
-def state_from_json(text: str) -> DensityMatrix:
-    return DensityMatrix.from_json(text)
-
-
-def chi_to_json(chi: np.ndarray, extra: dict | None = None) -> str:
-    chi = np.asarray(chi, dtype=complex)
-    payload = {
-        "kind": "chi_matrix",
-        "basis": list(PAULI_LABELS_2Q),
-        "qubits": ["emitter", "photon"],
-        "real": np.real(chi).tolist(),
-        "imag": np.imag(chi).tolist(),
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def chi_from_json(text: str) -> np.ndarray:
-    payload = json.loads(text)
-    if payload.get("kind") != "chi_matrix":
-        raise ValueError("not a serialized chi matrix")
-    if tuple(payload.get("basis", ())) != PAULI_LABELS_2Q:
-        raise ValueError("unexpected chi basis ordering")
-    return np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"])

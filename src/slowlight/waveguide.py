@@ -7,6 +7,7 @@ explicit ``_hz`` suffix, always meaning the quantity divided by 2*pi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,6 @@ class WaveguideSpec:
         Hopping rate between the two taper cells (rad/s).
     output_rate : float
         Loading rate kappa of the last taper cell into the output line (rad/s).
-    roundtrip_loss : float
-        Fractional energy loss per round trip, in [0, 1).
     """
 
     n_cells: int
@@ -43,22 +42,24 @@ class WaveguideSpec:
     taper_detuning2: float = 0.0
     taper_hop: float = 0.0
     output_rate: float = 0.0
-    roundtrip_loss: float = 0.0
 
     def __post_init__(self):
+        # NaN fails no comparison below, so finiteness is checked first
+        for label in ("n_cells", "hop_j", "center", "taper_detuning1",
+                      "taper_detuning2", "taper_hop", "output_rate"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"waveguide.{label} must be finite, got {value!r}")
         if self.n_cells < 2:
             raise ValueError("waveguide.n_cells must be at least 2")
         if self.hop_j <= 0.0:
             raise ValueError("waveguide.hop_J must be positive")
         if self.output_rate < 0.0:
             raise ValueError("waveguide.output_rate must be non-negative")
-        if not 0.0 <= self.roundtrip_loss < 1.0:
-            raise ValueError("channels.roundtrip_loss must lie in [0, 1)")
 
     @classmethod
     def from_hz(cls, n_cells, hop_j_hz, center_hz, taper_detuning1_hz=0.0,
-                taper_detuning2_hz=0.0, taper_hop_hz=0.0, output_rate_hz=0.0,
-                roundtrip_loss=0.0):
+                taper_detuning2_hz=0.0, taper_hop_hz=0.0, output_rate_hz=0.0):
         return cls(
             n_cells=int(n_cells),
             hop_j=TWO_PI * hop_j_hz,
@@ -67,7 +68,6 @@ class WaveguideSpec:
             taper_detuning2=TWO_PI * taper_detuning2_hz,
             taper_hop=TWO_PI * taper_hop_hz,
             output_rate=TWO_PI * output_rate_hz,
-            roundtrip_loss=roundtrip_loss,
         )
 
     @classmethod
@@ -81,7 +81,6 @@ class WaveguideSpec:
             taper_detuning2_hz=-70.0e6,
             taper_hop_hz=45.4e6,
             output_rate_hz=148.0e6,
-            roundtrip_loss=0.13,
         )
 
     @property
@@ -154,41 +153,3 @@ def gamma_1d(g: float, hop_j: float, geometry: str = "end") -> float:
     if geometry == "side":
         return g * g / hop_j
     raise ValueError(f"unknown coupling geometry {geometry!r}")
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Lumped-element parameters of one qubit-waveguide coupling section.
-
-    Capacitances in farads, inductance in henries.  c_sigma is the qubit's
-    total self-capacitance excluding the coupler c_qg.
-    """
-
-    l0: float
-    c0: float
-    cg: float
-    c_qg: float
-    c_sigma: float
-
-    def __post_init__(self):
-        for name in ("l0", "c0", "cg", "c_qg", "c_sigma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"circuit parameter {name} must be positive")
-
-
-def coupling_from_circuit(params: CircuitParams, omega_p: float) -> float:
-    """Qubit-waveguide coupling g from the capacitance network.
-
-    g = c_qg / (2 sqrt((c0 + 2 cg)(c_sigma + c_qg))) * omega_p, in the same
-    angular units as omega_p.  Valid in the weak-coupling regime
-    c_qg << c_sigma; a ratio above ~0.2 raises, since the perturbative
-    expression no longer applies.
-    """
-    ratio = params.c_qg / params.c_sigma
-    if ratio > 0.2:
-        raise ValueError(
-            f"coupler/self capacitance ratio {ratio:.2f} too large for the "
-            "perturbative coupling formula")
-    denom = 2.0 * np.sqrt((params.c0 + 2.0 * params.cg) *
-                          (params.c_sigma + params.c_qg))
-    return params.c_qg / denom * omega_p

@@ -1,5 +1,6 @@
-"""Sideband arithmetic, DC correction, envelopes, and pre-distortion."""
+"""Sideband arithmetic, DC correction, envelopes and amplitude tables."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,16 +12,11 @@ from slowlight import fluxcontrol
 from slowlight.fluxcontrol import (
     FluxTone,
     TransmonSpec,
-    apply_distortion,
     build_amplitude_table,
-    dc_correction,
     drive_from_envelope,
     erf_envelope,
-    fit_step_response,
-    predistort_square,
     sideband_spectrum,
 )
-from slowlight.fluxcontrol import _model_step
 
 TWO_PI = 2.0 * np.pi
 W_MOD = TWO_PI * 450e6
@@ -44,6 +40,18 @@ def test_tuning_curve_asymmetry_floor():
     spec = TransmonSpec.from_hz(6.21e9, -273e6, f_ge_min_hz=4.0e9)
     assert spec.omega_ge(0.5) / TWO_PI == pytest.approx(4.0e9, rel=1e-12)
     assert spec.omega_ge(0.0) / TWO_PI == pytest.approx(6.21e9, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TransmonSpec)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=rf"transmon\.{field} must be finite"):
+        dataclasses.replace(TransmonSpec.emitter(), **{field: value})
+
+
+def test_spec_from_hz_rejects_a_nan_frequency():
+    with pytest.raises(ValueError, match=r"transmon\.omega_ge_max must be finite"):
+        TransmonSpec.from_hz(np.nan, -273e6)
 
 
 def test_sideband_weights_sum_to_one():
@@ -187,15 +195,15 @@ def test_dc_shift_grows_with_amplitude():
     assert all(b < a for a, b in zip(shifts, shifts[1:]))
 
 
-def test_dc_correction_restores_mean_frequency():
+def test_amplitude_table_dc_track_restores_mean_frequency():
+    # each tabulated DC offset cancels the shift its amplitude's modulation
+    # drags the mean transition by (test_dc_shift_grows_with_amplitude)
     spec = TransmonSpec.emitter()
     bias = emitter_bias()
-    for amp in (0.03, 0.07, 0.11):
-        dc = dc_correction(spec, bias, amp)
-        sp = sideband_spectrum(spec, FluxTone(bias, amp, W_MOD, dc))
-        assert abs(sp.dc_shift) < TWO_PI * 2e3
-    with pytest.raises(ValueError):
-        dc_correction(spec, bias, 0.29)
+    table = build_amplitude_table(spec, bias, W_MOD, points=128)
+    for i in (10, len(table.phi_ac) // 2, len(table.phi_ac) - 1):
+        tone = FluxTone(bias, float(table.phi_ac[i]), W_MOD, float(table.phi_dc[i]))
+        assert abs(sideband_spectrum(spec, tone).dc_shift) < TWO_PI * 2e3
 
 
 def test_erf_envelope_shapes():
@@ -232,62 +240,3 @@ def test_drive_rejects_unreachable_envelope():
     t, xi = erf_envelope(15e-9, 0.33, 0.9, 140e-9, 1e-9)
     with pytest.raises(ValueError, match="attainable"):
         drive_from_envelope(spec, bias, W_MOD, t, xi, points=128)
-
-
-def test_drive_csv_round_trip(tmp_path):
-    spec = TransmonSpec.emitter()
-    bias = emitter_bias()
-    t, xi = erf_envelope(15e-9, 0.33, 0.2, 60e-9, 1e-9)
-    drive = drive_from_envelope(spec, bias, W_MOD, t, xi, points=128)
-    path = tmp_path / "drive.csv"
-    drive.to_csv(path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(back[:, 0], t)
-    assert np.allclose(back[:, 1], drive.phi_ac)
-    assert np.allclose(back[:, 2], drive.phi_dc)
-
-
-def synthetic_step(t):
-    """Channel with three kernels plus a small fourth the fit must absorb."""
-    return (1.0 - 0.08 * np.exp(-t / 120e-9)
-            + 0.03 * np.exp(-t / 450e-9)
-            + 0.02 * np.exp(-t / 60e-9) * np.cos(TWO_PI * 18e6 * t + 0.4)
-            + 0.0005 * np.exp(-t / 30e-9))
-
-
-def test_fit_step_response_reaches_tolerance():
-    t = np.arange(2000) * 1e-9
-    s = synthetic_step(t)
-    s = s / np.mean(s[1800:])
-    terms = fit_step_response(t, s)
-    assert len(terms) <= 4
-    resid = _model_step(t, terms) - s
-    assert np.sqrt(np.mean(resid ** 2)) < 1e-4
-
-
-def test_predistortion_flattens_square():
-    # oracle: push the compensated waveform through the raw step response
-    # by direct convolution and demand a flat plateau
-    t = np.arange(2000) * 1e-9
-    step = synthetic_step(t)
-    target = np.ones_like(t)
-    w = predistort_square(t, step, target)
-    out = apply_distortion(step, w)
-    assert np.abs(out[5:] - 1.0).max() < 2e-3
-
-
-def test_predistortion_idempotent():
-    # a channel that is already flat should need essentially no correction
-    t = np.arange(2000) * 1e-9
-    step = synthetic_step(t)
-    out = apply_distortion(step, predistort_square(t, step, np.ones_like(t)))
-    out = out / np.mean(out[1800:])
-    out2 = apply_distortion(out, predistort_square(t, out, np.ones_like(t)))
-    assert np.sqrt(np.mean((out2[5:] - 1.0) ** 2)) < 5e-4
-
-
-def test_predistortion_requires_settled_record():
-    t = np.arange(400) * 1e-9
-    step = 1.0 - 0.5 * np.exp(-t / 2000e-9)  # still far from settled
-    with pytest.raises(ValueError, match="settle"):
-        predistort_square(t, step, np.ones_like(t))

@@ -15,10 +15,10 @@ import slowlight
 
 LAYERS = ("waveguide", "fluxcontrol", "dynamics", "protocol", "noise", "qops",
           "shots", "tomography")
-# imported inside the functions that use them: predistort_square
-# (scipy.signal, which also pulls in scipy.stats), _solve_dc, _fit_terms and
-# ac_stark_calibration (scipy.optimize); dynamics._simpson stands in for
-# scipy.integrate.simpson
+# cold scipy subpackages no layer may load at import: fluxcontrol._solve_dc
+# imports scipy.optimize inside itself, its one user; dynamics._simpson stands
+# in for scipy.integrate.simpson; the library uses neither scipy.signal nor
+# scipy.stats, which it pulls in
 DEFERRED = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize")
 
 

@@ -7,7 +7,6 @@ against the device-scale infidelity bands plus a frozen seeded regression
 point.
 """
 
-import json
 import math
 
 import numpy as np
@@ -229,6 +228,10 @@ def test_apply_channels_noop_and_range_check():
 
 
 def test_budget_matches_device_bands(budget):
+    assert set(budget) == {"state", "seed", "realizations", "t2_star_s", "monte_carlo_se",
+                           "dephasing_infidelity", "loss_infidelity", "control_infidelity",
+                           "combined_fidelity", "standalone", "channels"}
+    assert budget["state"] == "cluster4_2d"
     assert abs(budget["dephasing_infidelity"] - 0.15) <= 0.03
     assert abs(budget["loss_infidelity"] - 0.05) <= 0.01
     assert abs(budget["combined_fidelity"] - 0.76) <= 0.03
@@ -250,16 +253,6 @@ def test_budget_nearly_additive(budget):
     total = sum(budget["standalone"].values())
     assert abs(budget["combined_fidelity"] - (1.0 - total)) < 0.03
     assert abs(budget["standalone"]["loss"] - (1.0 - noise.loss_only_fidelity(0.13))) < 1e-12
-
-
-def test_budget_json_deterministic(budget):
-    text = noise.budget_json(budget)
-    assert text == noise.budget_json(budget)
-    parsed = json.loads(text)
-    assert set(parsed) == {"state", "seed", "realizations", "t2_star_s", "monte_carlo_se",
-                           "dephasing_infidelity", "loss_infidelity", "control_infidelity",
-                           "combined_fidelity", "standalone", "channels"}
-    assert parsed["state"] == "cluster4_2d"
 
 
 def test_confusion_identity_and_round_trip():
@@ -296,8 +289,6 @@ def test_spec_validation_errors():
         noise.OneOverFSpec(amplitude=-1.0)
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         noise.ChannelStack(loss=1.0)
-    with pytest.raises(ValueError, match="columns summing to 1"):
-        noise.ChannelStack(confusion=np.array([[0.9, 0.2], [0.2, 0.9]]))
 
 
 @pytest.mark.parametrize("field", ["amplitude", "f_min", "sample_rate", "exponent"])

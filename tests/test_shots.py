@@ -1,14 +1,13 @@
 """Measurement-chain tests.
 
 Sampled moments are checked against direct trace computations on the source
-state, the noise deconvolution against dark-batch statistics, the Stark
-model against second-order perturbation theory, and the bandwidth split
-against the taper transmittance computed by the dynamics layer.
+state, the noise deconvolution against dark-batch statistics, and the
+bandwidth split against the taper transmittance computed by the dynamics
+layer.
 """
 
 import hashlib
 import itertools
-import json
 import math
 import struct
 import sys
@@ -18,19 +17,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slowlight import protocol, qops, shots
 from slowlight.tomography import moments_from_state
-from slowlight.dynamics import emit_shaped, pulse_bandwidth, taper_transmittance
-from slowlight.fluxcontrol import erf_envelope
+from slowlight.dynamics import taper_transmittance
 from slowlight.waveguide import WaveguideSpec
-
-TWO_PI = 2.0 * np.pi
-DELTA = TWO_PI * 740e6
-ETA = -TWO_PI * 277e6
-GAMMA_1D = TWO_PI * 145.6e6
 
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1.0 / np.sqrt(2.0)
@@ -744,62 +735,6 @@ def test_load_shots_rejects_a_file_that_shrinks_while_read(tmp_path, monkeypatch
         shots.load_shots(path)
 
 
-def test_moment_table_json_round_trip(bell_run):
-    _, _, table = bell_run
-    text = table.to_json()
-    back = shots.MomentTable.from_json(text)
-    assert back.mode_bases == table.mode_bases
-    assert back.signatures() == table.signatures()
-    for sig in table.signatures():
-        assert back.mean(sig) == pytest.approx(table.mean(sig), abs=1e-12)
-    assert json.loads(text)["mode_bases"] == ["", ""]
-
-
-@st.composite
-def _tables(draw):
-    """A moment table over a random layout of one to three modes."""
-    bases = tuple(draw(st.lists(st.sampled_from(["", "x", "y", "z"]),
-                                min_size=1, max_size=3)))
-    size = len(qops.moment_layout(bases)[0])
-    means = draw(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
-                          min_size=size, max_size=size))
-    variances = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
-                              min_size=size, max_size=size))
-    return shots.MomentTable(bases, means, variances, draw(st.integers(1, 2**40)))
-
-
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(_tables())
-def test_moment_table_json_round_trip_is_exact(table):
-    back = shots.MomentTable.from_json(table.to_json())
-    assert back.mode_bases == table.mode_bases
-    assert back.means.tobytes() == table.means.tobytes()
-    assert back.variances.tobytes() == table.variances.tobytes()
-    assert back.count == table.count
-
-
-@settings(derandomize=True, max_examples=10, deadline=None)
-@given(_tables(), st.integers(min_value=0), st.randoms(use_true_random=False))
-def test_moment_table_from_json_rejects_bad_rows(table, pick, random):
-    """Rows may come in any order, but each signature of the layout exactly
-    once, and all with one count."""
-    data = json.loads(table.to_json())
-    rows = data["moments"]
-    random.shuffle(rows)
-    assert shots.MomentTable.from_json(json.dumps(data)).means.tobytes() == table.means.tobytes()
-    j = pick % len(rows)
-    row = rows[j]
-    outside = dict(row, signature=row["signature"] + [[0, 0]])
-    recounted = dict(row, count=row["count"] + 1)
-    cases = (("missing 1 of the", rows[:j] + rows[j + 1:]),
-             ("listed twice", rows + [row]),
-             ("has 1 outside them", rows + [outside]),
-             ("disagree on the shot count", rows[:j] + [recounted] + rows[j + 1:]))
-    for message, bad in cases:
-        with pytest.raises(ValueError, match=message):
-            shots.MomentTable.from_json(json.dumps(dict(data, moments=bad)))
-
-
 def test_zero_shot_batches_are_refused(tmp_path):
     """A batch of no shots, as read back from a file, raises instead of
     giving NaN moments or noise powers."""
@@ -888,49 +823,6 @@ def test_moment_table_refuses_non_finite_entries():
             shots.MomentTable(bases, entries["means"], entries["variances"], 1)
 
 
-def test_stark_shift_zero_drive_and_perturbative_limit():
-    assert shots.stark_shift(0.0, DELTA, ETA) == 0.0
-    for omega in (0.02 * DELTA, 0.05 * DELTA, 0.1 * DELTA):
-        full = shots.stark_shift(omega, DELTA, ETA)
-        pt = shots.stark_shift_perturbative(omega, DELTA, ETA)
-        assert abs(full - pt) < 0.05 * abs(pt)
-
-
-def test_stark_needs_five_levels_at_device_point():
-    omega = 0.15 * DELTA
-    by_level = {n: shots.stark_shift(omega, DELTA, ETA, levels=n)
-                for n in (3, 4, 5, 6)}
-    gap54 = abs(by_level[5] - by_level[4])
-    # the fifth level still moves the answer, the sixth barely does
-    assert gap54 > 1e-3 * abs(by_level[5])
-    assert abs(by_level[3] - by_level[5]) > 10.0 * gap54
-    assert abs(by_level[6] - by_level[5]) < 0.2 * gap54
-
-
-def test_stark_validation_and_dispersive_warning():
-    with pytest.raises(ValueError, match="detuned"):
-        shots.stark_shift(1.0, 0.0, ETA)
-    with pytest.raises(ValueError, match="levels"):
-        shots.stark_shift(1.0, DELTA, ETA, levels=1)
-    with pytest.warns(UserWarning, match="dispersive"):
-        shots.stark_shift(0.6 * DELTA, DELTA, ETA)
-
-
-def test_power_calibration_recovers_scale():
-    g_true = 2.3e3
-    volts = np.linspace(0.01, 0.05, 8)
-    shifts = np.array([shots.stark_shift(g_true * v * np.sqrt(4.0 * GAMMA_1D),
-                                         DELTA, ETA) for v in volts])
-    rng = np.random.default_rng(0)
-    shifts = shifts * (1.0 + 1e-4 * rng.standard_normal(len(volts)))
-    cal = shots.ac_stark_calibration(volts, shifts, DELTA, ETA, GAMMA_1D,
-                                     n_noise=3.5)
-    assert abs(cal.g_scale - g_true) < 0.01 * g_true
-    assert cal.eta_det == pytest.approx(1.0 / 4.5, abs=1e-12)
-    with pytest.raises(ValueError, match="length"):
-        shots.ac_stark_calibration([1.0], [1.0], DELTA, ETA, GAMMA_1D)
-
-
 def test_bandwidth_split_identity_and_alarm():
     one = np.array([0.0, 1.0], dtype=complex)
     batch, dark = shots.synthesize_shots(one, 1.0, 100_000, seed=12)
@@ -987,23 +879,3 @@ def test_bandwidth_split_reproduces_taper_gap():
         *shots.synthesize_shots(np.diag([1.0 - t_fast, t_fast]).astype(complex),
                                 1.0, 300_000, seed=14), gain={1: factor})
     assert abs(corrected.mean(((1, 1),)).real - t_slow) < 0.01
-
-
-def test_mode_matching_function_normalization():
-    waveguide = WaveguideSpec.device()
-    envelope = erf_envelope(80e-9, 0.0, np.sqrt(40.8 / 145.6), 216e-9, 0.2e-9)
-    record = emit_shaped(waveguide, *envelope,
-                         emitter_g=np.sqrt(2.0) * TWO_PI * 35.16e6)
-    bandwidth = pulse_bandwidth(record, window=(50e-9, 350e-9))
-    grid, f = shots.mode_matching_function(record, bandwidth)
-    assert abs(np.trapezoid(np.abs(f) ** 2, grid) - 1.0) < 1e-9
-    a = np.interp(grid, record.t, record.a_out.real) + \
-        1j * np.interp(grid, record.t, record.a_out.imag)
-    efficiency = abs(np.trapezoid(f.conj() * a, grid)) ** 2 / \
-        np.trapezoid(np.abs(a) ** 2, grid)
-    assert efficiency > 0.95
-    windowed_grid, _ = shots.mode_matching_function(record, bandwidth,
-                                                    window=(0.0, 300e-9))
-    assert windowed_grid[0] >= 0.0 and windowed_grid[-1] <= 300e-9
-    with pytest.raises(ValueError, match="bandwidth"):
-        shots.mode_matching_function(record, 0.0)

@@ -1,12 +1,12 @@
 """Dispersion, delay, and coupling-rate checks against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slowlight.waveguide import (
-    CircuitParams,
     WaveguideSpec,
-    coupling_from_circuit,
     dispersion,
     gamma_1d,
     group_delay_per_cell,
@@ -106,31 +106,18 @@ def test_emitter_rates_from_device_couplings():
     assert 130e6 <= rate_ef / TWO_PI <= 150e6
 
 
-def test_coupling_from_circuit_design_values():
-    # capacitances chosen to reproduce the two design couplings at 4.744 GHz;
-    # both imply the same qubit total capacitance (~67 fF), as they should
-    w_p = TWO_PI * 4.744e9
-    emitter = CircuitParams(l0=3.41e-9, c0=250e-15, cg=40e-15, c_qg=2.41e-15,
-                            c_sigma=64.4e-15)
-    g_small = coupling_from_circuit(emitter, w_p)
-    assert g_small / TWO_PI == pytest.approx(38.5e6, rel=0.01)
-    mirror = CircuitParams(l0=3.41e-9, c0=250e-15, cg=40e-15, c_qg=5.37e-15,
-                           c_sigma=61.7e-15)
-    g_big = coupling_from_circuit(mirror, w_p)
-    assert g_big / TWO_PI == pytest.approx(85.6e6, rel=0.01)
-    assert g_big > g_small
-
-
-def test_coupling_perturbative_limit_enforced():
-    params = CircuitParams(l0=3.41e-9, c0=250e-15, cg=40e-15, c_qg=20e-15,
-                           c_sigma=58e-15)
-    with pytest.raises(ValueError):
-        coupling_from_circuit(params, TWO_PI * 4.744e9)
-
-
 def test_spec_validation_messages():
     with pytest.raises(ValueError, match="waveguide.hop_J"):
         WaveguideSpec.from_hz(n_cells=50, hop_j_hz=-1.0, center_hz=4.8e9)
-    with pytest.raises(ValueError, match="channels.roundtrip_loss"):
-        WaveguideSpec.from_hz(n_cells=50, hop_j_hz=33.5e6, center_hz=4.8e9,
-                              roundtrip_loss=1.5)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(WaveguideSpec)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=rf"waveguide\.{field} must be finite"):
+        dataclasses.replace(WaveguideSpec.device(), **{field: value})
+
+
+def test_spec_from_hz_rejects_a_nan_frequency():
+    with pytest.raises(ValueError, match=r"waveguide\.center must be finite"):
+        WaveguideSpec.from_hz(n_cells=50, hop_j_hz=33.5e6, center_hz=np.nan)
