@@ -305,9 +305,22 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
     return protocol.DensityMatrix(0.5 * (mat + mat.conj().T))
 
 
-def confuse_readout(outcomes, confusion, seed: int = 0) -> np.ndarray:
-    """Flip +-1 single-shot qubit labels with the confusion probabilities."""
+def _confusion_matrix(confusion) -> np.ndarray:
+    """confusion as a float array; ValueError unless every entry is in [0, 1]."""
     c = np.asarray(confusion, dtype=float)
+    # NaN fails both comparisons, so this also refuses a non-finite entry
+    if not np.all((c >= 0.0) & (c <= 1.0)):
+        raise ValueError(f"confusion must hold probabilities in [0, 1], got {c.tolist()}")
+    return c
+
+
+def confuse_readout(outcomes, confusion, seed: int = 0) -> np.ndarray:
+    """Flip +-1 single-shot qubit labels with the confusion probabilities.
+
+    Raises ValueError if an entry of the confusion matrix is NaN, infinite or
+    outside [0, 1].
+    """
+    c = _confusion_matrix(confusion)
     outcomes = np.asarray(outcomes)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     draws = rng.random(outcomes.shape)
@@ -321,9 +334,11 @@ def correct_readout(conditioned, confusion) -> np.ndarray:
     """Invert the confusion matrix on stacked conditional moments.
 
     conditioned rows are (p(+1) <m>|+1, p(-1) <m>|-1) as produced by the
-    erroneous assignment; any number of moment columns is allowed.
+    erroneous assignment; any number of moment columns is allowed.  Raises
+    ValueError if the confusion matrix is singular or has an entry that is
+    NaN, infinite or outside [0, 1].
     """
-    c = np.asarray(confusion, dtype=float)
+    c = _confusion_matrix(confusion)
     if abs(np.linalg.det(c)) < 1e-12:
         raise ValueError("confusion matrix is singular")
     return np.linalg.solve(c, np.asarray(conditioned))

@@ -144,6 +144,16 @@ def _rank_one_overlap(vals: np.ndarray, vecs: np.ndarray, other: np.ndarray):
     return None
 
 
+def require_finite(array, name: str) -> np.ndarray:
+    """array as an ndarray; raise ValueError naming it if an entry is NaN or
+    infinite.  One isfinite reduction, so a caller checks each input once."""
+    array = np.asarray(array)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} is not finite: {np.count_nonzero(~np.isfinite(array))} "
+                         f"of {array.size} entries are NaN or infinite")
+    return array
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity, squared convention: (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -154,10 +164,11 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     lambda |psi><psi| from its top eigenpair and gives lambda <psi|other|psi>.
     Otherwise sqrt(rho) is taken on rho's numerical support only, and square
     roots are summed only of inner eigenvalues above the same tolerance, so
-    roundoff eigenvalues add nothing.
+    roundoff eigenvalues add nothing.  A NaN or infinite entry raises
+    ValueError naming its argument.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho = require_finite(np.asarray(rho, dtype=complex), "rho")
+    sigma = require_finite(np.asarray(sigma, dtype=complex), "sigma")
     if rho.ndim == 1 and sigma.ndim == 1:
         return float(abs(np.vdot(rho, sigma)) ** 2)
     if rho.ndim == 1:
@@ -182,8 +193,7 @@ def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix is not finite")
+    require_finite(rho, "density matrix")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise ValueError("density matrix is not Hermitian")
     trace = np.trace(rho)

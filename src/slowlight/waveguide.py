@@ -60,6 +60,9 @@ class WaveguideSpec:
     @classmethod
     def from_hz(cls, n_cells, hop_j_hz, center_hz, taper_detuning1_hz=0.0,
                 taper_detuning2_hz=0.0, taper_hop_hz=0.0, output_rate_hz=0.0):
+        # int() would truncate 50.7 to 50 and overflow on inf
+        if not (math.isfinite(n_cells) and n_cells == int(n_cells)):
+            raise ValueError(f"waveguide.n_cells must be a finite whole number, got {n_cells!r}")
         return cls(
             n_cells=int(n_cells),
             hop_j=TWO_PI * hop_j_hz,

@@ -267,6 +267,18 @@ def test_confusion_identity_and_round_trip():
     assert abs(corrected[1] - 0.3) < 0.01
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1.2, -0.1])
+def test_confusion_must_hold_probabilities(entry):
+    """A NaN confusion matrix once returned labels, and corrected moments
+    with a NaN, without an error."""
+    confusion = noise.READOUT_CONFUSION.copy()
+    confusion[0, 0] = entry
+    with pytest.raises(ValueError, match=r"confusion must hold probabilities in \[0, 1\]"):
+        noise.confuse_readout(np.ones(8, dtype=int), confusion)
+    with pytest.raises(ValueError, match=r"confusion must hold probabilities in \[0, 1\]"):
+        noise.correct_readout(np.array([0.5, 0.5]), confusion)
+
+
 def test_readout_correction_algebra():
     c = np.array([[0.95, 0.08], [0.05, 0.92]])
     true = np.array([[0.42, -0.1, 0.3], [0.18, 0.05, -0.2]])

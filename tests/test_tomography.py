@@ -8,6 +8,8 @@ the process fitter must recover a known gate with its local-Z frame gauge
 fixed.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,6 +21,8 @@ from slowlight.shots import MomentTable, estimate_moments, synthesize_shots
 from slowlight.tomography import (
     _TP_A,
     _TP_B,
+    PROCESS_STOP_TOL,
+    STOP_TOL,
     PrepModel,
     _curvature_step,
     _design_for_modes,
@@ -150,6 +154,106 @@ def test_state_fit_input_validation(cluster_states):
         MomentTable(("", "", ""), two.means, two.variances, two.count)
     with pytest.raises(ValueError, match="has shot count 0; every mean needs"):
         MomentTable(table.mode_bases, table.means, table.variances, 0)
+
+
+def _random_pure_table():
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    return moments_from_state(psi / np.linalg.norm(psi))
+
+
+def _state_fit(scale):
+    table = _random_pure_table()
+    rho, info = mle_state(MomentTable(table.mode_bases, table.means,
+                                      scale * table.variances, table.count))
+    return rho.matrix, info
+
+
+def _process_fit(scale):
+    means, variances = simulate_process_measurements(ideal_cz_chi())
+    return mle_process(means, scale * variances)
+
+
+@pytest.mark.parametrize("fit", [_state_fit, _process_fit], ids=["state", "process"])
+def test_fits_do_not_depend_on_the_variance_scale(fit):
+    """Scaling every variance by 4, exact in binary, scales the weights and
+    the objective by 1/4 and the step length by 4, so the iterates and the
+    step-size stop do not move.  A stop on the absolute objective change
+    did move with it: these two fits took 178 -> 169 and 169 -> 159
+    iterations."""
+    state, info = fit(1.0)
+    scaled, info_scaled = fit(4.0)
+    assert info_scaled["iterations"] == info["iterations"]
+    assert np.array_equal(scaled, state)
+    assert info_scaled["objective"] == info["objective"] / 4.0
+
+
+def test_reported_objective_is_a_fresh_evaluation(noisy_table):
+    """The momentum point's residual is carried, not recomputed; the
+    objective the fit reports must still be that of the state it returns,
+    and the step that ended the fit is below the stop."""
+    rho, info = mle_state(noisy_table)
+    fresh = moment_objective(noisy_table, rho)
+    assert abs(info["objective"] - fresh) <= 1e-9 * fresh
+    assert info["step_norm"] < STOP_TOL
+    assert info["kkt_residual"] < 10.0 * STOP_TOL
+    prep = PrepModel(loss=0.1, thermal_pop=0.01, readout_fidelity=0.97)
+    means, variances = simulate_process_measurements(
+        depolarized_chi(ideal_cz_chi(), 0.05), prep, noise=0.01, seed=1)
+    chi, info = mle_process(means, variances, prep)
+    resid = _process_design(prep) @ chi.reshape(-1) - means.reshape(-1)
+    fresh = float(np.sum(np.abs(resid) ** 2 / variances.reshape(-1)))
+    assert abs(info["objective"] - fresh) <= 1e-9 * fresh
+    assert info["step_norm"] < PROCESS_STOP_TOL
+    assert info["kkt_residual"] < 10.0 * PROCESS_STOP_TOL
+
+
+def _recomputing_apg(problem):
+    """The state fit's loop with every residual formed afresh from its
+    point, two design products and one adjoint product per iteration: the
+    reference for the carried momentum residual."""
+    design, weights, targets, dim = (problem.design, problem.weights,
+                                     problem.targets, problem.dim)
+    step = _curvature_step(design, weights)
+
+    def project(v):
+        return qops.project_density(v.reshape(dim, dim)).reshape(-1)
+
+    def objective(v):
+        return float(np.sum(weights * np.abs(design @ v - targets) ** 2))
+
+    x = project((np.eye(dim, dtype=complex) / dim).reshape(-1))
+    fx, y, t, stalled = objective(x), x, 1.0, False
+    for iterations in range(1, 100_000):
+        z = project(y - 2.0 * step * (design.conj().T @ (weights * (design @ y - targets))))
+        fz = objective(z)
+        if fz <= fx:
+            moved = np.linalg.norm(z - y)
+            if np.real(np.vdot(y - z, z - x)) > 0.0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = z + ((t - 1.0) / t_next) * (z - x)
+            x, fx, t, stalled = z, fz, t_next, False
+            if moved < STOP_TOL:
+                return x.reshape(dim, dim), iterations
+        elif stalled:
+            return x.reshape(dim, dim), iterations
+        else:
+            y, t, stalled = x, 1.0, True
+    raise AssertionError("reference loop did not stop")
+
+
+def test_carried_residual_takes_the_recomputed_iterates(noisy_table):
+    """A momentum residual carried wrongly still converges, only more
+    slowly, so the fits are checked against the loop that recomputes it:
+    dropping the carried term cost 9 more iterations on the pure-state
+    table, and dropping its reset on a rejected step moved the noisy fit by
+    7e-12."""
+    for table in (_random_pure_table(), noisy_table):
+        expected, iterations = _recomputing_apg(_StateProblem(table))
+        rho, info = mle_state(table)
+        assert info["iterations"] == iterations
+        assert np.abs(rho.matrix - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +666,33 @@ def test_process_fit_input_validation():
         mle_process(np.zeros(100), np.ones(100))
     with pytest.raises(ValueError, match="non-negative"):
         mle_process(np.zeros(240), -np.ones(240))
+
+
+def _spoiled(array, value):
+    array = np.array(array)
+    array.reshape(-1)[7] = value
+    return array
+
+
+_GRID = simulate_process_measurements(ideal_cz_chi())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", [
+    ("chi", lambda bad: project_cptp(_spoiled(ideal_cz_chi(), bad))),
+    ("chi", lambda bad: gauge_fix_local_z(_spoiled(ideal_cz_chi(), bad))),
+    ("means", lambda bad: mle_process(_spoiled(_GRID[0], bad), _GRID[1])),
+    ("variances", lambda bad: mle_process(_GRID[0], _spoiled(_GRID[1], bad))),
+    ("rho", lambda bad: qops.fidelity(_spoiled(ideal_cz_chi(), bad), ideal_cz_chi())),
+    ("sigma", lambda bad: qops.fidelity(ideal_cz_chi(), _spoiled(ideal_cz_chi(), bad))),
+], ids=["project_cptp", "gauge_fix_local_z", "mle_process-means",
+        "mle_process-variances", "fidelity-rho", "fidelity-sigma"])
+def test_non_finite_input_is_refused_by_name(name, call, value):
+    """These once raised LinAlgError or ArpackError from deep inside a
+    solver, or, for gauge_fix_local_z, returned angles (-pi, -pi) with a NaN
+    fidelity."""
+    with pytest.raises(ValueError, match=f"^{name} is not finite: 1 of"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

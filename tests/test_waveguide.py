@@ -121,3 +121,11 @@ def test_spec_rejects_non_finite_fields(field, value):
 def test_spec_from_hz_rejects_a_nan_frequency():
     with pytest.raises(ValueError, match=r"waveguide\.center must be finite"):
         WaveguideSpec.from_hz(n_cells=50, hop_j_hz=33.5e6, center_hz=np.nan)
+
+
+@pytest.mark.parametrize("n_cells", [50.7, np.inf, -np.inf, np.nan])
+def test_spec_from_hz_refuses_a_fractional_or_non_finite_cell_count(n_cells):
+    """int() once truncated 50.7 to 50 and raised OverflowError on inf."""
+    with pytest.raises(ValueError, match=r"waveguide\.n_cells must be a finite whole number"):
+        WaveguideSpec.from_hz(n_cells=n_cells, hop_j_hz=33.5e6, center_hz=4.8e9)
+    assert WaveguideSpec.from_hz(n_cells=50.0, hop_j_hz=33.5e6, center_hz=4.8e9).n_cells == 50
