@@ -1,24 +1,25 @@
-"""Error channels: 1/f dephasing Monte Carlo, photon loss, control errors,
-readout confusion, and the composed infidelity budget.
+"""Error channels: 1/f emitter dephasing averaged exactly, photon loss,
+control errors, readout confusion, and the composed infidelity budget.
 
-Dephasing model: the emitter frequency wanders with a 1/f spectrum.  One
-long record is synthesised by inverse FFT of a conjugate-symmetric spectrum
-whose bin amplitudes fall as f^(-exponent/2), and Monte Carlo realizations
-are consecutive slices of that record.  The record has unit RMS and the
-amplitude scales each slice, so the record depends only on (f_min,
-sample_rate, exponent, seed).  The process keeps one such record, cached and
-read-only (32 MB at the default 4,000,000 samples): calibration, protocol
-runs and budgets of one seed all read it, and it is synthesised once.
+Dephasing model: the emitter detuning delta(t) is a stationary Gaussian
+process with a 1/f power spectrum on [f_min, f_max] and RMS `amplitude`.
+Everything follows from one closed form, the phase structure function
+D(tau): the variance of the phase that a unit-RMS detuning builds up over a
+window tau.  The Ramsey envelope is exp(-amplitude^2 D(t) / 2), the echo
+envelope exp(-amplitude^2 (4 D(t/2) - D(t)) / 2), and calibration to a 1/e
+time T2* sets amplitude = sqrt(2 / D(T2*)).
 
 During a schedule the |e> level accumulates the integrated detuning as phase
-and |f> accumulates twice that (number-operator coupling); the noise is far
-slower than any pulse, so phases are applied per step window rather than
-integrated through pulse shapes.  Each realization's phase per step window
-is handed to the schedule interpreter in protocol.  That interpreter runs
-the schedule once, as emitter-level histories (one per sequence of levels
-g/e/f, each a single amplitude on one photon column); a realization is the
-sum of those amplitudes, each turned by the phase its level sequence picks
-up from the realization's kicks.
+and |f> twice that (number-operator coupling); the noise is far slower than
+any pulse, so the phase is taken per step window rather than through pulse
+shapes.  The schedule interpreter in protocol splits a run into emitter-level
+histories, each one amplitude A_h on one column, and history h picks up the
+phase L_h . k, where L_h holds its level (0, 1, 2) after each step and k the
+phase increments over the step windows.  k is Gaussian with covariance K
+from D, so the averaged state is exact (Cywinski et al., PRB 77, 174509
+(2008)): rho = sum_pq A_p A_q* exp(-(L_p - L_q)^T K (L_p - L_q) / 2) on the
+columns of p and q.  Nothing is sampled, so the state and the budget do not
+depend on a seed.
 
 Channels on the photon register (loss on fed-back bins, the lumped control
 depolarizer) are exact Kraus maps.  The budget composes everything in the
@@ -30,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,36 +38,40 @@ from . import protocol
 from . import qops
 
 DEFAULT_T2_STAR = 561e-9
-DEFAULT_SAMPLE_RATE = 2e8
 DEFAULT_F_MIN = 50.0
+DEFAULT_F_MAX = 1e8
 
 READOUT_CONFUSION = np.array([[0.976, 0.024],
                               [0.024, 0.976]])
 
+# the pair form of the exact average is quadratic in the history count; the
+# published circuits have at most 32 histories
+_MAX_HISTORIES = 1024
+# cancelling histories leave roundoff of order 1e-16 outside |g>;
+# DensityMatrix would refuse the |g> block's trace at 1e-10
+_STRAY_WEIGHT = 1e-12
+
 
 @dataclass(frozen=True)
 class OneOverFSpec:
-    """Dephasing noise source; amplitude is the record RMS in rad/s."""
+    """Dephasing noise source: a 1/f detuning on [f_min, f_max] Hz whose RMS
+    is `amplitude` rad/s."""
 
     amplitude: float
     f_min: float = DEFAULT_F_MIN
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    exponent: float = 1.0
-    seed: int = 0
+    f_max: float = DEFAULT_F_MAX
     calibrated_t2: float | None = None
 
     def __post_init__(self):
         # NaN fails no comparison below, so finiteness is checked first
-        for label in ("amplitude", "f_min", "sample_rate", "exponent"):
+        for label in ("amplitude", "f_min", "f_max"):
             value = getattr(self, label)
             if not math.isfinite(value):
                 raise ValueError(f"noise.{label} must be finite, got {value!r}")
         if self.f_min <= 0.0 or self.f_min > 50.0:
             raise ValueError("noise.f_min must lie in (0, 50] Hz")
-        if self.sample_rate <= 0.0:
-            raise ValueError("noise.sample_rate must be positive")
-        if self.exponent < 0.0:
-            raise ValueError("noise.exponent must be non-negative")
+        if self.f_max <= self.f_min:
+            raise ValueError("noise.f_max must exceed noise.f_min")
         if self.amplitude < 0.0:
             raise ValueError("noise.amplitude must be non-negative")
 
@@ -93,168 +97,108 @@ class ChannelStack:
                 raise ValueError(f"channels.{label} must lie in [0, 1)")
 
 
-@lru_cache(maxsize=1)
-def _unit_record(f_min: float, sample_rate: float, exponent: float,
-                 seed: int) -> np.ndarray:
-    n = int(round(sample_rate / f_min))
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    weights = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    # the DC bin keeps its zero frequency as its weight: the record has zero mean
-    weights[1:] **= -0.5 * exponent
-    coefs = np.empty(len(weights), dtype=complex)
-    coefs.real = rng.standard_normal(len(weights))
-    coefs.imag = rng.standard_normal(len(weights))
-    coefs *= weights
-    del weights
-    record = np.fft.irfft(coefs, n=n)
-    del coefs
-    record /= record.std()
-    record.flags.writeable = False
-    return record
+def phase_structure(tau, f_min: float = DEFAULT_F_MIN,
+                    f_max: float = DEFAULT_F_MAX) -> np.ndarray:
+    """D(tau) in s^2: the variance of the phase a unit-RMS 1/f detuning on
+    [f_min, f_max] builds up over a window tau >= 0.
 
-
-def noise_record(spec: OneOverFSpec) -> np.ndarray:
-    """One long unit-RMS noise record; lowest resolved bin is f_min.
-
-    The record ignores spec.amplitude.  The most recent one is cached for the
-    life of the process (8 bytes a sample, 32 MB at the defaults) and shared
-    by every caller, so the returned array is read-only.
+    The one-sided spectrum 1 / (f ln(f_max / f_min)) gives
+    D(tau) = tau^2 [F(pi f_max tau) - F(pi f_min tau)] / ln(f_max / f_min)
+    with F(x) = Ci(2x) - sin^2(x) / (2x^2) - sin(2x) / (2x), whose
+    derivative is sin^2(x) / x^3; D(0) = 0.
     """
-    return _unit_record(spec.f_min, spec.sample_rate, spec.exponent, spec.seed)
+    from scipy.special import sici
 
-
-def gen_one_over_f(spec: OneOverFSpec, segments: int, segment_len: int) -> np.ndarray:
-    """Detuning realizations delta(t) in rad/s, shape (segments, segment_len)."""
-    record = noise_record(spec)
-    need = segments * segment_len
-    if need > len(record):
-        raise ValueError(
-            f"{segments} x {segment_len} samples exceed the {len(record)}-sample "
-            "record; lower f_min or the segment budget")
-    sliced = record[:need].reshape(segments, segment_len)
-    return spec.amplitude * sliced
-
-
-def periodogram_exponent(spec: OneOverFSpec) -> float:
-    """Fitted log-log slope of the record's periodogram, sign-flipped."""
-    record = noise_record(spec)
-    spectrum = np.abs(np.fft.rfft(record)) ** 2
-    freqs = np.fft.rfftfreq(len(record), d=1.0 / spec.sample_rate)
-    # stay an order of magnitude inside the resolved band at both ends
-    lo, hi = 10.0 * spec.f_min, 0.1 * freqs[-1]
-    keep = (freqs >= lo) & (freqs <= hi)
-    # average the scatter down in log-spaced bins before fitting
-    logf = np.log10(freqs[keep])
-    logp = np.log10(spectrum[keep])
-    bins = np.linspace(logf.min(), logf.max(), 30)
-    idx = np.digitize(logf, bins)
-    xs, ys = [], []
-    for b in range(1, len(bins) + 1):
-        sel = idx == b
-        if np.any(sel):
-            xs.append(logf[sel].mean())
-            ys.append(logp[sel].mean())
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
-
-
-def _phase_segments(spec: OneOverFSpec, segments: int, segment_len: int) -> np.ndarray:
-    """Cumulative phase integral of each realization, rad, same shape + 1."""
-    if segments < 1:
-        raise ValueError(f"realizations must be at least 1, got {segments}")
-    delta = gen_one_over_f(spec, segments, segment_len)
-    dt = 1.0 / spec.sample_rate
-    phases = np.zeros((segments, segment_len + 1))
-    np.cumsum(delta * dt, axis=1, out=phases[:, 1:])
-    return phases
-
-
-def _delay_steps(spec: OneOverFSpec, delays) -> np.ndarray:
-    """Sample index of each delay; a negative one would index from the end."""
-    delays = np.asarray(delays, dtype=float)
-    if np.any(delays < 0.0):
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0.0):
         raise ValueError("delays must be non-negative")
-    dt = 1.0 / spec.sample_rate
-    return np.rint(delays / dt).astype(int)
+    out = np.zeros(tau.shape)
+    pos = tau > 0.0
+    t = tau[pos]
+
+    def big_f(x):
+        s = np.sin(x)
+        return sici(2.0 * x)[1] - s * s / (2.0 * x * x) - np.sin(2.0 * x) / (2.0 * x)
+
+    out[pos] = t * t * (big_f(math.pi * f_max * t) - big_f(math.pi * f_min * t)) \
+        / math.log(f_max / f_min)
+    return out
 
 
-def ramsey_envelope(spec: OneOverFSpec, delays, realizations: int = 800):
+def ramsey_envelope(spec: OneOverFSpec, delays) -> np.ndarray:
     """<cos(accumulated phase)> for each delay."""
-    steps = _delay_steps(spec, delays)
-    phases = _phase_segments(spec, realizations, int(steps.max()))
-    return np.cos(phases[:, steps]).mean(axis=0)
+    return np.exp(-0.5 * spec.amplitude ** 2 * phase_structure(delays, spec.f_min, spec.f_max))
 
 
-def echo_envelope(spec: OneOverFSpec, delays, realizations: int = 800):
+def echo_envelope(spec: OneOverFSpec, delays) -> np.ndarray:
     """Same with a refocusing flip at the midpoint of every delay."""
-    steps = _delay_steps(spec, delays)
-    half = steps // 2
-    phases = _phase_segments(spec, realizations, int(steps.max()))
-    echo = 2.0 * phases[:, half] - phases[:, steps]
-    return np.cos(echo).mean(axis=0)
-
-
-def fit_gaussian_decay(delays, envelope):
-    """(1/e time, R^2) of a Gaussian fit over the span where S > 1/e."""
     delays = np.asarray(delays, dtype=float)
-    envelope = np.asarray(envelope, dtype=float)
-    keep = (envelope > math.exp(-1.0)) & (delays > 0.0)
-    if keep.sum() < 3:
-        raise ValueError("envelope decays too fast for the delay grid")
-    x = delays[keep] ** 2
-    y = np.log(envelope[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    if slope >= 0.0:
-        raise ValueError("envelope does not decay over the fitted span")
-    resid = y - (slope * x + intercept)
-    r2 = 1.0 - float(np.sum(resid ** 2)) / float(np.sum((y - y.mean()) ** 2))
-    return float(1.0 / math.sqrt(-slope)), r2
+    var = 4.0 * phase_structure(0.5 * delays, spec.f_min, spec.f_max) \
+        - phase_structure(delays, spec.f_min, spec.f_max)
+    return np.exp(-0.5 * spec.amplitude ** 2 * var)
 
 
 def calibrate_dephasing(t2_target: float = DEFAULT_T2_STAR,
                         f_min: float = DEFAULT_F_MIN,
-                        sample_rate: float = DEFAULT_SAMPLE_RATE,
-                        seed: int = 0,
-                        realizations: int = 800) -> OneOverFSpec:
-    """Scale the noise amplitude until the Ramsey 1/e time hits t2_target.
+                        f_max: float = DEFAULT_F_MAX,
+                        seed: int = 0) -> OneOverFSpec:
+    """The noise whose Ramsey envelope falls to 1/e at t2_target.
 
-    Accumulated phase is linear in the amplitude, so one measured 1/e time
-    fixes the scale; a confirmation pass is run at the rescaled amplitude.
+    amplitude = sqrt(2 / D(t2_target)).  seed is accepted and unused: the
+    calibration is exact and draws nothing.
     """
-    delays = np.linspace(0.0, 2.5 * t2_target, 41)[1:]
-    probe = OneOverFSpec(amplitude=1.0 / t2_target, f_min=f_min,
-                         sample_rate=sample_rate, seed=seed)
-    t2_probe, _ = fit_gaussian_decay(delays, ramsey_envelope(probe, delays, realizations))
-    amplitude = probe.amplitude * t2_probe / t2_target
-    spec = OneOverFSpec(amplitude=amplitude, f_min=f_min, sample_rate=sample_rate,
-                        seed=seed, calibrated_t2=t2_target)
-    t2_check, r2 = fit_gaussian_decay(delays, ramsey_envelope(spec, delays, realizations))
-    if abs(t2_check - t2_target) > 0.1 * t2_target or r2 < 0.99:
-        raise RuntimeError(
-            f"dephasing calibration failed: 1/e time {t2_check:.3e} s vs target "
-            f"{t2_target:.3e} s (R^2 = {r2:.4f})")
-    return spec
+    if not (math.isfinite(t2_target) and t2_target > 0.0):
+        raise ValueError(f"t2_target must be positive and finite, got {t2_target!r}")
+    amplitude = math.sqrt(2.0 / float(phase_structure(t2_target, f_min, f_max)))
+    return OneOverFSpec(amplitude=amplitude, f_min=f_min, f_max=f_max,
+                        calibrated_t2=t2_target)
 
 
-def _dephased_vectors(steps, noise: OneOverFSpec, realizations: int):
-    """Photon-register vector of every noise realization."""
-    if noise.calibrated_t2 is None:
-        raise ValueError("noise amplitude is uncalibrated; run calibrate_dephasing first")
-    steps = list(steps)
-    dt = 1.0 / noise.sample_rate
-    bounds = np.rint(np.cumsum([0.0] + [s.duration for s in steps]) / dt).astype(int)
-    phases = _phase_segments(noise, realizations, int(bounds[-1]))
-    psi = protocol._run(steps, np.diff(phases[:, bounds], axis=1))
-    return protocol._photon_rows(psi)
+def _step_covariance(steps, noise: OneOverFSpec) -> np.ndarray:
+    """Covariance K of the phase increments over the step windows, rad^2.
+
+    The windows run back to back from the exact cumulative durations t.
+    With Cov(phi(a), phi(b)) = (D(a) + D(b) - D(|a - b|)) / 2, the D(a) and
+    D(b) terms drop out of the double difference, so K is -amplitude^2 / 2
+    times the double difference of D(|t_i - t_j|).
+    """
+    t = np.concatenate([[0.0], np.cumsum([s.duration for s in steps])])
+    gaps = phase_structure(np.abs(t[:, None] - t[None, :]), noise.f_min, noise.f_max)
+    return -0.5 * noise.amplitude ** 2 * np.diff(np.diff(gaps, axis=0), axis=1)
 
 
 def dephased_protocol_run(steps, noise: OneOverFSpec,
-                          realizations: int = 2000) -> protocol.DensityMatrix:
-    """Realization-averaged state of a schedule under emitter dephasing."""
-    vectors = _dephased_vectors(steps, noise, realizations)
-    rho = (vectors.conj().T @ vectors) / realizations
-    rho = 0.5 * (rho + rho.conj().T)
-    return protocol.DensityMatrix(rho)
+                          realizations: int | None = None) -> protocol.DensityMatrix:
+    """Noise-averaged state of a schedule under emitter dephasing.
+
+    realizations is accepted and unused: the average is exact.
+    """
+    if noise.calibrated_t2 is None:
+        raise ValueError("noise amplitude is uncalibrated; run calibrate_dephasing first")
+    steps = list(steps)
+    levels, columns, amplitudes, n = protocol._histories(steps)
+    count = len(amplitudes)
+    if count > _MAX_HISTORIES:
+        raise ValueError(f"schedule has {count} emitter-level histories; the exact "
+                         f"dephasing average takes at most {_MAX_HISTORIES}")
+    # (L_p - L_q)^T K (L_p - L_q) = m_pp + m_qq - 2 m_pq with m = L K L^T,
+    # so no histories x histories x steps array is formed
+    lv = levels.astype(float)
+    m = lv @ _step_covariance(steps, noise) @ lv.T
+    d = np.diag(m)
+    pairs = np.outer(amplitudes, amplitudes.conj()) \
+        * np.exp(-0.5 * (d[:, None] + d[None, :] - 2.0 * m))
+    onto = np.zeros((3 * 2 ** n, count))
+    onto[columns, np.arange(count)] = 1.0
+    rho = onto @ pairs @ onto.T
+    g = 2 ** n
+    stray = float(np.real(np.trace(rho[g:, g:])))
+    if stray > _STRAY_WEIGHT:
+        raise ValueError(
+            f"emitter left with {stray:.3e} weight outside |g>; "
+            "the schedule is missing its disentangling pulses")
+    rho = rho[:g, :g]
+    return protocol.DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def amplitude_damping_kraus(loss: float):
@@ -352,19 +296,18 @@ def loss_only_fidelity(loss: float) -> float:
 def error_budget(name: str = "cluster4_2d",
                  noise: OneOverFSpec | None = None,
                  stack: ChannelStack | None = None,
-                 realizations: int = 2000,
+                 realizations: int | None = None,
                  seed: int = 0) -> dict:
     """Compose dephasing -> loss -> control and report the budget.
 
     Infidelities are incremental in that order (each is the fidelity drop
     when its channel joins the stack); standalone single-channel numbers
-    are reported alongside.
+    are reported alongside.  The dephased state is the exact noise average,
+    so realizations and seed are accepted and unused, "realizations" reads 0
+    and "monte_carlo_se" 0.0.
     """
-    if realizations < 2:
-        raise ValueError(f"error_budget needs at least 2 realizations for its "
-                         f"Monte Carlo standard error, got {realizations}")
     if noise is None:
-        noise = calibrate_dephasing(seed=seed)
+        noise = calibrate_dephasing()
     if stack is None:
         stack = ChannelStack()
     steps = protocol.published_circuit(name)
@@ -372,11 +315,8 @@ def error_budget(name: str = "cluster4_2d",
     gates = sum(1 for s in steps if s.kind == "cz_feedback")
     target = protocol.target_state(name).photons()
 
-    vectors = _dephased_vectors(steps, noise, realizations)
-    overlaps = np.abs(vectors @ target.conj()) ** 2
-    rho_deph = protocol.DensityMatrix((vectors.conj().T @ vectors) / realizations)
-    f_deph = float(overlaps.mean())
-    se = float(overlaps.std(ddof=1) / math.sqrt(realizations))
+    rho_deph = dephased_protocol_run(steps, noise)
+    f_deph = float(np.real(target.conj() @ rho_deph.matrix @ target))
 
     def fidelity_after(rho, channels):
         out = apply_channels(rho, channels, fed, cz_gates=gates).matrix
@@ -391,10 +331,9 @@ def error_budget(name: str = "cluster4_2d",
 
     return {
         "state": name,
-        "seed": seed,
-        "realizations": realizations,
+        "realizations": 0,
         "t2_star_s": noise.calibrated_t2,
-        "monte_carlo_se": se,
+        "monte_carlo_se": 0.0,
         "dephasing_infidelity": 1.0 - f_deph,
         "loss_infidelity": f_deph - f_loss,
         "control_infidelity": f_loss - f_all,

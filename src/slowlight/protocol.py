@@ -12,11 +12,12 @@ feedback scattering event applies |e><e| (x) sigma_z on the named bin.
 Mirror gating and idles carry timing metadata only; the compiled state does
 not depend on them.
 
-The one interpreter, _run, sums a schedule's emitter-level histories: every
-step maps a basis state to basis states, so each sequence of emitter levels
-carries one amplitude on one basis column.  Phase kicks from the dephasing
-Monte Carlo in noise turn each history by the phase its levels accumulate;
-the ideal compile is the kick-free case.
+The one interpreter, _histories, splits a run into emitter-level histories:
+every step maps a basis state to basis states, so each sequence of emitter
+levels carries one amplitude on one basis column.  compile_and_run sums the
+amplitudes onto their columns; the dephasing average in noise weights each
+pair of histories by the Gaussian average of the phase their levels
+accumulate.
 
 The published circuit library covers the states generated on the device,
 with per-photon virtual-Z offsets folded into the pre-emission ef pulses so
@@ -169,7 +170,12 @@ class PureState:
 
     def photons(self, tol: float = 1e-9) -> np.ndarray:
         """Photon register amplitudes; the emitter must sit in |g>."""
-        return _photon_rows(self.amplitudes[None], tol)[0]
+        stray = float(np.linalg.norm(self.amplitudes[1:]))
+        if stray > tol:
+            raise ValueError(
+                f"emitter left with {stray:.3e} amplitude outside |g>; "
+                "the schedule is missing its disentangling pulses")
+        return self.amplitudes[0].reshape(-1).copy()
 
     def photon_density(self, tol: float = 1e-9) -> "DensityMatrix":
         return DensityMatrix.from_pure(self.photons(tol=tol))
@@ -265,7 +271,10 @@ def compile_and_run(steps) -> PureState:
     the disentangling block (an emitter-photon Bell pair, say) are legal
     here, and only the photons() accessor insists on a freed emitter.
     """
-    return PureState(_run(steps)[0])
+    _, columns, amplitudes, n = _histories(steps)
+    out = np.zeros(3 * 2 ** n, dtype=complex)
+    np.add.at(out, columns, amplitudes)
+    return PureState(out.reshape((3,) + (2,) * n))
 
 
 def _histories(steps):
@@ -310,49 +319,6 @@ def _histories(steps):
     columns = np.array([level * 2 ** n + column for _, level, column, _ in rows])
     amplitudes = np.array([row[3] for row in rows], dtype=complex)
     return levels, columns, amplitudes, n
-
-
-def _run(steps, kicks=None) -> np.ndarray:
-    """Amplitudes (R, 3, 2, ..., 2) of R runs of a schedule from |g> (x) vacuum.
-
-    This is the one interpreter of schedule semantics.  kicks, shape
-    (R, len(steps)), are emitter phases: after step i, row r's |e> amplitude
-    picks up exp(i kicks[r, i]) and its |f> amplitude exp(2i kicks[r, i]).
-    Without kicks there is one row and no phase.
-
-    The kicks only multiply each level by a phase, so a row is the sum over
-    the schedule's histories (_histories) of exp(i theta_h) amplitudes[h] on
-    column h, with theta_h = sum_i levels[h, i] kicks[r, i].  Both sums run
-    elementwise in a fixed order, so a row never depends on the other rows.
-    """
-    levels, columns, amplitudes, n = _histories(steps)
-    kicks = np.zeros((1, len(steps))) if kicks is None else np.asarray(kicks, dtype=float)
-    if kicks.ndim != 2 or kicks.shape[0] < 1 or kicks.shape[1] != len(steps):
-        raise ValueError(f"kicks have shape {kicks.shape}; a {len(steps)}-step "
-                         f"schedule needs (R, {len(steps)}) with R >= 1")
-    rows = kicks.shape[0]
-    by_step = np.ascontiguousarray(kicks.T)
-    # levels[h, i] * kicks[:, i] for the levels 1 and 2 (doubling is exact)
-    by_level = (None, by_step, 2.0 * by_step)
-    out = np.zeros((3 * 2 ** n, rows), dtype=complex)
-    for path, column, amp in zip(levels, columns, amplitudes):
-        theta = np.zeros(rows)
-        for i in np.flatnonzero(path):
-            theta += by_level[path[i]][i]
-        out[column] += amp * np.exp(1j * theta)
-    return out.T.reshape((rows, 3) + (2,) * n)
-
-
-def _photon_rows(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Photon-register vectors (R, 2^n) of run amplitudes (R, 3, 2, ..., 2);
-    every row's emitter must sit in |g>."""
-    rows = psi.shape[0]
-    stray = float(np.linalg.norm(psi[:, 1:].reshape(rows, -1), axis=1).max())
-    if stray > tol:
-        raise ValueError(
-            f"emitter left with {stray:.3e} amplitude outside |g>; "
-            "the schedule is missing its disentangling pulses")
-    return psi[:, 0].reshape(rows, -1).copy()
 
 
 def _ghz_circuit(n: int):

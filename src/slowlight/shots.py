@@ -39,11 +39,11 @@ Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
 its own PCG64 stream, keyed by a SeedSequence spawn key, into its own rows of
 the output arrays.  The chunks run on one worker per CPU available to the
 process, up to the number of chunks: the calling thread plus helper threads
-(none on one CPU).  When mode 1 is heterodyne, each worker conditions its
-shots in its own state buffer of 2^(n-1) * 2^16 complex128 amplitudes (8 MB
-at four modes, 32 MB at six), which the calling thread allocates, so that
-the memory returns to its heap and not to a helper's malloc arena; a
-worker's other temporaries come to about 10 MB.
+(none on one CPU).  Each worker conditions its shots in its own state
+buffer of 2^(n-1) * 2^16 complex128 amplitudes (8 MB at four modes, 32 MB
+at six), which the calling thread allocates, so that the memory returns to
+its heap and not to a helper's malloc arena; a worker's other temporaries
+come to about 10 MB.
 
 Shot files are written from the arrays' own buffers and read straight into
 new arrays, with no intermediate bytes copy either way.
@@ -261,12 +261,13 @@ def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state):
     amplitudes stay unnormalised, as every draw uses only their ratios.  They
     are held as (amplitudes, shots), so every step is a whole-row array
     operation.  Mode 1's statistics are those of the eigenvectors, taken by
-    label.  A heterodyne mode 1 then writes each shot's v0 + alpha* v1, from
-    the halves of its eigenvector, block by block into `state` (a flat buffer
-    of at least 2^(n-1) * len(values) amplitudes), where the later modes
-    condition it; a qubit mode 1 starts from the gathered eigenvectors.  The
-    thermal noise of every heterodyne mode is one float32 fill of the values
-    buffer, to which each mode then adds its Husimi amplitude.
+    label, and each shot's state after it is written into `state` (a flat
+    buffer of at least 2^(n-1) * len(values) amplitudes), where the later
+    modes condition it: v0 + alpha* v1 from the halves of its eigenvector,
+    block by block, for a heterodyne mode 1, and its eigenvector's branch of
+    the drawn outcome for a qubit mode 1.  The thermal noise of every
+    heterodyne mode is one float32 fill of the values buffer, to which each
+    mode then adds its Husimi amplitude.
     """
     size = len(values)
     labels = rng.choice(len(probs), size, p=probs)
@@ -275,9 +276,20 @@ def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state):
     noise *= np.float32(math.sqrt(0.5 * n_noise))
     columns = vecs.T
     half = len(columns) // 2
-    cond = np.take(columns, labels, axis=1) if bases[0] else None
     i_het = i_qub = 0
     for k, basis in enumerate(bases):
+        if basis and k == 0:
+            # (branch, rest, eigenvector) -> (rest, branch * eigenvectors + label)
+            branches = (_BASIS_ROWS[basis] @ columns.reshape(2, -1)).reshape(2, half, -1)
+            p_plus, p_minus = [np.take(x, labels) for x in _mode_stats(branches)[:2]]
+            hit = rng.random(size) * (p_plus + p_minus) < p_plus
+            outcomes[:, i_qub] = np.where(hit, 1, -1)
+            i_qub += 1
+            picks = np.where(hit, labels, labels + len(probs))
+            cond = state[:half * size].reshape(half, size)
+            np.take(branches.transpose(1, 0, 2).reshape(half, -1), picks, axis=1,
+                    out=cond, mode="clip")
+            continue
         if basis:
             flat = cond.reshape(2, -1, size)
             branches = (_BASIS_ROWS[basis] @ cond.reshape(2, -1)).reshape(flat.shape)
@@ -408,10 +420,10 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
     The chunks of both batches run on min(CPUs available to the process,
     number of chunks) workers: the calling thread and helper threads, all
     taking shot chunks and then dark chunks from one shared iterator; with
-    one CPU no thread starts.  When mode 1 is heterodyne, every worker owns
-    a state buffer of 2^(n-1) * 2^16 amplitudes of 16 B (8 MB at four
-    modes), allocated here by the calling thread and passed to the worker;
-    its other temporaries come to about 10 MB.
+    one CPU no thread starts.  Every worker owns a state buffer of
+    2^(n-1) * 2^16 amplitudes of 16 B (8 MB at four modes), allocated here
+    by the calling thread and passed to the worker; its other temporaries
+    come to about 10 MB.
     """
     if not math.isfinite(n_noise) or n_noise < 0.0:
         raise ValueError(f"n_noise must be finite and non-negative, got {n_noise}")
@@ -455,7 +467,7 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
                 _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
 
     workers = min(_cpu_count(), len(chunks))
-    size = 0 if bases[0] else len(vecs[0]) // 2 * _CHUNK
+    size = len(vecs[0]) // 2 * _CHUNK
     _run_workers(work, [np.empty(size, dtype=vecs.dtype) for _ in range(workers)])
     return tuple(batches)
 

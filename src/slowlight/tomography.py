@@ -415,13 +415,17 @@ _SUPEROP_BASIS = np.einsum("nab,mcd->acbdnm", _PAULIS_2Q, _PAULIS_2Q.conj(),
 
 
 def chi_to_superop(chi: np.ndarray) -> np.ndarray:
-    """Row-major superoperator S with vec(E(rho)) = S @ vec(rho)."""
-    return (_SUPEROP_BASIS @ np.asarray(chi, dtype=complex).reshape(-1)).reshape(16, 16)
+    """Row-major superoperator S with vec(E(rho)) = S @ vec(rho).  Raises
+    ValueError if chi has a NaN or infinite entry."""
+    chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
+    return (_SUPEROP_BASIS @ chi.reshape(-1)).reshape(16, 16)
 
 
 def superop_to_chi(s: np.ndarray) -> np.ndarray:
-    chi = _SUPEROP_BASIS.conj().T @ np.asarray(s, dtype=complex).reshape(-1)
-    return chi.reshape(16, 16) / 16.0
+    """Inverse of chi_to_superop.  Raises ValueError if s has a NaN or
+    infinite entry."""
+    s = qops.require_finite(np.asarray(s, dtype=complex), "superoperator")
+    return (_SUPEROP_BASIS.conj().T @ s.reshape(-1)).reshape(16, 16) / 16.0
 
 
 def process_fidelity(chi_a: np.ndarray, chi_b: np.ndarray) -> float:
@@ -444,8 +448,10 @@ def compose_local_z(chi: np.ndarray, theta1: float, theta2: float) -> np.ndarray
     frame ambiguity virtual-Z bookkeeping leaves in a reconstructed process:
     conjugating by local Z commutes with the diagonal CZ and changes nothing,
     but the uncancelled frame advance between gate and measurement composes
-    with the process and does.
+    with the process and does.  Raises ValueError if chi or an angle is NaN
+    or infinite.
     """
+    theta1, theta2 = qops.require_finite([theta1, theta2], "theta")
     phases = np.exp(-0.5j * (theta1 * np.array([1.0, 1.0, -1.0, -1.0])
                              + theta2 * np.array([1.0, -1.0, 1.0, -1.0])))
     w = np.kron(phases, phases.conj())
@@ -662,8 +668,10 @@ def project_cptp(chi: np.ndarray, tol: float = CPTP_TOL, max_iters: int = 500) -
 
 
 def cptp_residual(chi: np.ndarray) -> float:
-    """Frobenius distance of sum chi_nm P_m+ P_n from the identity."""
-    return float(np.linalg.norm(_TP_A @ np.asarray(chi, dtype=complex).reshape(-1) - _TP_B))
+    """Frobenius distance of sum chi_nm P_m+ P_n from the identity.  Raises
+    ValueError if chi has a NaN or infinite entry."""
+    chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
+    return float(np.linalg.norm(_TP_A @ chi.reshape(-1) - _TP_B))
 
 
 def mle_process(means: np.ndarray, variances: np.ndarray,

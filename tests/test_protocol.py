@@ -263,20 +263,34 @@ def test_fidelity_is_exact_on_every_rank():
         assert abs(qops.fidelity(a, a) - 1.0) < 1e-12
 
 
+def _history_sum(steps, kicks):
+    """Amplitudes (R, 3, 2, ..., 2) of R runs of a schedule: the sum of its
+    histories (_histories), row r turning history h by
+    exp(i levels[h] . kicks[r])."""
+    levels, columns, amplitudes, n = P._histories(steps)
+    turned = amplitudes * np.exp(1j * (kicks @ levels.T))
+    out = np.zeros((len(kicks), 3 * 2 ** n), dtype=complex)
+    for h, column in enumerate(columns):
+        out[:, column] += turned[:, h]
+    return out.reshape((len(kicks), 3) + (2,) * n)
+
+
 def test_kicked_batch_equals_separate_runs():
     steps = P.published_circuit("cluster4_2d")
     kicks = np.random.default_rng(5).normal(scale=0.3, size=(7, len(steps)))
-    batch = P._run(steps, kicks)
+    batch = _history_sum(steps, kicks)
     for r in range(len(kicks)):
-        assert np.array_equal(batch[r], P._run(steps, kicks[r:r + 1])[0])
+        np.testing.assert_allclose(batch[r], _batched_run(steps, kicks[r:r + 1])[0],
+                                   rtol=0.0, atol=1e-14)
 
 
 def test_zero_kicks_reproduce_compile_and_run():
     steps = P.published_circuit("cluster4_2d")
     plain = P.compile_and_run(steps).amplitudes
-    kicked = P._run(steps, np.zeros((3, len(steps))))
-    for row in kicked:
+    for row in _history_sum(steps, np.zeros((3, len(steps)))):
         assert np.array_equal(row, plain)
+    np.testing.assert_allclose(_batched_run(steps, np.zeros((1, len(steps))))[0], plain,
+                               rtol=0.0, atol=1e-14)
 
 
 def _batched_run(steps, kicks):
@@ -302,7 +316,7 @@ def _batched_run(steps, kicks):
 
 
 def _assert_matches_batched(steps, kicks):
-    np.testing.assert_allclose(P._run(steps, kicks), _batched_run(steps, kicks),
+    np.testing.assert_allclose(_history_sum(steps, kicks), _batched_run(steps, kicks),
                                rtol=0.0, atol=1e-14)
 
 
@@ -314,17 +328,18 @@ def test_history_run_matches_batched_interpreter(name):
     _assert_matches_batched(steps, np.zeros((1, len(steps))))
 
 
-def test_history_run_matches_batched_interpreter_on_calibrated_noise(monkeypatch):
-    spec = noise.calibrate_dephasing(seed=0)
-    schedules = [P.published_circuit(name) for name in P.TARGET_NAMES]
-    seen = []
-    run = P._run
-    monkeypatch.setattr(P, "_run", lambda steps, kicks: seen.append(kicks) or run(steps, kicks))
-    for steps in schedules:
-        noise._dephased_vectors(steps, spec, realizations=200)
-        assert seen[-1].shape == (200, len(steps))
-        assert np.abs(seen[-1]).max() > 1e-3
-        _assert_matches_batched(steps, seen[-1])
+def test_history_run_matches_batched_interpreter_on_calibrated_noise():
+    """Kicks drawn from the step covariance of the calibrated noise, the
+    phases the exact dephasing average integrates over."""
+    spec = noise.calibrate_dephasing()
+    rng = np.random.default_rng(0)
+    for name in P.TARGET_NAMES:
+        steps = P.published_circuit(name)
+        vals, vecs = np.linalg.eigh(noise._step_covariance(steps, spec))
+        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        kicks = rng.standard_normal((200, len(steps))) @ root.T
+        assert np.abs(kicks).max() > 1e-3
+        _assert_matches_batched(steps, kicks)
 
 
 @pytest.mark.parametrize("name", P.TARGET_NAMES)
@@ -392,14 +407,6 @@ def test_history_run_matches_batched_interpreter_on_random_schedules(steps, rows
     _assert_matches_batched(steps, kicks)
 
 
-def test_run_rejects_kicks_of_the_wrong_shape():
-    steps = P.published_circuit("cluster2")
-    for shape in ((2, len(steps) + 1), (2, len(steps) - 1), (0, len(steps)), (len(steps),)):
-        with pytest.raises(ValueError, match=rf"kicks have shape \({shape[0]},.*"
-                                             rf"\(R, {len(steps)}\) with R >= 1"):
-            P._run(steps, np.zeros(shape))
-
-
 def test_kicks_leaving_the_emitter_excited_are_caught_per_realization():
     # a Ramsey pair returns the emitter to |g> only without phase kicks
     ramsey = [P.rotation("ge", math.pi / 2), P.idle(1e-8),
@@ -407,8 +414,13 @@ def test_kicks_leaving_the_emitter_excited_are_caught_per_realization():
     np.testing.assert_allclose(P.compile_and_run(ramsey).photons(), [1.0], atol=1e-15)
     kicks = np.zeros((3, 3))
     kicks[1, 1] = 0.2
+    rows = _history_sum(ramsey, kicks)
+    P.PureState(rows[0]).photons()
     with pytest.raises(ValueError, match="disentangling"):
-        P._photon_rows(P._run(ramsey, kicks))
+        P.PureState(rows[1]).photons()
+    # so the noise average leaves weight outside |g> and is refused
+    with pytest.raises(ValueError, match=r"emitter left with .* weight outside \|g>"):
+        noise.dephased_protocol_run(ramsey, noise.calibrate_dephasing())
 
 
 def test_schedule_timing_metadata():

@@ -659,6 +659,28 @@ def test_one_worker_needs_less_than_a_whole_chunk_gather(monkeypatch):
     assert transient < 64 * (1 << 16) * 16
 
 
+def test_qubit_first_worker_needs_less_than_a_whole_chunk_gather(monkeypatch):
+    """With mode 1 read as a qubit, one worker's transient memory over two
+    six-mode chunks also stays below 64 MiB: the branch statistics are taken
+    per eigenvector, and the drawn branch goes straight into the state
+    buffer.  Gathering every shot's eigenvector and both of its branches
+    took about 160 MiB."""
+    rng = np.random.Generator(np.random.Philox(key=[6, 1]))
+    vecs = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    rho = vecs @ vecs.conj().T
+    rho /= np.trace(rho)
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        batch, dark = shots.synthesize_shots(rho, 1.0, 1 << 17, seed=2, qubit_bases={1: "x"},
+                                             dark_count=1 << 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(b.values.nbytes + b.outcomes.nbytes for b in (batch, dark))
+    assert peak - kept < 64 * (1 << 16) * 16
+
+
 def test_batch_io_round_trip(tmp_path):
     batch, dark = shots.synthesize_shots(BELL, 0.5, 5_000, seed=8,
                                          qubit_bases={2: "y"})

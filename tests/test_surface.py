@@ -27,8 +27,8 @@ UNREAD = {
     "noise.confuse_readout",            # Direction 9: readout model
     "noise.correct_readout",            # Direction 9: readout model
     "noise.depolarizing_kraus",         # test oracle: Kraus form of the control depolarizer
-    "noise.echo_envelope",              # Direction 7: closed-form envelopes
-    "noise.periodogram_exponent",       # Direction 7: closed-form envelopes
+    "noise.echo_envelope",              # closed-form oracle: refocused dephasing
+    "noise.ramsey_envelope",            # closed-form oracle: the envelope calibration solves for
     "protocol.fidelity",                # test oracle: fidelity of mixed state inputs
     "protocol.schedule_times",          # Direction 12: delay-line schedule check
     "protocol.total_duration",          # Direction 12: delay-line schedule check

@@ -685,8 +685,16 @@ _GRID = simulate_process_measurements(ideal_cz_chi())
     ("variances", lambda bad: mle_process(_GRID[0], _spoiled(_GRID[1], bad))),
     ("rho", lambda bad: qops.fidelity(_spoiled(ideal_cz_chi(), bad), ideal_cz_chi())),
     ("sigma", lambda bad: qops.fidelity(ideal_cz_chi(), _spoiled(ideal_cz_chi(), bad))),
+    ("chi", lambda bad: compose_local_z(_spoiled(ideal_cz_chi(), bad), 0.3, -0.2)),
+    ("theta", lambda bad: compose_local_z(ideal_cz_chi(), 0.3, bad)),
+    ("chi", lambda bad: chi_to_superop(_spoiled(ideal_cz_chi(), bad))),
+    ("superoperator", lambda bad: superop_to_chi(
+        _spoiled(chi_to_superop(ideal_cz_chi()), bad))),
+    ("chi", lambda bad: cptp_residual(_spoiled(ideal_cz_chi(), bad))),
 ], ids=["project_cptp", "gauge_fix_local_z", "mle_process-means",
-        "mle_process-variances", "fidelity-rho", "fidelity-sigma"])
+        "mle_process-variances", "fidelity-rho", "fidelity-sigma",
+        "compose_local_z-chi", "compose_local_z-theta", "chi_to_superop",
+        "superop_to_chi", "cptp_residual"])
 def test_non_finite_input_is_refused_by_name(name, call, value):
     """These once raised LinAlgError or ArpackError from deep inside a
     solver, or, for gauge_fix_local_z, returned angles (-pi, -pi) with a NaN
