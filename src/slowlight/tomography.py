@@ -23,8 +23,8 @@ Each A_j is a Kronecker product of single-mode 2 x 2 maps with 0/1 entries,
 so the 4^n x 4^n design that maps vec(rho) to the moments, in the table's
 own product layout, is built once per mode count as a sparse matrix with
 5^n nonzeros.  Its first row, the identity signature's, is the unit trace;
-every fit runs on the rows past it, and the bootstrap on the whole square
-design.  The gradient step is 1 / (2 lambda_max) of the weighted
+every fit runs on the rows past it, and the interval's weights solve the
+whole square design.  The gradient step is 1 / (2 lambda_max) of the weighted
 normal operator D+ W D, with lambda_max found by Lanczos iteration from a
 fixed start vector, so no 4^n x 4^n Hessian is ever formed for a state fit
 and the step is reproducible bit for bit.
@@ -55,19 +55,27 @@ because virtual-Z frame choices commute through the dispersive readout.
 the best point with Newton steps, reporting the frame in which the gate is
 closest to CZ.
 
-Confidence intervals come from a parametric bootstrap of the direct (linear)
-fidelity estimate, not of the MLE.  The overlap Tr(rho sigma) with a target
-sigma, the fidelity when sigma is pure, is linear in rho, and the moments
-with the unit trace determine rho, so it is one fixed weighted sum c . m of
-the measured moments.  Moment vectors are drawn from normals centred on the
-measured means with the recorded variances, and the percentiles of c . m*
-give the interval.  No resample is refit, so the positivity constraint that
-biases the MLE never enters, and the interval is not clipped to [0, 1].
+Confidence intervals are for the direct (linear) fidelity estimate, not for
+the MLE.  The overlap Tr(rho sigma) with a target sigma, the fidelity when
+sigma is pure, is linear in rho, and the moments with the unit trace
+determine rho, so it is one fixed weighted sum c_0 + sum_j c_j m_j of the
+measured means.  Its standard error is
+se = (sum_{j>=1} |c_j|^2 v_j / N)^(1/2), with v_j the per-shot variances
+and N the shot count, and the interval is the estimate -+ z se, z being the
+normal quantile of a two-sided 95 percent interval.  For a Hermitian sigma
+the weights are conjugate where the moments are, c_p = conj(c_j) on a
+conjugate pair and real on a self-conjugate row, so se^2 is exactly the
+variance of c . m* under normal draws of the means that keep conjugate
+pairs conjugate: a parametric bootstrap would only sample it.  The table
+records no covariance between signatures, so each mean's error counts
+alone; on the cluster shot tables measured, where the covariances that
+shots share would cancel part of it, that leaves the interval slightly
+wide.  No fit enters, so the positivity constraint that biases the MLE
+never does, and the interval is not clipped to [0, 1].
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,32 +131,6 @@ def moments_from_state(state, variance: float = 1.0, count: int = 1,
     return MomentTable(("",) * n_modes, means, np.full(means.size, float(variance)), count)
 
 
-def _draw_hermitian_rows(partners, means, variances, resamples, rng):
-    """Normal draws of a moment vector that keep conjugate pairs conjugate.
-
-    ``partners[j]`` is the index of row j's conjugate and ``variances`` are
-    variances of the means.  A self-conjugate row is real-valued and gets a
-    real draw at full variance; a conjugate pair splits its variance over the
-    two quadratures and the partner row mirrors the draw, so every sampled
-    table is a Hermitian measurement record.  Each row j <= partners[j], in
-    turn, takes `resamples` normals for its real part and, if paired, as many
-    for its imaginary part, all from one call.
-    """
-    rows = np.flatnonzero(partners >= np.arange(partners.size))
-    pairs = partners[rows] != rows
-    first = np.cumsum(1 + pairs) - (1 + pairs)
-    normals = rng.standard_normal(resamples * (rows.size + np.count_nonzero(pairs)))
-    normals = normals.reshape(-1, resamples).T
-    real, pair = rows[~pairs], rows[pairs]
-    drawn = np.tile(np.asarray(means, dtype=complex), (resamples, 1))
-    drawn[:, real] = (np.real(means[real])
-                      + np.sqrt(variances[real]) * normals[:, first[~pairs]])
-    drawn[:, pair] = means[pair] + np.sqrt(variances[pair] / 2.0) * (
-        normals[:, first[pairs]] + 1j * normals[:, first[pairs] + 1])
-    drawn[:, partners[pair]] = drawn[:, pair].conj()
-    return drawn
-
-
 def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     """One parametric replica of a moment table.
 
@@ -158,11 +140,28 @@ def resample_moments(table: MomentTable, seed: int = 0) -> MomentTable:
     exact-mean table stand in for independently measured datasets at the
     same budget, which is how repeated-experiment studies are run without
     regenerating raw shot records each time.
+
+    A self-conjugate row is real-valued and gets a real draw at full
+    variance; a conjugate pair splits its variance over the two quadratures
+    and the partner row mirrors the draw.  Each row j <= partner(j), in
+    turn, takes one normal for its real part and, if paired, one for its
+    imaginary part, all from one call.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5EED]))
-    row = _draw_hermitian_rows(qops.moment_layout(table.mode_bases)[1], table.means,
-                               table.variances / table.count, 1, rng)[0]
-    return MomentTable(table.mode_bases, row, table.variances, table.count)
+    partners = qops.moment_layout(table.mode_bases)[1]
+    means, variances = table.means, table.variances / table.count
+    rows = np.flatnonzero(partners >= np.arange(partners.size))
+    pairs = partners[rows] != rows
+    first = np.cumsum(1 + pairs) - (1 + pairs)
+    normals = rng.standard_normal(rows.size + np.count_nonzero(pairs))
+    real, pair = rows[~pairs], rows[pairs]
+    drawn = np.array(means, dtype=complex)
+    drawn[real] = (np.real(means[real])
+                   + np.sqrt(variances[real]) * normals[first[~pairs]])
+    drawn[pair] = means[pair] + np.sqrt(variances[pair] / 2.0) * (
+        normals[first[pairs]] + 1j * normals[first[pairs] + 1])
+    drawn[partners[pair]] = drawn[pair].conj()
+    return MomentTable(table.mode_bases, drawn, table.variances, table.count)
 
 
 def _weights(variances: np.ndarray) -> np.ndarray:
@@ -199,7 +198,7 @@ def _curvature_step(design, weights) -> float:
     return 1.0 / (2.0 * lam)
 
 
-def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters):
+def _monotone_apg(design, weights, targets, project, x0, stop_tol):
     """Minimise ||sqrt(w)(design @ x - targets)||^2 over project's convex set.
 
     x is the flattened matrix variable.  Momentum follows FISTA, but any
@@ -244,7 +243,7 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters):
     converged = False
     moved = np.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         z = descend(y, resid_y)
         resid_z = design @ z - targets
         fz = objective(resid_z)
@@ -270,7 +269,7 @@ def _monotone_apg(design, weights, targets, project, x0, stop_tol, max_iters):
             y, resid_y, t, stalled = x, resid_x, 1.0, True
     if not converged:
         raise RuntimeError(
-            f"MLE solver did not converge within {max_iters} iterations"
+            f"MLE solver did not converge within {MAX_ITERS} iterations"
         )
     kkt = float(np.linalg.norm(x - descend(x, resid_x)))
     return x, {
@@ -342,18 +341,15 @@ class _StateProblem:
         self.variances = table.variances[1:] / table.count
         self.weights = _weights(self.variances)
 
-    def solve(self, x0=None, stop_tol=STOP_TOL, max_iters=MAX_ITERS):
+    def solve(self):
         dim = self.dim
 
         def project(x):
             return qops.project_density(x.reshape(dim, dim)).reshape(-1)
 
-        if x0 is None:
-            start = (np.eye(dim, dtype=complex) / dim).reshape(-1)
-        else:
-            start = _state_matrix(x0).reshape(-1)
+        start = (np.eye(dim, dtype=complex) / dim).reshape(-1)
         x, info = _monotone_apg(self.design, self.weights, self.targets, project,
-                                start, stop_tol, max_iters)
+                                start, STOP_TOL)
         rho = x.reshape(dim, dim)
         return DensityMatrix(0.5 * (rho + rho.conj().T)), info
 
@@ -365,15 +361,14 @@ def moment_objective(table: MomentTable, state) -> float:
     return float(np.real(np.sum(problem.weights * np.abs(resid) ** 2)))
 
 
-def mle_state(table: MomentTable, x0=None, stop_tol: float = STOP_TOL,
-              max_iters: int = MAX_ITERS):
+def mle_state(table: MomentTable):
     """Reconstruct the density matrix that best explains a moment table.
 
     Monotone accelerated projected gradient on the cached sparse moment
-    design, from the maximally mixed state unless `x0` is given.  Each
-    iteration makes one sparse product with the design and one with its
-    adjoint.  The fit stops once an accepted step moves the unit-trace
-    iterate by less than `stop_tol` in Frobenius norm; the step length is
+    design, from the maximally mixed state.  Each iteration makes one sparse
+    product with the design and one with its adjoint.  The fit stops once an
+    accepted step moves the unit-trace iterate by less than STOP_TOL in
+    Frobenius norm, or raises RuntimeError after MAX_ITERS; the step length is
     the inverse curvature, so scaling every variance by one factor changes
     neither the iterates nor the stop.
 
@@ -381,8 +376,7 @@ def mle_state(table: MomentTable, x0=None, stop_tol: float = STOP_TOL,
     count, projected-gradient KKT residual, `step_norm` (the last accepted
     step, the one that ended the fit) and the full objective trace.
     """
-    return _StateProblem(table).solve(x0=x0, stop_tol=stop_tol,
-                                      max_iters=max_iters)
+    return _StateProblem(table).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +584,7 @@ def _eigh(h: np.ndarray):
     return vals, vecs
 
 
-def _cptp_newton(c: np.ndarray, y: np.ndarray, tol: float, max_iters: int):
+def _cptp_newton(c: np.ndarray, y: np.ndarray, max_iters: int):
     """Project the 16 x 16 c onto CPTP from the dual start y.
 
     Only the Hermitian part of c matters, as the set is Hermitian.  Minimises
@@ -615,7 +609,7 @@ def _cptp_newton(c: np.ndarray, y: np.ndarray, tol: float, max_iters: int):
     steps = 1
     for _ in range(max_iters):
         norm = float(np.linalg.norm(resid))
-        if norm <= tol:
+        if norm <= CPTP_TOL:
             return x, y, steps
         # generalized Jacobian A V A+ of the PSD projection, in the
         # eigenbasis: V scales entry (i, j) by the divided difference of
@@ -648,22 +642,22 @@ def _cptp_newton(c: np.ndarray, y: np.ndarray, tol: float, max_iters: int):
         y = y + t * step
         vals, vecs, kept, x, resid = vals_t, vecs_t, kept_t, x_t, resid_t
     raise RuntimeError(
-        f"CPTP projection did not reach residual {tol:.1e} within {max_iters} "
+        f"CPTP projection did not reach residual {CPTP_TOL:.1e} within {max_iters} "
         f"Newton steps (residual {np.linalg.norm(resid):.3e})")
 
 
-def project_cptp(chi: np.ndarray, tol: float = CPTP_TOL, max_iters: int = 500) -> np.ndarray:
+def project_cptp(chi: np.ndarray, max_iters: int = 500) -> np.ndarray:
     """Nearest (Frobenius) Hermitian, PSD, trace-preserving chi.
 
     Semismooth Newton on the dual of the projection, from y = 0 (module
-    docstring).  The result is PSD by construction; `tol` bounds its
+    docstring).  The result is PSD by construction; CPTP_TOL bounds its
     trace-preservation residual, the dual gradient norm.  Raises
     RuntimeError if `max_iters` Newton steps do not reach it, and
     ValueError if chi has a NaN or infinite entry.
     """
     chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
     x, _, _ = _cptp_newton(chi.reshape(16, 16), np.zeros(16, dtype=complex),
-                           tol, max_iters)
+                           max_iters)
     return x
 
 
@@ -675,8 +669,7 @@ def cptp_residual(chi: np.ndarray) -> float:
 
 
 def mle_process(means: np.ndarray, variances: np.ndarray,
-                model: PrepModel | None = None, stop_tol: float = PROCESS_STOP_TOL,
-                max_iters: int = MAX_ITERS):
+                model: PrepModel | None = None):
     """Fit a CPTP chi matrix to the 16 x 15 correlator grid.
 
     Passing the true prep and readout model corrects SPAM; passing None fits
@@ -684,7 +677,8 @@ def mle_process(means: np.ndarray, variances: np.ndarray,
     the state fit's monotone projected-gradient loop on the cached 240 x 256
     process design: one product with the design and one with its adjoint
     per iteration, stopping once an accepted step moves chi by less than
-    `stop_tol` in Frobenius norm, whatever the scale of the variances.  Each
+    PROCESS_STOP_TOL in Frobenius norm, whatever the scale of the variances,
+    or raising RuntimeError after MAX_ITERS.  Each
     candidate is projected onto CPTP by the dual Newton method of
     :func:`project_cptp`, started from the previous projection's dual
     point, which changes little between iterations.
@@ -709,7 +703,7 @@ def mle_process(means: np.ndarray, variances: np.ndarray,
 
     def project(x):
         nonlocal dual, steps
-        chi, dual, made = _cptp_newton(x.reshape(16, 16), dual, CPTP_TOL, 500)
+        chi, dual, made = _cptp_newton(x.reshape(16, 16), dual, 500)
         steps += made
         return chi.reshape(-1)
 
@@ -717,7 +711,7 @@ def mle_process(means: np.ndarray, variances: np.ndarray,
     start = np.zeros(256, dtype=complex)
     start[0] = 1.0
     x, info = _monotone_apg(design, weights, means, project, start,
-                            stop_tol, max_iters)
+                            PROCESS_STOP_TOL)
     info["projection_steps"] = steps
     chi = x.reshape(16, 16)
     chi = 0.5 * (chi + chi.conj().T)
@@ -759,10 +753,10 @@ def _gauge_fidelity(coeffs: np.ndarray, theta1, theta2, d1: int = 0, d2: int = 0
     return np.real(np.einsum("...a,ab,...b->...", e1, coeffs, e2)) / 16.0
 
 
-def gauge_fix_local_z(chi: np.ndarray, grid: int = 256):
+def gauge_fix_local_z(chi: np.ndarray):
     """Find the local-Z frame in which a process is closest to the ideal CZ.
 
-    Scans a grid x grid angle lattice and polishes the best point with Newton
+    Scans a 256 x 256 angle lattice and polishes the best point with Newton
     steps on the closed-form gradient and Hessian of the 3 x 3 harmonic
     polynomial, while the Hessian there is negative definite.  Newton
     converges quadratically, so the angles come out to roundoff even though
@@ -772,7 +766,7 @@ def gauge_fix_local_z(chi: np.ndarray, grid: int = 256):
     """
     chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
     coeffs = _gauge_objective_coeffs(chi)
-    angles = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    angles = np.linspace(-np.pi, np.pi, 256, endpoint=False)
     landscape = _gauge_fidelity(coeffs, angles[:, None], angles[None, :])
     i, j = np.unravel_index(np.argmax(landscape), landscape.shape)
     theta = np.array([angles[i], angles[j]])
@@ -794,31 +788,37 @@ def gauge_fix_local_z(chi: np.ndarray, grid: int = 256):
 
 
 # ---------------------------------------------------------------------------
-# parametric bootstrap
+# direct-fidelity interval
 # ---------------------------------------------------------------------------
+
+
+# normal quantile of a two-sided 95 percent interval, scipy.special.ndtri(0.975)
+Z_95 = 1.959963984540054
 
 
 def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
                  seed: int = 0):
-    """Parametric bootstrap interval for the direct fidelity to a target.
+    """95 percent interval for the direct fidelity to a target, in closed form.
 
     The estimate is linear in the moments.  The moment design A is square and
     invertible, its identity row being the unit trace vec(I), and the weights
     c solve A^T c = vec(sigma^T), so Tr(rho sigma) = c_0 + sum_j c_j m_j for
     every rho: the identity moment enters as 1, the unit trace the fit also
-    enforces.  For a pure target sigma that overlap is the
-    fidelity.  Moment vectors m* are drawn around the measured means, not
-    around a fitted model, with the recorded variance of each mean and
-    conjugate signature pairs kept conjugate; ``fidelities`` holds the
-    resampled estimates c . m*, and the 95 percent interval is their 2.5 and
-    97.5 percentiles.  Neither the estimate nor the interval is clipped to
-    [0, 1]: a linear estimate can pass 1, and clipping would break the
-    interval's calibration there.
+    enforces.  For a pure target sigma that overlap is the fidelity.  Its
+    standard error is se = (sum_{j>=1} |c_j|^2 v_j / N)^(1/2) from the
+    table's per-shot variances v_j and count N, and the interval is
+    estimate -+ Z_95 se.  A Hermitian sigma puts c_p = conj(c_j) on every
+    conjugate pair (j, p) and a real c_j on a self-conjugate row, so se^2 is
+    exactly the variance of c . m* over normal draws m* of the means that
+    keep the pairs conjugate, which a parametric bootstrap would only
+    sample.  Neither the estimate nor the interval is clipped to [0, 1]:
+    a linear estimate can pass 1, and clipping would break the interval's
+    calibration there.
+
+    `resamples` and `seed` are accepted and unused: nothing is drawn.  They
+    are echoed in the result, with "estimate", "low", "high", "width" and
+    "se".  Raises ValueError if the target's dimension is not the table's.
     """
-    if resamples < 1:
-        raise ValueError("resamples must be at least 1")
-    if resamples < 100:
-        warnings.warn("fewer than 100 resamples gives an unreliable interval")
     sigma = _state_matrix(target)
     problem = _StateProblem(table)
     if sigma.shape[0] != problem.dim:
@@ -827,25 +827,14 @@ def bootstrap_ci(table: MomentTable, target, resamples: int = 1000,
     design = _design_for_modes(len(table.mode_bases))
     weights = spla.spsolve(design.T, sigma.T.reshape(-1))
     estimate = float(np.real(weights[0] + weights[1:] @ problem.targets))
-
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    # the identity is its own conjugate, so the other rows pair among themselves
-    partners = qops.moment_layout(table.mode_bases)[1][1:] - 1
-    drawn = _draw_hermitian_rows(partners, problem.targets, problem.variances,
-                                 resamples, rng)
-    fidelities = np.real(weights[0] + drawn @ weights[1:])
-
-    ordered = np.sort(fidelities)
-    low_idx = max(0, int(np.ceil(0.025 * resamples)) - 1)
-    high_idx = min(resamples - 1, int(np.ceil(0.975 * resamples)) - 1)
-    low = float(ordered[low_idx])
-    high = float(ordered[high_idx])
+    se = float(np.sqrt(np.sum(np.abs(weights[1:]) ** 2 * problem.variances)))
+    low, high = estimate - Z_95 * se, estimate + Z_95 * se
     return {
         "estimate": estimate,
         "low": low,
         "high": high,
         "width": high - low,
+        "se": se,
         "resamples": int(resamples),
         "seed": int(seed),
-        "fidelities": fidelities,
     }

@@ -459,7 +459,7 @@ BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 def _bootstrap_figures(state):
     table = tomography.moments_from_state(BELL, variance=0.01, count=400)
-    ci = tomography.bootstrap_ci(table, state, resamples=100, seed=3)
+    ci = tomography.bootstrap_ci(table, state)
     return np.array([ci["estimate"], ci["low"], ci["high"]])
 
 

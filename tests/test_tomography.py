@@ -3,7 +3,8 @@
 Exact-moment tables must invert to the source state, the solver trace must
 be monotone, parametric resampling must respect Hermitian pairing and the
 1/N variance law, the direct fidelity estimate must be exact on exact
-tables, its bootstrap must be seeded, correctly ranked and calibrated, and
+tables, its closed-form interval must match the spread of replica estimates
+and cover the true fidelity at its nominal rate, and
 the process fitter must recover a known gate with its local-Z frame gauge
 fixed.
 """
@@ -357,9 +358,9 @@ def _per_signature_draw(signatures, means, variances, resamples, rng):
                                    ("", "", ""), ("", "x", ""), ("z", "", "y"),
                                    ("", "", "", ""), ("", "x", "", "z")],
                          ids=lambda bases: "-".join(b or "het" for b in bases))
-def test_draws_equal_the_per_signature_loop_bit_for_bit(bases, monkeypatch):
-    """resample_moments and bootstrap_ci's fidelities draw exactly the
-    normals, in the same order, that the per-signature loop drew."""
+def test_draws_equal_the_per_signature_loop_bit_for_bit(bases):
+    """resample_moments draws exactly the normals, in the same order, that
+    the per-signature loop drew."""
     rng = np.random.Generator(np.random.Philox(key=[len(bases), 41]))
     signatures = qops.moment_layout(bases)[0]
     size = len(signatures)
@@ -371,18 +372,6 @@ def test_draws_equal_the_per_signature_loop_bit_for_bit(bases, monkeypatch):
             signatures, table.means, table.variances / table.count, 1,
             np.random.Generator(np.random.Philox(key=[seed, 0x5EED])))[0]
         assert replica.means.tobytes() == expected.tobytes()
-    if any(bases):
-        return
-    target = rng.standard_normal((2 ** len(bases),) * 2)
-    target = target @ target.T
-    target /= np.trace(target)
-    fidelities = bootstrap_ci(table, target, resamples=100, seed=3)["fidelities"]
-    monkeypatch.setattr(
-        tomography, "_draw_hermitian_rows",
-        lambda partners, means, variances, resamples, rng: _per_signature_draw(
-            signatures[1:], means, variances, resamples, rng))
-    reference = bootstrap_ci(table, target, resamples=100, seed=3)["fidelities"]
-    assert fidelities.tobytes() == reference.tobytes()
 
 
 def test_resample_spread_follows_variance_of_mean():
@@ -401,34 +390,42 @@ def test_resample_spread_follows_variance_of_mean():
 
 
 # ---------------------------------------------------------------------------
-# bootstrap intervals
+# direct-fidelity intervals
 # ---------------------------------------------------------------------------
 
 
-def test_bootstrap_is_deterministic_and_ranked():
-    table = moments_from_state(BELL, variance=0.01, count=400)
-    bell_rho = np.outer(BELL, BELL.conj())
-    rep_a = bootstrap_ci(table, bell_rho, resamples=200, seed=3)
-    rep_b = bootstrap_ci(table, bell_rho, resamples=200, seed=3)
-    assert rep_a["low"] == rep_b["low"] and rep_a["high"] == rep_b["high"]
-    assert np.array_equal(rep_a["fidelities"], rep_b["fidelities"])
-    ordered = np.sort(rep_a["fidelities"])
-    assert rep_a["low"] == ordered[int(np.ceil(0.025 * 200)) - 1]
-    assert rep_a["high"] == ordered[int(np.ceil(0.975 * 200)) - 1]
-    assert len(rep_a["fidelities"]) == 200
+def test_bootstrap_se_is_the_replica_spread_and_draws_nothing(cluster_states, noisy_table):
+    """The closed-form se is the spread of the linear estimate over replica
+    tables: 4,000 replicas know their sd to about 1.1 percent, so 5 percent
+    is about 4 sigma.  Nothing is drawn, so neither `resamples` nor `seed`
+    moves a figure."""
+    ideal, noisy = cluster_states
+    table = moments_from_state(noisy, count=200_000, variance_source=noisy_table)
+    report = bootstrap_ci(table, ideal)
+    estimates = [bootstrap_ci(resample_moments(table, seed=k), ideal)["estimate"]
+                 for k in range(4000)]
+    assert abs(np.std(estimates, ddof=1) / report["se"] - 1.0) < 0.05
+    assert report["low"] == report["estimate"] - tomography.Z_95 * report["se"]
+    assert report["high"] == report["estimate"] + tomography.Z_95 * report["se"]
+    assert report["width"] == report["high"] - report["low"]
+    for resamples, seed in ((1, 0), (40, 7), (100_000, 123)):
+        other = bootstrap_ci(table, ideal, resamples=resamples, seed=seed)
+        assert other["resamples"] == resamples and other["seed"] == seed
+        for key in ("estimate", "low", "high", "width", "se"):
+            assert other[key] == report[key], key
 
 
 def test_bootstrap_interval_holds_its_estimate():
     # the state sits on the edge of the state space here, where an MLE
     # would be biased; the linear estimate is not, and may pass 1
     table = moments_from_state(BELL, variance=0.01, count=400)
-    rep = bootstrap_ci(table, np.outer(BELL, BELL.conj()), resamples=200, seed=3)
+    rep = bootstrap_ci(table, np.outer(BELL, BELL.conj()))
     assert rep["low"] <= rep["estimate"] <= rep["high"]
 
 
 def test_bootstrap_estimate_is_the_exact_fidelity(cluster_states):
     ideal, noisy = cluster_states
-    report = bootstrap_ci(moments_from_state(noisy), ideal, resamples=100)
+    report = bootstrap_ci(moments_from_state(noisy), ideal)
     assert abs(report["estimate"] - qops.fidelity(noisy.matrix, ideal.matrix)) < 1e-12
 
 
@@ -437,46 +434,55 @@ def test_bootstrap_interval_scales_with_budget():
     widths = []
     for count in (100, 10_000):
         table = moments_from_state(BELL, variance=0.04, count=count)
-        widths.append(bootstrap_ci(table, bell_rho, resamples=300,
-                                   seed=1)["width"])
+        widths.append(bootstrap_ci(table, bell_rho)["width"])
     assert widths[1] < widths[0] / 3.0
 
 
 def test_bootstrap_coverage_on_exact_tables(cluster_states):
     ideal, _ = cluster_states
     # (target, weight of the maximally mixed state, per-shot variance, shots,
-    # replicas, resamples, fewest and most hits); the four-mode bounds are
-    # the 3-sigma binomial band around 95 percent of 200 replicas
-    cases = ((np.outer(BELL, BELL.conj()), 0.1, 0.04, 40_000, 10, 300, 8, 10),
-             (ideal.matrix, 0.25, 1.0, 20_000, 200, 200, 181, 199))
-    for target, p, variance, count, replicas, resamples, least, most in cases:
+    # replicas, fewest and most hits); the four-mode bounds are the 3-sigma
+    # binomial band around 95 percent of 200 replicas
+    cases = ((np.outer(BELL, BELL.conj()), 0.1, 0.04, 40_000, 10, 8, 10),
+             (ideal.matrix, 0.25, 1.0, 20_000, 200, 181, 199))
+    for target, p, variance, count, replicas, least, most in cases:
         dim = target.shape[0]
         mixed = (1.0 - p) * target + p * np.eye(dim) / dim
         f_true = qops.fidelity(mixed, target)
         base = moments_from_state(mixed, variance=variance, count=count)
         hits = 0
         for k in range(replicas):
-            rep_table = resample_moments(base, seed=k)
-            report = bootstrap_ci(rep_table, target, resamples=resamples, seed=k)
+            report = bootstrap_ci(resample_moments(base, seed=k), target)
             hits += report["low"] <= f_true <= report["high"]
         assert least <= hits <= most, (dim, hits)
 
 
+def test_bootstrap_coverage_on_shot_tables():
+    """Coverage from heterodyne shots: each replica is its own seeded batch
+    and dark batch, so the table's variances are estimated, not given.  The
+    bounds are the 3-sigma binomial band around 95 percent of 200 replicas.
+    The table leaves out the covariances between signatures that the shots
+    carry, so here the interval runs wider than the replicas' spread."""
+    target = target_state("cluster2").photon_density().matrix
+    mixed = 0.9 * target + 0.1 * np.eye(4) / 4.0
+    f_true = qops.fidelity(mixed, target)
+    hits = 0
+    for seed in range(200):
+        table = estimate_moments(*synthesize_shots(mixed, 1.0, 10_000, seed=seed))
+        report = bootstrap_ci(table, target)
+        hits += report["low"] <= f_true <= report["high"]
+    assert 181 <= hits <= 199, hits
+
+
 def test_bootstrap_argument_screens():
     table = moments_from_state(BELL, variance=0.01, count=100)
-    bell_rho = np.outer(BELL, BELL.conj())
-    with pytest.raises(ValueError, match="at least 1"):
-        bootstrap_ci(table, bell_rho, resamples=0)
-    with pytest.warns(UserWarning, match="fewer than 100"):
-        bootstrap_ci(table, bell_rho, resamples=40, seed=0)
     with pytest.raises(ValueError, match="dimension 2, .* dimension 4"):
-        bootstrap_ci(table, np.array([1.0, 0.0]), resamples=100)
+        bootstrap_ci(table, np.array([1.0, 0.0]))
 
 
 def test_bootstrap_width_collapses_with_variance():
     table = moments_from_state(BELL, variance=1e-10, count=1000)
-    report = bootstrap_ci(table, np.outer(BELL, BELL.conj()),
-                          resamples=150, seed=2)
+    report = bootstrap_ci(table, np.outer(BELL, BELL.conj()))
     assert report["width"] < 1e-3
 
 
