@@ -805,16 +805,14 @@ def taper_reflection(spec: WaveguideSpec, omega) -> complex:
     return np.exp(-2j * k * spec.n_cells) * (b - j * phase) / (j / phase - b)
 
 
-def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0,
-                        carrier: float = None):
+def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0):
     """Energy transmission of the taper; (fraction, dB).
 
-    bandwidth = 0 gives the steady-state plane-wave value at the carrier
-    (default band center).  A finite bandwidth (FWHM of the pulse power
-    spectrum, Hz) averages |t|^2 over a Gaussian spectral weight.
+    bandwidth = 0 gives the steady-state plane-wave value at band center.  A
+    finite bandwidth (FWHM of the pulse power spectrum, Hz) averages |t|^2
+    over a Gaussian spectral weight about band center.
     """
-    if carrier is None:
-        carrier = spec.center
+    carrier = spec.center
     if bandwidth <= 0.0:
         t_val = 1.0 - abs(taper_reflection(spec, carrier)) ** 2
     else:
@@ -828,17 +826,15 @@ def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0,
     return t_val, 10.0 * np.log10(t_val)
 
 
-def taper_echo_train(spec: WaveguideSpec, n_echoes: int = 3,
-                     carrier: float = None):
+def taper_echo_train(spec: WaveguideSpec, n_echoes: int = 3):
     """Arrival times and energy fractions of the multi-bounce echo train.
 
     A pulse leaving the emitter end partially reflects off the taper, runs
     back to the (bare, fully reflecting) emitter end, and tries again; the
-    n-th passage exits with energy T * R^n delayed by n round trips.
+    n-th passage exits with energy T * R^n delayed by n round trips, at
+    band center.
     """
-    if carrier is None:
-        carrier = spec.center
-    r2 = abs(taper_reflection(spec, carrier)) ** 2
+    r2 = abs(taper_reflection(spec, spec.center)) ** 2
     t_round = spec.n_cells / spec.hop_j
     times = np.arange(n_echoes + 1) * t_round
     energies = (1.0 - r2) * r2 ** np.arange(n_echoes + 1)

@@ -47,18 +47,16 @@ class TransmonSpec:
             raise ValueError("transmon.asymmetry must lie in [0, 1)")
 
     @classmethod
-    def from_hz(cls, f_ge_max_hz, eta_hz, f_ge_min_hz=None, asymmetry=None):
+    def from_hz(cls, f_ge_max_hz, eta_hz, f_ge_min_hz=None):
         """Build from Hz inputs; asymmetry fit from f_ge_min when given."""
         w_max = TWO_PI * f_ge_max_hz
         eta = TWO_PI * eta_hz
-        if asymmetry is None:
-            if f_ge_min_hz is None:
-                asymmetry = 0.0
-            else:
-                w_min = TWO_PI * f_ge_min_hz
-                if w_min >= w_max:
-                    raise ValueError("transmon.f_ge_min must be below f_ge_max")
-                asymmetry = ((w_min - eta) / (w_max - eta)) ** 2
+        asymmetry = 0.0
+        if f_ge_min_hz is not None:
+            w_min = TWO_PI * f_ge_min_hz
+            if w_min >= w_max:
+                raise ValueError("transmon.f_ge_min must be below f_ge_max")
+            asymmetry = ((w_min - eta) / (w_max - eta)) ** 2
         return cls(omega_ge_max=w_max, eta=eta, asymmetry=asymmetry)
 
     @classmethod
@@ -207,6 +205,11 @@ def erf_envelope(t_r: float, delta: float, xi_max: float,
     Returns (t, xi) sampled on [0, window).  delta > 0 starts the envelope
     part-way up its rise, trading bandwidth for a faster turn-on.
     """
+    # NaN fails no comparison below, so finiteness is checked first
+    for label, value in (("t_r", t_r), ("delta", delta), ("xi_max", xi_max),
+                         ("window", window), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"envelope {label} must be finite, got {value!r}")
     if t_r <= 0.0 or dt <= 0.0 or window <= dt:
         raise ValueError("envelope timing parameters must be positive")
     if delta < 0.0:
@@ -308,8 +311,11 @@ def drive_from_envelope(spec: TransmonSpec, phi_bias: float, omega_mod: float,
     Raises when the envelope asks for more sideband weight than the working
     point can deliver; the message quotes the attainable maximum.
     """
-    table = build_amplitude_table(spec, phi_bias, omega_mod, transition, points)
     xi_target = np.asarray(xi_target, dtype=float)
+    if not np.isfinite(xi_target).all():
+        raise ValueError(f"xi_target is not finite: {np.count_nonzero(~np.isfinite(xi_target))} "
+                         f"of {xi_target.size} samples are NaN or infinite")
+    table = build_amplitude_table(spec, phi_bias, omega_mod, transition, points)
     return FluxDrive(
         phi_bias=phi_bias,
         omega_mod=omega_mod,

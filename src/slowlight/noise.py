@@ -109,7 +109,7 @@ def phase_structure(tau, f_min: float = DEFAULT_F_MIN,
     """
     from scipy.special import sici
 
-    tau = np.asarray(tau, dtype=float)
+    tau = qops.require_finite(np.asarray(tau, dtype=float), "tau")
     if np.any(tau < 0.0):
         raise ValueError("delays must be non-negative")
     out = np.zeros(tau.shape)
@@ -201,7 +201,16 @@ def dephased_protocol_run(steps, noise: OneOverFSpec,
     return protocol.DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
+def _loss_fraction(loss) -> float:
+    """loss as a float; a ValueError if it is not finite or outside [0, 1]."""
+    loss = float(qops.require_finite(loss, "loss"))
+    if not 0.0 <= loss <= 1.0:
+        raise ValueError(f"loss must lie in [0, 1], got {loss}")
+    return loss
+
+
 def amplitude_damping_kraus(loss: float):
+    loss = _loss_fraction(loss)
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - loss)]], dtype=complex)
     k1 = np.array([[0.0, math.sqrt(loss)], [0.0, 0.0]], dtype=complex)
     return [k0, k1]
@@ -290,7 +299,7 @@ def correct_readout(conditioned, confusion) -> np.ndarray:
 
 def loss_only_fidelity(loss: float) -> float:
     """Closed form for damping one feedback photon of the ideal 2D cluster."""
-    return (1.0 + math.sqrt(1.0 - loss)) ** 2 / 4.0
+    return (1.0 + math.sqrt(1.0 - _loss_fraction(loss))) ** 2 / 4.0
 
 
 def error_budget(name: str = "cluster4_2d",

@@ -410,18 +410,17 @@ def compensation_offsets(name: str) -> np.ndarray:
     return thetas
 
 
-def published_circuit(name: str, compensated: bool = True):
+def published_circuit(name: str):
     """Schedule for a device-demonstrated state, with durations attached.
 
-    With compensated=True the pre-emission ef pulses carry the virtual-Z
-    offsets that cancel the bare circuit's per-photon Z phases.
+    The pre-emission ef pulses carry the virtual-Z offsets that cancel the
+    bare circuit's per-photon Z phases.
     """
     steps = _bare_circuit(name)
-    if compensated:
-        thetas = compensation_offsets(name)
-        offsets = {k + 1: -th for k, th in enumerate(thetas) if th != 0.0}
-        if offsets:
-            steps = _with_ef_offsets(steps, offsets)
+    thetas = compensation_offsets(name)
+    offsets = {k + 1: -th for k, th in enumerate(thetas) if th != 0.0}
+    if offsets:
+        steps = _with_ef_offsets(steps, offsets)
     return steps
 
 

@@ -21,15 +21,7 @@ shots, and maps the sums mode by mode to those of the deconvolved factors
 [1, S, S*, |S|^2 - d], which a gain g scales by 1, g^1/2, g^1/2, g.  It
 reports the mean and variance of the products of these deconvolved factors
 in a MomentTable (flat arrays in the product layout of qops.moment_layout,
-as the sums come out, and one shot count).  The blocks, like the 2^16-shot
-chunks of the dark power d, are cut into one contiguous run per worker:
-min(CPUs available to the process, blocks) of them, the calling thread plus
-helper threads (none on one CPU or for a single block).  Each worker writes
-its blocks' sums into their own slots of an array of per-block partial sums
-that the calling thread allocates; the calling thread then adds the partials
-in block order, starting from 0, which are the additions a serial pass
-makes.  So the tables are the same bit for bit whatever the number of
-workers or the timing of their threads.
+as the sums come out, and one shot count).
 
 Selected modes can instead be read out as qubits (probability-exact projective
 outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
@@ -37,13 +29,17 @@ joint moment tables.
 
 Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
 its own PCG64 stream, keyed by a SeedSequence spawn key, into its own rows of
-the output arrays.  The chunks run on one worker per CPU available to the
-process, up to the number of chunks: the calling thread plus helper threads
-(none on one CPU).  Each worker conditions its shots in its own state
-buffer of 2^(n-1) * 2^16 complex128 amplitudes (8 MB at four modes, 32 MB
-at six), which the calling thread allocates, so that the memory returns to
-its heap and not to a helper's malloc arena; a worker's other temporaries
-come to about 10 MB.
+the output arrays.  Each worker conditions its shots in its own state buffer
+of 2^(n-1) * 2^16 complex128 amplitudes (8 MB at four modes, 32 MB at six);
+its other temporaries come to about 10 MB.
+
+Synthesis chunks, estimate_moments' blocks and the 2^16-shot chunks of the
+dark power all run on one worker pool, _run_workers.  A reduction checks
+each block for values that are not finite and qubit outcomes other than +-1
+before that block's arithmetic, and adds the blocks' sums in block order,
+starting from 0, the additions a serial pass makes.  So the shot streams,
+the tables, the dark powers and the error a bad batch raises are the same
+bit for bit whatever the number of workers or the timing of their threads.
 
 Shot files are written from the arrays' own buffers and read straight into
 new arrays, with no intermediate bytes copy either way.
@@ -360,36 +356,75 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_workers(work, tasks) -> None:
-    """Call work(task) for every task: the first on the calling thread, each
-    other on a helper thread of its own (none for a single task).  Returns
-    once all have ended, raising the first exception any of them raised."""
-    errors = []
+def _run_workers(work, tasks: int, scratch=None) -> None:
+    """Call work(task, buffer) for every task in range(tasks) on
+    min(CPUs available to the process, tasks) workers: the calling thread
+    plus helper threads (none on one CPU or for one task), all taking task
+    indices from one shared counter.  buffer is the worker's own scratch(),
+    or None; the calling thread allocates it, so that its memory returns to
+    the calling thread's heap and not to a helper's malloc arena.  Every
+    task runs even after another has failed; once all have ended, the error
+    of the lowest-numbered failed task is raised, so it does not depend on
+    the number of workers."""
+    counter = iter(range(tasks))
+    taking = threading.Lock()
+    errors = {}
 
-    def guarded(task):
-        try:
-            work(task)
-        except Exception as err:
-            errors.append(err)
+    def worker(buffer):
+        while True:
+            with taking:
+                task = next(counter, None)
+            if task is None:
+                return
+            try:
+                work(task, buffer)
+            except Exception as err:
+                errors[task] = err
 
-    helpers = [threading.Thread(target=guarded, args=(task,)) for task in tasks[1:]]
+    buffers = [scratch() if scratch else None for _ in range(min(_cpu_count(), tasks))]
+    helpers = [threading.Thread(target=worker, args=(buffer,)) for buffer in buffers[1:]]
     for helper in helpers:
         helper.start()
-    guarded(tasks[0])
+    worker(buffers[0])
     for helper in helpers:
         helper.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
-def _block_runs(count: int, block: int) -> list:
-    """The blocks of `block` shots that cover `count` shots, cut into
-    min(CPUs available to the process, blocks) contiguous runs of block
-    indices whose lengths differ by at most one, in block order."""
-    blocks = -(-count // block)
-    workers = min(_cpu_count(), blocks)
-    return [range(blocks * w // workers, blocks * (w + 1) // workers)
-            for w in range(workers)]
+def _check_block(kind: str, batch: ShotBatch, rows: slice) -> None:
+    """Refuse a batch whose shots in rows hold a NaN or infinite value or a
+    qubit outcome other than +-1, which would otherwise surface as NaN
+    moments or negative variances."""
+    parts = np.ascontiguousarray(batch.values[rows]).view(np.float32)
+    # min and max carry any NaN and reach any inf, with no temporary array
+    if parts.size and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+        raise ValueError(f"the {kind} batch holds values that are not finite (NaN or inf)")
+    if batch.outcomes is not None:
+        outcomes = batch.outcomes[rows]
+        if np.any(np.abs(outcomes) != 1):
+            stray = sorted(set(np.unique(outcomes).tolist()) - {-1, 1})
+            raise ValueError(f"the {kind} batch holds qubit outcomes {stray}; "
+                             "each must be +1 or -1")
+
+
+def _block_sums(kind: str, batch: ShotBatch, block: int, sums) -> np.ndarray:
+    """sums(rows), a float64 array, summed over the blocks of `block` shots
+    of batch, rows being a block's slice.  Each block is checked by
+    _check_block before its sums are taken, and the blocks' sums are added
+    in block order, starting from 0."""
+    parts = [None] * -(-batch.count // block)
+
+    def work(b, _):
+        rows = slice(b * block, (b + 1) * block)
+        _check_block(kind, batch, rows)
+        parts[b] = sums(rows)
+
+    _run_workers(work, len(parts))
+    total = 0.0
+    for part in parts:
+        total = total + part
+    return total
 
 
 def _shot_count(name: str, value) -> int:
@@ -416,14 +451,6 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
     the shots and 2 for the dark batch, and written only to its own rows:
     the same seed gives the same shot i, bit for bit, whatever the batch size
     or the order in which chunks are computed.
-
-    The chunks of both batches run on min(CPUs available to the process,
-    number of chunks) workers: the calling thread and helper threads, all
-    taking shot chunks and then dark chunks from one shared iterator; with
-    one CPU no thread starts.  Every worker owns a state buffer of
-    2^(n-1) * 2^16 amplitudes of 16 B (8 MB at four modes), allocated here
-    by the calling thread and passed to the worker; its other temporaries
-    come to about 10 MB.
     """
     if not math.isfinite(n_noise) or n_noise < 0.0:
         raise ValueError(f"n_noise must be finite and non-negative, got {n_noise}")
@@ -449,26 +476,18 @@ def synthesize_shots(rho, n_noise: float, count: int, seed: int = 0,
         batches.append(ShotBatch(values, bases, outcomes if n_qub else None, dark=stream == 2))
         chunks += [(stream, i, values[lo:lo + _CHUNK], outcomes[lo:lo + _CHUNK])
                    for i, lo in enumerate(range(0, total, _CHUNK))]
-    pending = iter(chunks)
-    taking = threading.Lock()
 
-    def work(state):
-        while True:
-            with taking:
-                chunk = next(pending, None)
-            if chunk is None:
-                return
-            stream, i, values, outcomes = chunk
-            key = np.random.SeedSequence(seed, spawn_key=(stream, i))
-            rng = np.random.Generator(np.random.PCG64(key))
-            if stream == 2:
-                _dark_chunk(rng, values, outcomes, bases, n_noise)
-            else:
-                _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
+    def work(task, state):
+        stream, i, values, outcomes = chunks[task]
+        key = np.random.SeedSequence(seed, spawn_key=(stream, i))
+        rng = np.random.Generator(np.random.PCG64(key))
+        if stream == 2:
+            _dark_chunk(rng, values, outcomes, bases, n_noise)
+        else:
+            _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state)
 
-    workers = min(_cpu_count(), len(chunks))
     size = len(vecs[0]) // 2 * _CHUNK
-    _run_workers(work, [np.empty(size, dtype=vecs.dtype) for _ in range(workers)])
+    _run_workers(work, len(chunks), lambda: np.empty(size, dtype=vecs.dtype))
     return tuple(batches)
 
 
@@ -476,36 +495,20 @@ def dark_noise_power(dark: ShotBatch) -> np.ndarray:
     """Per-mode thermal occupation n_noise, the dark power less the vacuum unit.
 
     A batch with a NaN or infinite value or a qubit outcome other than +-1
-    is refused with a ValueError before any sum.  The squared float32 parts
-    are summed in float64, where their squares are exact, over chunks of
-    2^16 shots.  The chunks are cut into min(CPUs available to the process,
-    chunks) contiguous runs, one per worker: the calling thread and helper
-    threads (none on one CPU or for a single chunk).  Each worker writes
-    its chunks' per-mode sums into their rows of a (chunks, modes) partial
-    array, and the calling thread adds the rows in chunk order, starting
-    from zeros, so the result is the same bit for bit whatever the number of
-    workers.
+    is refused with a ValueError.  The squared float32 parts are summed in
+    float64, where their squares are exact, over chunks of 2^16 shots.
     """
     if not dark.dark:
         raise ValueError("noise power must be read from a dark batch")
     if dark.count < 1:
         raise ValueError("dark batch holds no shots to read the noise power from")
-    _check_readings("dark", dark)
-    runs = _block_runs(dark.count, _CHUNK)
-    partials = np.empty((runs[-1].stop, dark.values.shape[1]))
 
-    def work(run):
-        for c in run:
-            chunk = np.ascontiguousarray(dark.values[c * _CHUNK:(c + 1) * _CHUNK])
-            pairs = chunk.view(np.float32).astype(np.float64)
-            pairs *= pairs
-            partials[c] = pairs.sum(axis=0).reshape(-1, 2).sum(axis=1)
+    def sums(rows):
+        pairs = np.ascontiguousarray(dark.values[rows]).view(np.float32).astype(np.float64)
+        pairs *= pairs
+        return pairs.sum(axis=0).reshape(-1, 2).sum(axis=1)
 
-    _run_workers(work, runs)
-    total = np.zeros(dark.values.shape[1])
-    for partial in partials:
-        total += partial
-    return total / dark.count - 1.0
+    return _block_sums("dark", dark, _CHUNK, sums) / dark.count - 1.0
 
 
 @dataclass(eq=False)
@@ -569,19 +572,6 @@ class MomentTable:
         return list(qops.moment_layout(self.mode_bases)[0])
 
 
-def _check_readings(kind: str, batch: ShotBatch) -> None:
-    """Refuse a batch with a NaN or infinite value or a qubit outcome other
-    than +-1, which would otherwise surface as NaN moments or negative
-    variances."""
-    parts = np.ascontiguousarray(batch.values).view(np.float32)
-    # min and max carry any NaN and reach any inf, with no temporary array
-    if parts.size and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
-        raise ValueError(f"the {kind} batch holds values that are not finite (NaN or inf)")
-    if batch.outcomes is not None and np.any(np.abs(batch.outcomes) != 1):
-        stray = sorted(set(np.unique(batch.outcomes).tolist()) - {-1, 1})
-        raise ValueError(f"the {kind} batch holds qubit outcomes {stray}; each must be +1 or -1")
-
-
 def estimate_moments(batch: ShotBatch, dark: ShotBatch,
                      gain: dict | None = None) -> MomentTable:
     """Means and variances of every n, m <= 1 joint moment, over batch.count shots.
@@ -604,17 +594,8 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     blocks of 2^13 shots, whose product stacks stay small (a few MB at five
     modes); the dark power is summed in float64 by dark_noise_power.
 
-    Both batches are checked for non-finite values and stray outcomes, once
-    each, before any arithmetic.  The blocks are cut into min(CPUs available
-    to the process, blocks) contiguous runs, one per worker: the calling
-    thread takes the first and a helper thread each other (none on one CPU or
-    for a single block).  A worker writes each of its blocks' two sums, of
-    products and of squares, into that block's slot of a per-block partial
-    array (blocks x left-half rows x right-half rows, 8 KB a block at five
-    heterodyne modes).  Once all have ended the calling thread adds the
-    partials in block order, starting from 0.0, the additions a one-worker
-    pass makes, so the table is the same bit for bit whatever the number of
-    workers.  An exception in any worker is raised here after all have ended.
+    Both batches are refused, block by block, if they hold a value that is
+    not finite or a qubit outcome other than +-1.
     """
     if dark.mode_bases != batch.mode_bases:
         raise ValueError("dark batch modes do not match; moments of this "
@@ -629,7 +610,6 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
     if batch.count < 1:
         raise ValueError("shot batch holds no shots; every mean needs at least one")
-    _check_readings("shots", batch)
     dark_power = dark_noise_power(dark) + 1.0
 
     # split the register in half so every signature product is one entry of a
@@ -654,47 +634,38 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     halves = (range(1, split + 1), range(split + 1, batch.n_modes + 1))
     shape = [2 if basis else 4 for basis in batch.mode_bases]
     square_shape = [1 if basis else 3 for basis in batch.mode_bases]
-    runs = _block_runs(batch.count, _MOMENT_BLOCK)
-    # one left-half by right-half sum of products and of squares per block
-    prod_parts = np.empty((runs[-1].stop, math.prod(shape[:split]), math.prod(shape[split:])))
-    sq_parts = np.empty((runs[-1].stop, math.prod(square_shape[:split]),
-                         math.prod(square_shape[split:])))
 
-    def work(run):
-        for b in run:
-            lo = b * _MOMENT_BLOCK
-            block = batch.values[lo:lo + _MOMENT_BLOCK].T
-            width = block.shape[1]
-            # per heterodyne mode [1, x, y, |S|^2 - d] and its distinct
-            # squares [1, x^2 + y^2, (|S|^2 - d)^2]; per qubit mode
-            # [1, outcome], whose squares are all 1
-            real = np.empty((len(het), 4, width))
-            real[:, 0] = 1.0
-            real[:, 1] = block.real
-            real[:, 2] = block.imag
-            square = np.empty((len(het), 3, width))
-            square[:, 0] = 1.0
-            power = square[:, 1]
-            np.square(real[:, 1], out=power)
-            power += np.square(real[:, 2])
-            np.subtract(power, dark_power[:, None], out=real[:, 3])
-            np.square(real[:, 3], out=square[:, 2])
-            factors = {mode: real[i] for mode, i in het_col.items()}
-            if qub:
-                signs = np.ones((len(qub), 2, width))
-                signs[:, 1] = batch.outcomes[lo:lo + _MOMENT_BLOCK].T
-                factors.update((mode, signs[i]) for mode, i in qub_col.items())
-            left, right = (half_products(modes, factors, width) for modes in halves)
-            prod_parts[b] = left @ right.T
-            factors = {mode: square[i] for mode, i in het_col.items()}
-            left, right = (half_products(modes, factors, width) for modes in halves)
-            sq_parts[b] = left @ right.T
+    def sums(rows):
+        block = batch.values[rows].T
+        width = block.shape[1]
+        # per heterodyne mode [1, x, y, |S|^2 - d] and its distinct squares
+        # [1, x^2 + y^2, (|S|^2 - d)^2]; per qubit mode [1, outcome], whose
+        # squares are all 1
+        real = np.empty((len(het), 4, width))
+        real[:, 0] = 1.0
+        real[:, 1] = block.real
+        real[:, 2] = block.imag
+        square = np.empty((len(het), 3, width))
+        square[:, 0] = 1.0
+        power = square[:, 1]
+        np.square(real[:, 1], out=power)
+        power += np.square(real[:, 2])
+        np.subtract(power, dark_power[:, None], out=real[:, 3])
+        np.square(real[:, 3], out=square[:, 2])
+        factors = {mode: real[i] for mode, i in het_col.items()}
+        if qub:
+            signs = np.ones((len(qub), 2, width))
+            signs[:, 1] = batch.outcomes[rows].T
+            factors.update((mode, signs[i]) for mode, i in qub_col.items())
+        left, right = (half_products(modes, factors, width) for modes in halves)
+        products = left @ right.T
+        factors = {mode: square[i] for mode, i in het_col.items()}
+        left, right = (half_products(modes, factors, width) for modes in halves)
+        return np.concatenate((products.ravel(), (left @ right.T).ravel()))
 
-    _run_workers(work, runs)
-    sum_prod = sum_sq = 0.0
-    for prod, sq in zip(prod_parts, sq_parts):
-        sum_prod = sum_prod + prod
-        sum_sq = sum_sq + sq
+    # one left-half by right-half sum of products, then one of squares
+    total = _block_sums("shots", batch, _MOMENT_BLOCK, sums)
+    sum_prod, sum_sq = np.split(total, [math.prod(shape)])
 
     # mode by mode, the real sums become those of [1, g^1/2 S, g^1/2 S*,
     # g (|S|^2 - d)] and the square sums those of the four squared moduli
@@ -731,14 +702,13 @@ def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float
     Beyond the n, m <= 1 table, but the closed-form deconvolution
     raw<|S|^4> - 4 d <|S|^2> + 2 d^2 (d the raw dark power) is exact because
     the sampler reproduces all Husimi moments; any single-excitation state
-    gives zero.  Both batches are checked for non-finite values as in
-    estimate_moments.
+    gives zero.  Both batches are refused as in estimate_moments.
     """
     if mode not in batch.heterodyne_modes:
         raise ValueError(f"mode {mode} is not one of the heterodyne modes "
                          f"{batch.heterodyne_modes}")
     i = batch.heterodyne_modes.index(mode)
-    _check_readings("shots", batch)
+    _check_block("shots", batch, slice(None))
     d = float(dark_noise_power(dark)[i]) + 1.0
     power = np.abs(batch.values[:, i].astype(complex)) ** 2
     return float(np.mean(power ** 2) - 4.0 * d * np.mean(power) + 2.0 * d * d)

@@ -550,8 +550,9 @@ def simulate_process_measurements(chi: np.ndarray, model: PrepModel | None = Non
     given scale is added independently to real and imaginary parts, and the
     reported variance is the matching complex variance.
     """
+    chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
     design = _process_design(model)
-    means = design @ np.asarray(chi, dtype=complex).reshape(-1)
+    means = design @ chi.reshape(-1)
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
         means = means + noise * (rng.standard_normal(means.size)

@@ -134,14 +134,10 @@ def group_delay_per_cell(spec: WaveguideSpec, omega) -> np.ndarray:
     return 1.0 / (2.0 * spec.hop_j * np.sin(k))
 
 
-def round_trip_delay(spec: WaveguideSpec, omega=None) -> float:
-    """Round-trip time through the chain and back at omega (default: center).
-
-    At band center this reduces to tau_d = N / J.
-    """
-    if omega is None:
-        omega = spec.center
-    return float(2.0 * spec.n_cells * group_delay_per_cell(spec, omega))
+def round_trip_delay(spec: WaveguideSpec) -> float:
+    """Round-trip time through the chain and back at band center, where it
+    reduces to tau_d = N / J."""
+    return float(2.0 * spec.n_cells * group_delay_per_cell(spec, spec.center))
 
 
 def gamma_1d(g: float, hop_j: float, geometry: str = "end") -> float:

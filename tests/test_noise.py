@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from slowlight import noise, protocol, qops
+from slowlight import fluxcontrol, noise, protocol, qops, tomography
 
 T2_STAR = noise.DEFAULT_T2_STAR
 
@@ -316,3 +316,37 @@ def test_spec_rejects_non_finite_fields(field, value):
     kwargs = {"amplitude": 1.0, field: value}
     with pytest.raises(ValueError, match=f"noise.{field} must be finite"):
         noise.OneOverFSpec(**kwargs)
+
+
+ENVELOPE = {"t_r": 15e-9, "delta": 0.33, "xi_max": 0.22, "window": 140e-9, "dt": 1e-9}
+# entry -> (the argument its error must name, a call with that argument bad)
+NON_FINITE_ENTRIES = {
+    "phase_structure": ("tau", lambda bad: noise.phase_structure([1e-6, bad])),
+    "amplitude_damping_kraus": ("loss", noise.amplitude_damping_kraus),
+    "loss_only_fidelity": ("loss", noise.loss_only_fidelity),
+    **{f"erf_envelope.{label}": (label, lambda bad, label=label: fluxcontrol.erf_envelope(
+        **{**ENVELOPE, label: bad})) for label in ENVELOPE},
+    "drive_from_envelope": ("xi_target", lambda bad: fluxcontrol.drive_from_envelope(
+        fluxcontrol.TransmonSpec.emitter(), 0.2, 2.0 * math.pi * 450e6,
+        np.arange(3) * 1e-9, np.array([0.0, bad, 0.1]))),
+    "simulate_process_measurements": ("chi", lambda bad: tomography.simulate_process_measurements(
+        np.full((16, 16), bad, dtype=complex))),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
+def test_entry_points_refuse_non_finite_inputs_by_name(entry, bad):
+    """A NaN or infinite input is refused with a ValueError that names the
+    argument, instead of passing through as NaN samples, NaN Kraus
+    operators or NaN means."""
+    name, call = NON_FINITE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(bad)
+
+
+@pytest.mark.parametrize("loss", [-0.1, 1.5])
+@pytest.mark.parametrize("entry", [noise.amplitude_damping_kraus, noise.loss_only_fidelity])
+def test_a_loss_outside_the_unit_interval_is_refused(entry, loss):
+    with pytest.raises(ValueError, match=r"loss must lie in \[0, 1\]"):
+        entry(loss)

@@ -590,11 +590,11 @@ def test_estimation_workers_give_the_one_worker_tables(monkeypatch):
     threads = set()
     run_workers = shots._run_workers
 
-    def traced(work, tasks):
-        def observed(task):
+    def traced(work, tasks, scratch=None):
+        def observed(task, buffer):
             threads.add(threading.get_ident())
-            work(task)
-        run_workers(observed, tasks)
+            work(task, buffer)
+        run_workers(observed, tasks, scratch)
 
     monkeypatch.setattr(shots, "_run_workers", traced)
     interval = sys.getswitchinterval()
@@ -609,19 +609,74 @@ def test_estimation_workers_give_the_one_worker_tables(monkeypatch):
     assert len(threads) >= 2
 
 
-def test_a_helper_worker_error_reaches_the_caller():
+def test_a_helper_worker_error_reaches_the_caller(monkeypatch):
     """An exception raised on a helper thread is raised by the call, after
-    every worker has ended."""
+    every task has run.  Four workers each hold one of four tasks at once;
+    which of them holds task 2 is up to the scheduler, so of twenty calls at
+    least one must have raised it on a helper thread."""
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 4)
+    helper_raised = False
+    for _ in range(20):
+        done = []
+        together = threading.Barrier(4, timeout=30)
+        failed_on = []
+
+        def work(task, buffer):
+            together.wait()
+            if task == 2:
+                failed_on.append(threading.current_thread())
+                raise ArithmeticError(f"task {task} on a helper thread")
+            done.append(task)
+
+        with pytest.raises(ArithmeticError, match="task 2 on a helper thread"):
+            shots._run_workers(work, 4)
+        assert sorted(done) == [0, 1, 3]
+        helper_raised |= failed_on != [threading.main_thread()]
+    assert helper_raised
+
+
+def test_the_lowest_bad_block_names_the_error_at_any_worker_count(monkeypatch):
+    """Blocks 1 and 5 of six hold stray qubit outcomes, 7 and 3; 1, 2 and 4
+    workers all raise block 1's message, whichever block fails first."""
+    batch, dark = shots.synthesize_shots(BELL, 0.5, 6 * shots._MOMENT_BLOCK, seed=4,
+                                         qubit_bases={2: "z"})
+    broken = shots.ShotBatch(batch.values, batch.mode_bases, batch.outcomes.copy())
+    broken.outcomes[5 * shots._MOMENT_BLOCK + 3, 0] = 3
+    broken.outcomes[shots._MOMENT_BLOCK + 7, 0] = 7
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(shots, "_cpu_count", lambda: workers)
+        with pytest.raises(ValueError, match=r"shots batch holds qubit outcomes \[7\]"):
+            shots.estimate_moments(broken, dark)
+
+
+def test_the_pool_runs_every_task_and_raises_the_lowest_failure(monkeypatch):
+    """One worker runs the tasks after a failed one; on two workers task 0
+    fails only after task 1 has failed, and the call still raises task 0's
+    error."""
     done = []
 
-    def work(task):
-        if task == 2:
-            raise ArithmeticError(f"task {task} on a helper thread")
+    def serial(task, buffer):
+        if task == 1:
+            raise ArithmeticError("task 1")
         done.append(task)
 
-    with pytest.raises(ArithmeticError, match="task 2 on a helper thread"):
-        shots._run_workers(work, [0, 1, 2, 3])
-    assert sorted(done) == [0, 1, 3]
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 1)
+    with pytest.raises(ArithmeticError, match="^task 1$"):
+        shots._run_workers(serial, 4)
+    assert done == [0, 2, 3]
+
+    monkeypatch.setattr(shots, "_cpu_count", lambda: 2)
+    task_1_failed = threading.Event()
+
+    def late(task, buffer):
+        if task == 0:
+            assert task_1_failed.wait(timeout=30)
+            raise ArithmeticError("task 0")
+        task_1_failed.set()
+        raise ArithmeticError("task 1")
+
+    with pytest.raises(ArithmeticError, match="^task 0$"):
+        shots._run_workers(late, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
