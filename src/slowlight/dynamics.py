@@ -385,14 +385,9 @@ def _grid(system: LatticeSystem, horizon: float, dt):
 def _initial_state(system: LatticeSystem, initial) -> np.ndarray:
     psi = np.zeros(system.dim, dtype=complex)
     if isinstance(initial, str):
-        named = {"emitter": system.i_emitter, "mirror": system.i_mirror}
-        if initial not in named:
-            raise ValueError(f"initial state {initial!r} is not 'emitter' or 'mirror'")
-        psi[named[initial]] = 1.0
-    elif np.isscalar(initial):
-        if not 0 <= initial < system.dim:
-            raise ValueError(f"initial site {initial} is outside 0..{system.dim - 1}")
-        psi[int(initial)] = 1.0
+        if initial != "emitter":
+            raise ValueError(f"initial state {initial!r} is not 'emitter' or a state vector")
+        psi[system.i_emitter] = 1.0
     else:
         vec = np.asarray(initial, dtype=complex)
         if vec.shape != psi.shape:
@@ -552,9 +547,10 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
            samples: int = SAMPLES) -> OutputRecord:
     """Fixed-step 4th-order propagation of the non-Hermitian Hamiltonian.
 
-    `initial` is 'emitter', 'mirror', a site index in [0, dim), or a state
-    vector of length dim and unit norm (to 1e-12); any other raises
-    ValueError, so the norm ledger always starts from 1.
+    `initial` is 'emitter' or a state vector of length dim and unit norm
+    (to 1e-12), so the norm ledger always starts from 1; the horizon is
+    finite and >= 0, an explicit dt finite and > 0, and samples a whole
+    number >= 1.  Any other raises ValueError naming it.
     The step must satisfy dt <= 0.05 / max rate, where the rate is taken at
     every substep time the integrator uses.  By default dt is chosen a
     factor ~2.5 finer, so the norm ledger closes to 1e-6 over long runs; if
@@ -575,6 +571,12 @@ def evolve(system: LatticeSystem, initial, horizon: float, dt: float = None,
     changes the integrator, its step or its truncation error; results
     differ from stage-by-stage RK4 only by roundoff.
     """
+    if not (np.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and non-negative, got {horizon!r}")
+    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise ValueError(f"samples must be a whole number of at least 1, got {samples!r}")
     dt, t, coef = _grid(system, horizon, dt)
     run = _Run(system, _initial_state(system, initial), t, coef, dt, samples, {})
     run.advance(run.n_steps)
@@ -611,13 +613,32 @@ def _evolve_branches(reference: LatticeSystem, branch: LatticeSystem,
     return ref.record(), run.record()
 
 
+def _controlled(system: LatticeSystem, **controls) -> LatticeSystem:
+    """system's lattice and couplings with the given controls in place of
+    its own; the controls not given are kept."""
+    kept = {name: getattr(system, name)
+            for name in ("coupling_scale", "emitter_detuning", "mirror_detuning")}
+    return LatticeSystem(system.waveguide, system.emitter_g, system.parasitic_g,
+                         system.mirror_g, **{**kept, **controls})
+
+
+def _envelope(t_env, xi_env):
+    """The coupling scale (t_env, xi_env), held at zero outside its support."""
+    return lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0)
+
+
+def _mirror_open(t_on, t_off):
+    """The mirror detuning: resonant on [t_on, t_off], far detuned outside."""
+    return lambda t: np.where((t_on <= t) & (t <= t_off), 0.0, FAR_DETUNED)
+
+
 def emit_shaped(system_or_spec, t_env, xi_env, horizon=None,
-                emitter_g=None, parasitic_g=0.0) -> OutputRecord:
+                emitter_g=None) -> OutputRecord:
     """Drive the emitter with a shaped coupling envelope and collect the pulse.
 
-    Accepts a full LatticeSystem, or a WaveguideSpec plus the peak coupling
-    `emitter_g`; the envelope (t_env, xi_env) comes from flux-control and is
-    interpolated with zero hold outside its support.
+    Accepts a full LatticeSystem, whose other controls are kept, or a
+    WaveguideSpec plus the peak coupling `emitter_g`; the envelope (t_env,
+    xi_env) comes from flux-control, held at zero outside its support.
     """
     t_env = np.asarray(t_env, dtype=float)
     xi_env = np.asarray(xi_env, dtype=float)
@@ -625,19 +646,9 @@ def emit_shaped(system_or_spec, t_env, xi_env, horizon=None,
         raise ValueError("coupling envelope exceeds unity")
     if np.any(xi_env < 0.0):
         raise ValueError("coupling envelope must be non-negative")
-
-    def scale(t):
-        return np.interp(t, t_env, xi_env, left=0.0, right=0.0)
-
-    if isinstance(system_or_spec, LatticeSystem):
-        base = system_or_spec
-        system = LatticeSystem(
-            base.waveguide, base.emitter_g, base.parasitic_g, base.mirror_g,
-            coupling_scale=scale, emitter_detuning=base.emitter_detuning,
-            mirror_detuning=base.mirror_detuning)
-    else:
-        system = LatticeSystem(system_or_spec, emitter_g, parasitic_g,
-                               coupling_scale=scale)
+    base = system_or_spec if isinstance(system_or_spec, LatticeSystem) \
+        else LatticeSystem(system_or_spec, emitter_g)
+    system = _controlled(base, coupling_scale=_envelope(t_env, xi_env))
     if horizon is None:
         horizon = t_env[-1] + 3.0 * system.waveguide.n_cells / system.waveguide.hop_j
     return evolve(system, "emitter", horizon)
@@ -651,18 +662,10 @@ def mirror_scatter(system: LatticeSystem, t_env, xi_env, window,
     transmitted energy fraction is energy_between(t_on, t_off) over the
     total emitted energy of the returned record.
     """
-    t_on, t_off = window
-
-    def mirror_detuning(t):
-        return np.where((t_on <= t) & (t <= t_off), 0.0, FAR_DETUNED)
-
-    gated = LatticeSystem(
-        system.waveguide, system.emitter_g, system.parasitic_g,
-        system.mirror_g, emitter_detuning=system.emitter_detuning,
-        mirror_detuning=mirror_detuning)
+    gated = _controlled(system, mirror_detuning=_mirror_open(*window))
     if horizon is None:
         round_trip = system.waveguide.n_cells / system.waveguide.hop_j
-        horizon = t_off + 2.5 * round_trip
+        horizon = window[1] + 2.5 * round_trip
     return emit_shaped(gated, t_env, xi_env, horizon=horizon)
 
 
@@ -671,37 +674,32 @@ def transmitted_fraction(record: OutputRecord, window) -> float:
 
 
 def _cz_system(system: LatticeSystem, emitter_state: str, t_env, xi_env,
-               cz_window, cz_scale, cz_detuning, mirror_window) -> LatticeSystem:
+               cz_window, cz_detuning, mirror_window) -> LatticeSystem:
+    envelope = _envelope(t_env, xi_env)
+
     def in_cz(t):
         return (emitter_state == "e") & (cz_window[0] <= t) & (t <= cz_window[1])
 
     def scale(t):
-        return np.where(in_cz(t), cz_scale,
-                        np.interp(t, t_env, xi_env, left=0.0, right=0.0))
+        return np.where(in_cz(t), 1.0, envelope(t))
 
     def emitter_detuning(t):
         return np.where(in_cz(t), cz_detuning, 0.0)
 
-    def mirror_detuning(t):
-        return np.where((mirror_window[0] <= t) & (t <= mirror_window[1]),
-                        0.0, FAR_DETUNED)
-
-    return LatticeSystem(
-        system.waveguide, system.emitter_g, system.parasitic_g,
-        system.mirror_g, coupling_scale=scale,
-        emitter_detuning=emitter_detuning, mirror_detuning=mirror_detuning)
+    return _controlled(system, coupling_scale=scale, emitter_detuning=emitter_detuning,
+                       mirror_detuning=_mirror_open(*mirror_window))
 
 
 def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
-             cz_window=None, cz_scale=1.0, cz_detuning=0.0,
-             mirror_window=None, exit_window=None):
+             cz_window=None, cz_detuning=0.0, mirror_window=None,
+             exit_window=None):
     """Conditional reflection of a photon bouncing off the emitter.
 
     Full sequence: the shaped envelope (t_env, xi_env) emits the photon,
     the mirror (resonant inside mirror_window) sends it back, and during
-    cz_window the emitter coupling is re-opened as a square pulse of height
-    cz_scale -- only when `emitter_state` is 'e', since in 'g' the
-    returning photon finds no matching transition.
+    cz_window the emitter coupling is re-opened to its full emitter_g as a
+    square pulse, detuned by cz_detuning -- only when `emitter_state` is
+    'e', since in 'g' the returning photon finds no matching transition.
 
     Returns (overlap, record).  The overlap is mode-matched against the 'g'
     reference branch over the exit window of the main reflected pulse (the
@@ -735,8 +733,8 @@ def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
         exit_window = (center + 0.9 * round_trip, center + 1.7 * round_trip)
 
     def branch(state):
-        return _cz_system(system, state, t_env, xi_env, cz_window, cz_scale,
-                          cz_detuning, mirror_window)
+        return _cz_system(system, state, t_env, xi_env, cz_window, cz_detuning,
+                          mirror_window)
 
     horizon = center + 2.6 * round_trip
     if emitter_state == "g":
@@ -841,23 +839,22 @@ def taper_echo_train(spec: WaveguideSpec, n_echoes: int = 3):
     return times, energies
 
 
-def end_reflection(spec: WaveguideSpec, omega, coupling: float,
-                   qubit_detuning: float = 0.0) -> complex:
-    """Reflection off the emitter end of the chain with a coupled qubit.
+def end_reflection(spec: WaveguideSpec, omega, coupling: float) -> complex:
+    """Reflection off the emitter end of the chain with a coupled qubit
+    resonant with the passband center.
 
-    With the qubit decoupled the bare end reflects with -1; a resonant
+    With the qubit decoupled the bare end reflects with -1; the resonant
     qubit adds a 2k winding, which at band center is the pi of the
-    conditional gate.  qubit_detuning is relative to the passband center.
+    conditional gate.
     """
     k = wavenumber(spec, omega)
     e = omega - spec.center
     j = spec.hop_j
     if coupling == 0.0:
         b1 = e
+    elif e == 0.0:
+        return -np.exp(2j * k)
     else:
-        denom = e - qubit_detuning
-        if denom == 0.0:
-            return -np.exp(2j * k)
-        b1 = e - coupling ** 2 / denom
+        b1 = e - coupling ** 2 / e
     phase = np.exp(1j * k)
     return np.exp(2j * k) * (b1 - j * phase) / (j / phase - b1)

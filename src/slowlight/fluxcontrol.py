@@ -74,13 +74,6 @@ class TransmonSpec:
     def omega_ef(self, phi):
         return self.omega_ge(phi) + self.eta
 
-    def transition_curve(self, transition: str):
-        if transition == "ge":
-            return self.omega_ge
-        if transition == "ef":
-            return self.omega_ef
-        raise ValueError(f"unknown transition {transition!r}")
-
 
 @dataclass(frozen=True)
 class FluxTone:
@@ -92,6 +85,11 @@ class FluxTone:
     phi_dc: float = 0.0
 
     def __post_init__(self):
+        # NaN fails no comparison below, so finiteness is checked first
+        for label in ("phi_bias", "phi_ac", "omega_mod", "phi_dc"):
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise ValueError(f"flux.{label} must be finite, got {value!r}")
         if self.phi_ac < 0.0:
             raise ValueError("flux.phi_ac must be non-negative")
         if self.omega_mod <= 0.0:
@@ -109,9 +107,7 @@ class SidebandSpectrum:
 
     orders: np.ndarray
     amplitudes: np.ndarray
-    mean_frequency: float
     dc_shift: float
-    omega_mod: float
 
     @property
     def emission_amplitude(self) -> complex:
@@ -125,17 +121,11 @@ class SidebandSpectrum:
         return complex(self.amplitudes[idx[0]])
 
 
-def _as_curve(spec_or_curve, transition):
-    if callable(spec_or_curve):
-        return spec_or_curve
-    return spec_or_curve.transition_curve(transition)
-
-
-def sideband_spectrum(spec, tone: FluxTone, transition="ef",
-                      samples_per_period=64) -> SidebandSpectrum:
+def sideband_spectrum(spec, tone: FluxTone, samples_per_period=64) -> SidebandSpectrum:
     """Decompose exp(-i phase(t)) of the modulated transition into sidebands.
 
-    `spec` is a TransmonSpec or a bare callable flux -> angular frequency.
+    `spec` is a TransmonSpec, whose e-f transition is modulated, or a bare
+    callable flux -> angular frequency.
     The drive is sampled over one modulation period.  With the mean frequency
     removed the phase factor is exactly periodic, so its one-period DFT holds
     every sideband (a longer record would only repeat it), and the sideband
@@ -143,7 +133,7 @@ def sideband_spectrum(spec, tone: FluxTone, transition="ef",
     """
     if samples_per_period < 8:
         raise ValueError("need >= 8 samples per period")
-    curve = _as_curve(spec, transition)
+    curve = spec if callable(spec) else spec.omega_ef
     dt = TWO_PI / tone.omega_mod / samples_per_period
     t = np.arange(samples_per_period + 1) * dt
     # integrate relative to the static point to keep the phase small
@@ -157,13 +147,8 @@ def sideband_spectrum(spec, tone: FluxTone, transition="ef",
     spect = np.fft.fft(v) / samples_per_period
     orders = np.arange(-(samples_per_period // 2), samples_per_period // 2)
     amps = spect[orders % samples_per_period]
-    return SidebandSpectrum(
-        orders=orders,
-        amplitudes=amps,
-        mean_frequency=w_mean,
-        dc_shift=w_mean - float(curve(tone.phi_bias)),
-        omega_mod=tone.omega_mod,
-    )
+    return SidebandSpectrum(orders=orders, amplitudes=amps,
+                            dc_shift=w_mean - float(curve(tone.phi_bias)))
 
 
 def _cycle_mean(curve, phi_bias, phi_dc, phi_ac, samples=512):
@@ -228,9 +213,6 @@ class AmplitudeTable:
     read-only after construction, so it is safe to share across threads.
     """
 
-    phi_bias: float
-    omega_mod: float
-    transition: str
     phi_ac: np.ndarray
     xi_abs: np.ndarray
     phi_dc: np.ndarray
@@ -255,9 +237,9 @@ class AmplitudeTable:
 
 @lru_cache(maxsize=16)
 def build_amplitude_table(spec: TransmonSpec, phi_bias: float,
-                          omega_mod: float, transition: str = "ef",
-                          points: int = 512) -> AmplitudeTable:
-    """Tabulate |xi_+1| vs Phi_AC with per-amplitude DC correction.
+                          omega_mod: float, points: int = 512) -> AmplitudeTable:
+    """Tabulate |xi_+1| of the e-f transition vs Phi_AC with per-amplitude
+    DC correction.
 
     Amplitudes rise along a fixed grid, each with its DC offset solved
     from the last one's.  The scan stops at the first amplitude whose DC
@@ -265,9 +247,14 @@ def build_amplitude_table(spec: TransmonSpec, phi_bias: float,
     before, so the table ends at the first local maximum of |xi_+1| and no
     amplitude past the one that stopped it is solved.  Points equal to
     their predecessor are dropped, so the stored map is strictly monotone
-    and invertible by linear interpolation.
+    and invertible by linear interpolation.  A working point that is not
+    finite raises ValueError naming it.
     """
-    curve = spec.transition_curve(transition)
+    # a NaN bias fails every DC solve and would end the table at |xi| = 0
+    for label, value in (("phi_bias", phi_bias), ("omega_mod", omega_mod)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
+    curve = spec.omega_ef
     target = float(curve(phi_bias))
     cap = 0.5 - abs(phi_bias)
     amps = np.linspace(0.0, cap * 0.999, points)
@@ -282,22 +269,19 @@ def build_amplitude_table(spec: TransmonSpec, phi_bias: float,
             break
         dcs[i] = hint = dc
         tone = FluxTone(phi_bias, amps[i], omega_mod, dc)
-        xi[i] = abs(sideband_spectrum(spec, tone, transition).emission_amplitude)
+        xi[i] = abs(sideband_spectrum(spec, tone).emission_amplitude)
         if xi[i] < xi[i - 1]:
             end = i
             break
     keep = np.concatenate(([True], np.diff(xi[:end]) > 0.0))
-    return AmplitudeTable(
-        phi_bias=phi_bias, omega_mod=omega_mod, transition=transition,
-        phi_ac=amps[:end][keep], xi_abs=xi[:end][keep], phi_dc=dcs[:end][keep])
+    return AmplitudeTable(phi_ac=amps[:end][keep], xi_abs=xi[:end][keep],
+                          phi_dc=dcs[:end][keep])
 
 
 @dataclass(frozen=True)
 class FluxDrive:
     """Sampled two-track flux waveform: fast tone amplitude + slow offset."""
 
-    phi_bias: float
-    omega_mod: float
     t: np.ndarray
     phi_ac: np.ndarray
     phi_dc: np.ndarray
@@ -305,21 +289,23 @@ class FluxDrive:
 
 def drive_from_envelope(spec: TransmonSpec, phi_bias: float, omega_mod: float,
                         t: np.ndarray, xi_target: np.ndarray,
-                        transition: str = "ef", points: int = 512) -> FluxDrive:
-    """Invert a target sideband envelope into the two flux tracks.
+                        points: int = 512) -> FluxDrive:
+    """Invert a target e-f sideband envelope, sampled at times t, into the
+    two flux tracks.
 
     Raises when the envelope asks for more sideband weight than the working
-    point can deliver; the message quotes the attainable maximum.
+    point can deliver; the message quotes the attainable maximum.  A sample
+    or working point that is not finite, or a t whose shape is not
+    xi_target's, raises ValueError naming it.
     """
+    t = np.asarray(t, dtype=float)
     xi_target = np.asarray(xi_target, dtype=float)
-    if not np.isfinite(xi_target).all():
-        raise ValueError(f"xi_target is not finite: {np.count_nonzero(~np.isfinite(xi_target))} "
-                         f"of {xi_target.size} samples are NaN or infinite")
-    table = build_amplitude_table(spec, phi_bias, omega_mod, transition, points)
-    return FluxDrive(
-        phi_bias=phi_bias,
-        omega_mod=omega_mod,
-        t=np.asarray(t, dtype=float),
-        phi_ac=table.amplitude_for(xi_target),
-        phi_dc=table.dc_for(xi_target),
-    )
+    for label, samples in (("t", t), ("xi_target", xi_target)):
+        if not np.isfinite(samples).all():
+            raise ValueError(f"{label} is not finite: {np.count_nonzero(~np.isfinite(samples))} "
+                             f"of {samples.size} samples are NaN or infinite")
+    if t.shape != xi_target.shape:
+        raise ValueError(f"t has shape {t.shape}, not xi_target's {xi_target.shape}")
+    table = build_amplitude_table(spec, phi_bias, omega_mod, points)
+    return FluxDrive(t=t, phi_ac=table.amplitude_for(xi_target),
+                     phi_dc=table.dc_for(xi_target))

@@ -105,10 +105,18 @@ def phase_structure(tau, f_min: float = DEFAULT_F_MIN,
     The one-sided spectrum 1 / (f ln(f_max / f_min)) gives
     D(tau) = tau^2 [F(pi f_max tau) - F(pi f_min tau)] / ln(f_max / f_min)
     with F(x) = Ci(2x) - sin^2(x) / (2x^2) - sin(2x) / (2x), whose
-    derivative is sin^2(x) / x^3; D(0) = 0.
+    derivative is sin^2(x) / x^3; D(0) = 0.  The band must be finite with
+    0 < f_min < f_max.
     """
     from scipy.special import sici
 
+    # NaN fails every comparison, so finiteness is checked first
+    for label, value in (("f_min", f_min), ("f_max", f_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
+    if not 0.0 < f_min < f_max:
+        raise ValueError(f"the band needs 0 < f_min < f_max, got f_min={f_min!r} "
+                         f"and f_max={f_max!r}")
     tau = qops.require_finite(np.asarray(tau, dtype=float), "tau")
     if np.any(tau < 0.0):
         raise ValueError("delays must be non-negative")
@@ -139,19 +147,17 @@ def echo_envelope(spec: OneOverFSpec, delays) -> np.ndarray:
 
 
 def calibrate_dephasing(t2_target: float = DEFAULT_T2_STAR,
-                        f_min: float = DEFAULT_F_MIN,
-                        f_max: float = DEFAULT_F_MAX,
                         seed: int = 0) -> OneOverFSpec:
-    """The noise whose Ramsey envelope falls to 1/e at t2_target.
+    """The noise on the default band [DEFAULT_F_MIN, DEFAULT_F_MAX] whose
+    Ramsey envelope falls to 1/e at t2_target.
 
     amplitude = sqrt(2 / D(t2_target)).  seed is accepted and unused: the
     calibration is exact and draws nothing.
     """
     if not (math.isfinite(t2_target) and t2_target > 0.0):
         raise ValueError(f"t2_target must be positive and finite, got {t2_target!r}")
-    amplitude = math.sqrt(2.0 / float(phase_structure(t2_target, f_min, f_max)))
-    return OneOverFSpec(amplitude=amplitude, f_min=f_min, f_max=f_max,
-                        calibrated_t2=t2_target)
+    amplitude = math.sqrt(2.0 / float(phase_structure(t2_target)))
+    return OneOverFSpec(amplitude=amplitude, calibrated_t2=t2_target)
 
 
 def _step_covariance(steps, noise: OneOverFSpec) -> np.ndarray:
@@ -241,7 +247,8 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
                    cz_gates: int | None = None) -> protocol.DensityMatrix:
     """Loss on fed-back photons, then the lumped control depolarizer.
 
-    cz_gates defaults to one gate per fed-back photon listed.
+    cz_gates defaults to one gate per fed-back photon listed; it must be a
+    whole number >= 0 that keeps the depolarizing weight within 1.
     """
     mat = protocol._state_matrix(rho)
     n = protocol._photon_count(mat.shape[0])
@@ -252,7 +259,12 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
         mat = apply_kraus_single(mat, amplitude_damping_kraus(stack.loss), photon, n)
     if cz_gates is None:
         cz_gates = len(fed)
+    elif not (isinstance(cz_gates, (int, np.integer)) and cz_gates >= 0):
+        raise ValueError(f"cz_gates must be a finite, non-negative whole number, got {cz_gates!r}")
     p = stack.thermal_pop + stack.residual_f + stack.cz_depol * cz_gates
+    if p > 1.0:
+        raise ValueError(f"depolarizing weight thermal_pop + residual_f + cz_depol * "
+                         f"cz_gates = {p:.6g} exceeds 1")
     if p > 0.0:
         mat = (1.0 - p) * mat + p * np.eye(mat.shape[0], dtype=complex) / mat.shape[0]
     return protocol.DensityMatrix(0.5 * (mat + mat.conj().T))

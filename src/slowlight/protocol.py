@@ -78,7 +78,6 @@ class ProtocolStep:
     angle: float = 0.0
     axis_phase: float = 0.0
     photon: int | None = None
-    envelope: str | None = None
     action: str | None = None
     duration: float = 0.0
 
@@ -97,16 +96,14 @@ def rotation(transition: str, angle: float, axis_phase: float = 0.0,
                         axis_phase=float(axis_phase), duration=duration)
 
 
-def emit(photon: int, envelope: str | None = None, duration: float | None = None) -> ProtocolStep:
-    """Emission window; photon 1 defaults to the slow high-fidelity pulse
-    class and later photons to the fast 30 ns bins."""
+def emit(photon: int, duration: float | None = None) -> ProtocolStep:
+    """Emission window; photon 1 defaults to the slow high-fidelity
+    135 ns window and later photons to the fast 30 ns bins."""
     if photon < 1:
         raise ValueError("photon indices start at 1")
-    if envelope is None:
-        envelope = "erf50" if photon == 1 else "erf15"
     if duration is None:
         duration = EMIT_SLOW if photon == 1 else EMIT_FAST
-    return ProtocolStep("emit", photon=int(photon), envelope=envelope, duration=duration)
+    return ProtocolStep("emit", photon=int(photon), duration=duration)
 
 
 def cz_feedback(photon: int, duration: float = SCATTER_TIME) -> ProtocolStep:
@@ -168,17 +165,17 @@ class PureState:
             raise ValueError("states have different photon counts")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def photons(self, tol: float = 1e-9) -> np.ndarray:
-        """Photon register amplitudes; the emitter must sit in |g>."""
+    def photons(self) -> np.ndarray:
+        """Photon register amplitudes; the emitter must sit in |g> (to _AMP_TOL)."""
         stray = float(np.linalg.norm(self.amplitudes[1:]))
-        if stray > tol:
+        if stray > _AMP_TOL:
             raise ValueError(
                 f"emitter left with {stray:.3e} amplitude outside |g>; "
                 "the schedule is missing its disentangling pulses")
         return self.amplitudes[0].reshape(-1).copy()
 
-    def photon_density(self, tol: float = 1e-9) -> "DensityMatrix":
-        return DensityMatrix.from_pure(self.photons(tol=tol))
+    def photon_density(self) -> "DensityMatrix":
+        return DensityMatrix.from_pure(self.photons())
 
 
 class DensityMatrix:

@@ -583,7 +583,7 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     variance of one product of one factor per mode, so the variances are
     those of the deconvolved products the means average.  gain maps 1-based
     heterodyne mode indices to the power correction from
-    bandwidth_gain_split.
+    bandwidth_gain_split; a gain that is not finite and positive raises.
 
     The products are summed over real factor rows: [1, x, y, |S|^2 - d] per
     heterodyne mode (S = x + iy) and [1, outcome] per qubit mode, and for the
@@ -608,6 +608,9 @@ def estimate_moments(batch: ShotBatch, dark: ShotBatch,
     stray = sorted(set(gain) - set(het))
     if stray:
         raise ValueError(f"gain given for mode(s) {stray}, outside the heterodyne modes {het}")
+    bad = {mode: g for mode, g in gain.items() if not (math.isfinite(g) and g > 0.0)}
+    if bad:
+        raise ValueError(f"gain must be finite and positive, got {bad} by mode")
     if batch.count < 1:
         raise ValueError("shot batch holds no shots; every mean needs at least one")
     dark_power = dark_noise_power(dark) + 1.0

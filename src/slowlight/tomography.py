@@ -548,9 +548,12 @@ def simulate_process_measurements(chi: np.ndarray, model: PrepModel | None = Non
 
     Returns (means, variances) with shape (16, 15).  Gaussian noise of the
     given scale is added independently to real and imaginary parts, and the
-    reported variance is the matching complex variance.
+    reported variance is the matching complex variance.  A noise scale that
+    is not finite and non-negative raises ValueError.
     """
     chi = qops.require_finite(np.asarray(chi, dtype=complex), "chi")
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise!r}")
     design = _process_design(model)
     means = design @ chi.reshape(-1)
     if noise > 0.0:

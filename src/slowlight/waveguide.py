@@ -1,8 +1,8 @@
 """Coupled-resonator slow-light waveguide: dispersion, delay and decay rates.
 
 All frequencies are stored internally as angular frequencies (rad/s).
-Constructors and accessors that talk to the outside world use Hz and carry an
-explicit ``_hz`` suffix, always meaning the quantity divided by 2*pi.
+Arguments given in Hz carry an explicit ``_hz`` suffix, always meaning the
+quantity divided by 2*pi.
 """
 
 from __future__ import annotations
@@ -87,22 +87,9 @@ class WaveguideSpec:
         )
 
     @property
-    def hop_j_hz(self) -> float:
-        return self.hop_j / TWO_PI
-
-    @property
-    def center_hz(self) -> float:
-        return self.center / TWO_PI
-
-    @property
     def band_edges(self):
         """(lower, upper) passband edges in rad/s."""
         return (self.center - 2.0 * self.hop_j, self.center + 2.0 * self.hop_j)
-
-    @property
-    def bandwidth(self) -> float:
-        """Full passband width 4 J (rad/s)."""
-        return 4.0 * self.hop_j
 
 
 def dispersion(spec: WaveguideSpec, k) -> np.ndarray:

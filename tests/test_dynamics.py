@@ -212,18 +212,18 @@ def test_non_finite_couplings_are_refused(name, value):
 
 
 @pytest.mark.parametrize("initial, message", [
-    (-1, "outside 0..53"),
-    (54, "outside 0..53"),
+    (2, r"shape \(\), not \(54,\)"),
+    (2.5, r"shape \(\), not \(54,\)"),
     (np.zeros(53), r"shape \(53,\), not \(54,\)"),
     (2.0 * np.eye(54)[0], "norm 2 is not 1"),
     ((1.0 + 1e-11) * np.eye(54)[0], "is not 1"),
-    ("cavity", "'emitter' or 'mirror'"),
+    ("cavity", "'emitter' or a state vector"),
 ])
 def test_evolve_rejects_a_bad_initial_state(initial, message):
-    """A negative site would start in the mirror site through Python's
-    wraparound, and a vector off unit norm would leave the ledger short of
-    1; both raise, as do a site past the end and a vector of the wrong
-    length."""
+    """A vector off unit norm would leave the ledger short of 1, so it
+    raises, as do a vector of the wrong length, a name other than 'emitter'
+    and a number, which is a vector of the wrong shape (2.5 once started
+    from site 2 without an error)."""
     system = LatticeSystem(SPEC, G_UC)
     assert system.dim == 54
     with pytest.raises(ValueError, match=message):
@@ -266,7 +266,7 @@ def _oracle(system, initial, horizon, dt, samples=2000):
 
     psi = np.zeros(system.dim, dtype=complex)
     if isinstance(initial, str):
-        psi[{"emitter": system.i_emitter, "mirror": system.i_mirror}[initial]] = 1.0
+        psi[system.i_emitter] = 1.0
     else:
         psi[:] = initial
     n_steps = int(np.ceil(horizon / dt))

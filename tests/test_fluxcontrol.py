@@ -117,7 +117,7 @@ def test_working_point_reaches_design_weight():
 def _full_scan_table(spec, bias, omega_mod, points):
     """The table as a scan over every amplitude until a DC solve fails, cut
     at the largest |xi_+1|: the scan build_amplitude_table stops early."""
-    curve = spec.transition_curve("ef")
+    curve = spec.omega_ef
     target = float(curve(bias))
     amps = np.linspace(0.0, (0.5 - abs(bias)) * 0.999, points)
     dcs = np.zeros_like(amps)
@@ -131,7 +131,7 @@ def _full_scan_table(spec, bias, omega_mod, points):
             break
         dcs[i] = hint = dc
         tone = FluxTone(bias, amps[i], omega_mod, dc)
-        xi[i] = abs(sideband_spectrum(spec, tone, "ef").emission_amplitude)
+        xi[i] = abs(sideband_spectrum(spec, tone).emission_amplitude)
     end = min(end, int(np.argmax(xi[:end])) + 1)
     keep = np.concatenate(([True], np.diff(xi[:end]) > 0.0))
     return amps[:end][keep], xi[:end][keep], dcs[:end][keep]
@@ -166,7 +166,7 @@ def test_amplitude_table_ends_at_the_first_of_two_peaks(monkeypatch):
     largest value kept the dip's rising side out of order."""
     first, second = 0.05, 0.12
 
-    def two_peaks(spec, tone, transition="ef"):
+    def two_peaks(spec, tone):
         a = tone.phi_ac
         xi = 0.4 * np.exp(-((a - first) / 0.02) ** 2) \
             + 0.6 * np.exp(-((a - second) / 0.02) ** 2)
@@ -175,7 +175,7 @@ def test_amplitude_table_ends_at_the_first_of_two_peaks(monkeypatch):
     spec = TransmonSpec.emitter()
     bias = emitter_bias()
     monkeypatch.setattr(fluxcontrol, "sideband_spectrum", two_peaks)
-    table = build_amplitude_table.__wrapped__(spec, bias, W_MOD, "ef", 256)
+    table = build_amplitude_table.__wrapped__(spec, bias, W_MOD, 256)
     assert np.all(np.diff(table.xi_abs) > 0.0)
     step = (0.5 - abs(bias)) * 0.999 / 255
     assert first - step <= table.phi_ac[-1] <= first + step

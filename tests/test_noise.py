@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from slowlight import fluxcontrol, noise, protocol, qops, tomography
+from slowlight import dynamics, fluxcontrol, noise, protocol, qops, shots, tomography, waveguide
 
 T2_STAR = noise.DEFAULT_T2_STAR
 
@@ -319,18 +319,45 @@ def test_spec_rejects_non_finite_fields(field, value):
 
 
 ENVELOPE = {"t_r": 15e-9, "delta": 0.33, "xi_max": 0.22, "window": 140e-9, "dt": 1e-9}
+TONE = {"phi_bias": 0.2, "phi_ac": 0.05, "omega_mod": 2.0 * math.pi * 300e6, "phi_dc": 0.0}
+DRIVE = {"spec": fluxcontrol.TransmonSpec.emitter(), "phi_bias": 0.2,
+         "omega_mod": 2.0 * math.pi * 450e6, "t": np.arange(3) * 1e-9,
+         "xi_target": np.array([0.0, 0.05, 0.1])}
+LATTICE = dynamics.LatticeSystem(waveguide.WaveguideSpec.device(), 2.0 * math.pi * 50e6)
+# a one-mode heterodyne batch and its dark batch
+SHOTS = shots.ShotBatch(np.full((8, 1), 1.0 + 1.0j), ("",))
+DARK = shots.ShotBatch(np.full((8, 1), 0.5j), ("",), dark=True)
+CLUSTER2 = protocol.target_state("cluster2").photon_density()
+
+
+def _drive(**bad):
+    return fluxcontrol.drive_from_envelope(**{**DRIVE, **bad})
+
+
 # entry -> (the argument its error must name, a call with that argument bad)
 NON_FINITE_ENTRIES = {
     "phase_structure": ("tau", lambda bad: noise.phase_structure([1e-6, bad])),
+    **{f"phase_structure.{label}": (label, lambda bad, label=label: noise.phase_structure(
+        [1e-6], **{label: bad})) for label in ("f_min", "f_max")},
     "amplitude_damping_kraus": ("loss", noise.amplitude_damping_kraus),
     "loss_only_fidelity": ("loss", noise.loss_only_fidelity),
+    "apply_channels.cz_gates": ("cz_gates", lambda bad: noise.apply_channels(
+        CLUSTER2, noise.ChannelStack(), (1,), bad)),
     **{f"erf_envelope.{label}": (label, lambda bad, label=label: fluxcontrol.erf_envelope(
         **{**ENVELOPE, label: bad})) for label in ENVELOPE},
-    "drive_from_envelope": ("xi_target", lambda bad: fluxcontrol.drive_from_envelope(
-        fluxcontrol.TransmonSpec.emitter(), 0.2, 2.0 * math.pi * 450e6,
-        np.arange(3) * 1e-9, np.array([0.0, bad, 0.1]))),
+    **{f"FluxTone.{label}": (label, lambda bad, label=label: fluxcontrol.FluxTone(
+        **{**TONE, label: bad})) for label in TONE},
+    "drive_from_envelope": ("xi_target", lambda bad: _drive(xi_target=np.array([0.0, bad, 0.1]))),
+    **{f"drive_from_envelope.{label}": (label, lambda bad, label=label: _drive(**{label: bad}))
+       for label in ("phi_bias", "omega_mod")},
+    "drive_from_envelope.t": ("t", lambda bad: _drive(t=np.array([0.0, bad, 2e-9]))),
+    "estimate_moments.gain": ("gain", lambda bad: shots.estimate_moments(SHOTS, DARK, {1: bad})),
     "simulate_process_measurements": ("chi", lambda bad: tomography.simulate_process_measurements(
         np.full((16, 16), bad, dtype=complex))),
+    "simulate_process_measurements.noise": ("noise", lambda bad: (
+        tomography.simulate_process_measurements(tomography.ideal_cz_chi(), noise=bad))),
+    "evolve.horizon": ("horizon", lambda bad: dynamics.evolve(LATTICE, "emitter", bad)),
+    "evolve.dt": ("dt", lambda bad: dynamics.evolve(LATTICE, "emitter", 1e-9, dt=bad)),
 }
 
 
@@ -338,10 +365,11 @@ NON_FINITE_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
 def test_entry_points_refuse_non_finite_inputs_by_name(entry, bad):
     """A NaN or infinite input is refused with a ValueError that names the
-    argument, instead of passing through as NaN samples, NaN Kraus
-    operators or NaN means."""
+    argument and says it is not finite, instead of passing through as NaN
+    samples, NaN Kraus operators or NaN means, or being refused as out of
+    range."""
     name, call = NON_FINITE_ENTRIES[entry]
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*\bfinite\b"):
         call(bad)
 
 
@@ -350,3 +378,45 @@ def test_entry_points_refuse_non_finite_inputs_by_name(entry, bad):
 def test_a_loss_outside_the_unit_interval_is_refused(entry, loss):
     with pytest.raises(ValueError, match=r"loss must lie in \[0, 1\]"):
         entry(loss)
+
+
+# case -> (the message its error must match, a call with an input out of range)
+OUT_OF_RANGE = {
+    "estimate_moments.gain=0": ("gain must be finite and positive", lambda: (
+        shots.estimate_moments(SHOTS, DARK, {1: 0.0}))),
+    "estimate_moments.gain=-1": ("gain must be finite and positive", lambda: (
+        shots.estimate_moments(SHOTS, DARK, {1: -1.0}))),
+    "apply_channels.cz_gates=-3": ("cz_gates must be a finite, non-negative whole number", lambda: (
+        noise.apply_channels(CLUSTER2, noise.ChannelStack(), (1,), -3))),
+    "apply_channels.cz_gates=1.5": ("cz_gates must be a finite, non-negative whole number", lambda: (
+        noise.apply_channels(CLUSTER2, noise.ChannelStack(), (1,), 1.5))),
+    "apply_channels.cz_gates=200": (r"cz_gates = 2\.02 exceeds 1", lambda: (
+        noise.apply_channels(CLUSTER2, noise.ChannelStack(), (1,), 200))),
+    "phase_structure.f_max<f_min": (r"0 < f_min < f_max", lambda: (
+        noise.phase_structure([1e-6], f_min=50.0, f_max=10.0))),
+    "phase_structure.f_max=f_min": (r"0 < f_min < f_max", lambda: (
+        noise.phase_structure([1e-6], f_min=50.0, f_max=50.0))),
+    "simulate_process_measurements.noise<0": ("noise must be finite and non-negative", lambda: (
+        tomography.simulate_process_measurements(tomography.ideal_cz_chi(), noise=-0.01))),
+    "drive_from_envelope.t short": (r"t has shape \(2,\), not xi_target's \(3,\)", lambda: (
+        _drive(t=np.arange(2) * 1e-9))),
+    "evolve.samples=0": ("samples must be a whole number of at least 1", lambda: (
+        dynamics.evolve(LATTICE, "emitter", 1e-9, samples=0))),
+    "evolve.horizon<0": ("horizon must be finite and non-negative", lambda: (
+        dynamics.evolve(LATTICE, "emitter", -1e-9))),
+    "evolve.dt<0": ("dt must be finite and positive", lambda: (
+        dynamics.evolve(LATTICE, "emitter", 1e-9, dt=-1e-11))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_entry_points_refuse_out_of_range_inputs_by_name(case):
+    """A gain of -1 once raised "math domain error" and one of 0 gave a table
+    of zero S moments; cz_gates -3 skipped the depolarizer and 200 raised
+    "negative eigenvalue"; a band with f_max below f_min gave 1e-12; a
+    negative process noise gave noise-free means; a short t gave tracks of
+    another length than t; and evolve raised ZeroDivisionError or numpy's
+    "negative dimensions" for the rest."""
+    message, call = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=message):
+        call()

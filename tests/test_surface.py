@@ -17,9 +17,9 @@ PACKAGE = ROOT / "src" / "slowlight"
 # reads, with the ROADMAP direction that gives each a consumer or its role
 # for the tests
 UNREAD = {
-    "dynamics.end_reflection",          # closed-form oracle (Direction 13)
-    "dynamics.taper_echo_train",        # closed-form oracle (Direction 13)
-    "dynamics.taper_transmittance",     # closed-form oracle (Direction 13)
+    "dynamics.end_reflection",          # closed-form oracle
+    "dynamics.taper_echo_train",        # closed-form oracle
+    "dynamics.taper_transmittance",     # closed-form oracle
     "dynamics.mirror_scatter",          # Direction 6: run report
     "dynamics.pulse_bandwidth",         # Direction 6: run report
     "dynamics.transmitted_fraction",    # Direction 6: run report
@@ -35,7 +35,7 @@ UNREAD = {
     "protocol.stabilizer_expectations",  # Direction 6: run report
     "protocol.virtual_z_sweep",         # Direction 6: run report
     "protocol.target_graph",            # test oracle: the published targets' graphs
-    "qops.graph_state",                 # closed-form oracle for the targets (Direction 13)
+    "qops.graph_state",                 # closed-form oracle
     "qops.moment_operator",             # test oracle: dense rows of the sparse moment design
     "shots.bandwidth_gain_split",       # test oracle: gain for estimate_moments from two tables
     "shots.two_photon_moment",          # Direction 6: run report
