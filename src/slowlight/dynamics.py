@@ -159,31 +159,22 @@ class OutputRecord:
     flux       : |a_out|^2, photons/s
     populations: per-site |psi|^2 at the sample times, shape (len(t), dim)
     final_state: state vector at the end of the run
+    emitted_energy: photons emitted, accumulated at full step resolution
     dt, steps  : the RK4 step and the number of steps taken
     cached_steps: how many of those steps advanced by the cached step
                  matrix of a constant stretch; the others are varying steps
-    The last three are None on records built by hand.
     """
 
-    def __init__(self, t, a_out, populations, final_state, emitted=None,
-                 dt=None, steps=None, cached_steps=None):
+    def __init__(self, t, a_out, populations, final_state, emitted, dt, steps, cached_steps):
         self.t = t
         self.a_out = a_out
         self.flux = np.abs(a_out) ** 2
         self.populations = populations
         self.final_state = final_state
-        self._emitted = emitted
+        self.emitted_energy = emitted
         self.dt = dt
         self.steps = steps
         self.cached_steps = cached_steps
-
-    @property
-    def emitted_energy(self) -> float:
-        # the solver accumulates at full step resolution; fall back to the
-        # sampled trace for records built by hand
-        if self._emitted is not None:
-            return self._emitted
-        return float(np.trapezoid(self.flux, self.t))
 
     @property
     def remaining_norm(self) -> float:
@@ -810,6 +801,8 @@ def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0):
     finite bandwidth (FWHM of the pulse power spectrum, Hz) averages |t|^2
     over a Gaussian spectral weight about band center.
     """
+    if not (np.isfinite(bandwidth) and bandwidth >= 0.0):
+        raise ValueError(f"bandwidth must be finite and non-negative, got {bandwidth!r}")
     carrier = spec.center
     if bandwidth <= 0.0:
         t_val = 1.0 - abs(taper_reflection(spec, carrier)) ** 2
@@ -832,6 +825,8 @@ def taper_echo_train(spec: WaveguideSpec, n_echoes: int = 3):
     n-th passage exits with energy T * R^n delayed by n round trips, at
     band center.
     """
+    if not (isinstance(n_echoes, (int, np.integer)) and n_echoes >= 0):
+        raise ValueError(f"n_echoes must be a finite, non-negative whole number, got {n_echoes!r}")
     r2 = abs(taper_reflection(spec, spec.center)) ** 2
     t_round = spec.n_cells / spec.hop_j
     times = np.arange(n_echoes + 1) * t_round
@@ -847,6 +842,8 @@ def end_reflection(spec: WaveguideSpec, omega, coupling: float) -> complex:
     qubit adds a 2k winding, which at band center is the pi of the
     conditional gate.
     """
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling!r}")
     k = wavenumber(spec, omega)
     e = omega - spec.center
     j = spec.hop_j

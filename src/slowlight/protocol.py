@@ -390,21 +390,25 @@ def _with_ef_offsets(steps, offsets: dict):
     return steps
 
 
+def _photon_phases(amps, n: int) -> np.ndarray:
+    """Phase of each photon's single-occupation amplitude c_k relative to the
+    vacuum amplitude c_0 of the n-photon amplitudes, 0 unless both
+    magnitudes exceed _AMP_TOL."""
+    thetas = np.zeros(n)
+    c0 = amps[0]
+    if abs(c0) > _AMP_TOL:
+        for k in range(n):
+            ck = amps[1 << (n - 1 - k)]
+            if abs(ck) > _AMP_TOL:
+                thetas[k] = cmath.phase(ck / c0)
+    return thetas
+
+
 def compensation_offsets(name: str) -> np.ndarray:
     """Spurious per-photon Z phases of the bare circuit, read off the
     single-occupation amplitudes relative to the vacuum component."""
     bare = compile_and_run(_bare_circuit(name))
-    vec = bare.photons()
-    n = bare.n_photons
-    c0 = vec[0]
-    thetas = np.zeros(n)
-    if abs(c0) < _AMP_TOL:
-        return thetas
-    for k in range(n):
-        ck = vec[1 << (n - 1 - k)]
-        if abs(ck) > _AMP_TOL:
-            thetas[k] = cmath.phase(ck / c0)
-    return thetas
+    return _photon_phases(bare.photons(), bare.n_photons)
 
 
 def published_circuit(name: str):
@@ -480,11 +484,5 @@ def virtual_z_sweep(steps, phases) -> np.ndarray:
     out = np.zeros((len(phases), n))
     for row, phi in enumerate(phases):
         shifted = _with_ef_offsets(steps, {k: phi for k in range(1, n + 1)})
-        psi = compile_and_run(shifted).amplitudes
-        gblock = psi[0].reshape(-1)
-        c0 = gblock[0]
-        for k in range(n):
-            ck = gblock[1 << (n - 1 - k)]
-            if abs(c0) > _AMP_TOL and abs(ck) > _AMP_TOL:
-                out[row, k] = cmath.phase(ck / c0)
+        out[row] = _photon_phases(compile_and_run(shifted).amplitudes[0].reshape(-1), n)
     return out

@@ -1,19 +1,21 @@
 """Synthetic measurement chain: heterodyne shot records and their moments.
 
 Each shot yields one complex number per photonic mode, S_k = a_k + h_k^dag,
-where h_k is an independent thermal noise mode of occupation n_noise.  Each
-shot draws an eigenvector of the state from its eigenvalue mixture as its own
-conditional state.  Its modes are then drawn one at a time from the exact
-Husimi distribution, each conditioning the state on the drawn amplitude, so
-every sampled moment matches the quantum prediction in expectation, not only
-the n, m <= 1 set the estimator reports.  A draw takes its radius from the
-diagonal mixture and its phase from a uniform / cardioid mixture set by the
-off-diagonal term, both from Gaussian and exponential variates with no
-trigonometric function.  The vacuum unit of h^dag is carried by the Husimi
-kernel; the added Gaussian noise has variance n_noise only, which lands the
-stated convention <S^dag S> = <a^dag a> + n_noise + 1.  The dark
-(vacuum-input) batch is drawn directly: its S is a circular complex Gaussian
-of power d = 1 + n_noise.
+where h_k is an independent thermal noise mode of occupation n_noise, or, for
+a mode read out as a qubit, a +-1 outcome in a chosen Pauli basis (how
+matter-qubit correlators enter joint moment tables).  Each shot draws an
+eigenvector of the state from its eigenvalue mixture as its own conditional
+state, then takes each mode in three steps: reduced-state statistics, a draw,
+and the update that conditions the state on it.  Only the draw depends on
+the readout: a probability-exact projective outcome, or an amplitude from the
+exact Husimi distribution, its radius from the diagonal mixture and its phase
+from a uniform / cardioid mixture set by the off-diagonal term (Gaussian and
+exponential variates, no trigonometric function).  So every sampled moment
+matches the quantum prediction in expectation, not only the n, m <= 1 set the
+estimator reports.  The Husimi kernel carries the vacuum unit of h^dag; the
+added Gaussian noise has variance n_noise only, which lands the stated
+convention <S^dag S> = <a^dag a> + n_noise + 1.  The dark (vacuum-input)
+batch is drawn as a circular complex Gaussian of power d = 1 + n_noise.
 
 estimate_moments sums products of real per-shot factor rows, [1, x, y,
 |S|^2 - d] for S = x + iy, with one real matrix product per block of 2^13
@@ -22,10 +24,6 @@ shots, and maps the sums mode by mode to those of the deconvolved factors
 reports the mean and variance of the products of these deconvolved factors
 in a MomentTable (flat arrays in the product layout of qops.moment_layout,
 as the sums come out, and one shot count).
-
-Selected modes can instead be read out as qubits (probability-exact projective
-outcomes in a chosen Pauli basis), which is how matter-qubit correlators enter
-joint moment tables.
 
 Synthesis runs in chunks of 2^16 shots, each drawn in one vectorised pass from
 its own PCG64 stream, keyed by a SeedSequence spawn key, into its own rows of
@@ -249,19 +247,29 @@ def _husimi_draw(p0, p1, q01, rng):
     return alpha
 
 
+def _qubit_draw(rows, p0, p1, q01, rng):
+    """Outcomes +-1 of a projective read of _husimi_draw's reduced state in the
+    basis whose conjugated +1 and -1 eigenvectors are the rows, and the drawn
+    rows (c0, c1); row (r0, r1) has weight |r0|^2 p0 + |r1|^2 p1 + 2 Re(r0* r1 q01*)."""
+    plus, minus = (abs(r0) ** 2 * p0 + abs(r1) ** 2 * p1
+                   + 2.0 * (r0.conjugate() * r1 * q01.conj()).real for r0, r1 in rows)
+    pick = np.where(rng.random(len(p0)) * (plus + minus) < plus, 0, 1)
+    return 1 - 2 * pick, rows.T[:, pick]
+
+
 def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state):
     """Fill one chunk of shots in one pass over the modes.
 
     Each shot draws its mixture label, starts from that eigenvector and is
-    conditioned mode by mode, in place, on its own outcomes; the conditional
-    amplitudes stay unnormalised, as every draw uses only their ratios.  They
-    are held as (amplitudes, shots), so every step is a whole-row array
-    operation.  Mode 1's statistics are those of the eigenvectors, taken by
-    label, and each shot's state after it is written into `state` (a flat
-    buffer of at least 2^(n-1) * len(values) amplitudes), where the later
-    modes condition it: v0 + alpha* v1 from the halves of its eigenvector,
-    block by block, for a heterodyne mode 1, and its eigenvector's branch of
-    the drawn outcome for a qubit mode 1.  The thermal noise of every
+    conditioned mode by mode, in place, on its own outcomes; the amplitudes
+    stay unnormalised, as every draw uses only their ratios, and are held as
+    (amplitudes, shots).  Each mode takes its statistics (_mode_stats; for
+    mode 1 the eigenvectors', taken by label), draws from them (_husimi_draw's
+    alpha, with c = (1, alpha*); or _qubit_draw's outcome and row c) and
+    updates the state to c0 v0 + c1 v1 from its |0> and |1> halves,
+    multiplying by c0 only for a qubit mode.  Mode 1 forms it block by block
+    from each shot's eigenvector into `state` (at least 2^(n-1) * len(values)
+    amplitudes); later modes write it over v0.  The thermal noise of every
     heterodyne mode is one float32 fill of the values buffer, to which each
     mode then adds its Husimi amplitude.
     """
@@ -272,54 +280,37 @@ def _sample_chunk(rng, values, outcomes, probs, vecs, bases, n_noise, state):
     noise *= np.float32(math.sqrt(0.5 * n_noise))
     columns = vecs.T
     half = len(columns) // 2
-    i_het = i_qub = 0
+    het_columns, qubit_columns = iter(values.T), iter(outcomes.T)
     for k, basis in enumerate(bases):
-        if basis and k == 0:
-            # (branch, rest, eigenvector) -> (rest, branch * eigenvectors + label)
-            branches = (_BASIS_ROWS[basis] @ columns.reshape(2, -1)).reshape(2, half, -1)
-            p_plus, p_minus = [np.take(x, labels) for x in _mode_stats(branches)[:2]]
-            hit = rng.random(size) * (p_plus + p_minus) < p_plus
-            outcomes[:, i_qub] = np.where(hit, 1, -1)
-            i_qub += 1
-            picks = np.where(hit, labels, labels + len(probs))
-            cond = state[:half * size].reshape(half, size)
-            np.take(branches.transpose(1, 0, 2).reshape(half, -1), picks, axis=1,
-                    out=cond, mode="clip")
-            continue
-        if basis:
-            flat = cond.reshape(2, -1, size)
-            branches = (_BASIS_ROWS[basis] @ cond.reshape(2, -1)).reshape(flat.shape)
-            p_plus, p_minus = _mode_stats(branches)[:2]
-            hit = rng.random(size) * (p_plus + p_minus) < p_plus
-            outcomes[:, i_qub] = np.where(hit, 1, -1)
-            i_qub += 1
-            cond = np.where(hit, branches[0], branches[1])
-            continue
         if k == 0:
-            stats = _mode_stats(columns.reshape(2, -1, len(probs)))
-            stats = [np.take(x, labels) for x in stats]
+            stats = [np.take(x, labels) for x in _mode_stats(columns.reshape(2, -1, len(probs)))]
         else:
             flat = cond.reshape(2, -1, size)
             stats = _mode_stats(flat)
-        alpha = _husimi_draw(*stats, rng)
-        values[:, i_het] += alpha
-        i_het += 1
-        # |0> + alpha* |1> of this mode: after mode 1 written over its |0>
-        # half, for mode 1 formed from the eigenvector halves into state
-        conj = alpha.conj()
+        if basis:
+            next(qubit_columns)[:], (head, tail) = _qubit_draw(_BASIS_ROWS[basis], *stats, rng)
+        else:
+            alpha = _husimi_draw(*stats, rng)
+            next(het_columns)[:] += alpha
+            head, tail = None, alpha.conj()
         if k == 0:
             cond = state[:half * size].reshape(half, size)
             for lo in range(0, size, _STATE_BLOCK):
-                picked = labels[lo:lo + _STATE_BLOCK]
-                tail = np.take(columns[half:], picked, axis=1)
-                tail *= conj[lo:lo + _STATE_BLOCK]
-                np.add(np.take(columns[:half], picked, axis=1), tail,
-                       out=cond[:, lo:lo + _STATE_BLOCK])
+                block = slice(lo, lo + _STATE_BLOCK)
+                v1 = np.take(columns[half:], labels[block], axis=1)
+                v1 *= tail[block]
+                v0 = np.take(columns[:half], labels[block], axis=1)
+                if head is not None:
+                    v0 *= head[block]
+                np.add(v0, v1, out=cond[:, block])
+                del v0, v1  # so no block's temporaries are alive with the next one's
         else:
-            tail = flat[1]
-            tail *= conj
-            cond = flat[0]
-            cond += tail
+            v0, v1 = flat
+            v1 *= tail
+            if head is not None:
+                v0 *= head
+            v0 += v1
+            cond = v0
 
 
 def _dark_chunk(rng, values, outcomes, bases, n_noise):
@@ -705,16 +696,24 @@ def two_photon_moment(batch: ShotBatch, dark: ShotBatch, mode: int = 1) -> float
     Beyond the n, m <= 1 table, but the closed-form deconvolution
     raw<|S|^4> - 4 d <|S|^2> + 2 d^2 (d the raw dark power) is exact because
     the sampler reproduces all Husimi moments; any single-excitation state
-    gives zero.  Both batches are refused as in estimate_moments.
+    gives zero.  Both batches are refused as in estimate_moments, the shot
+    batch first; |S|^2 and |S|^4 are summed as in dark_noise_power.
     """
     if mode not in batch.heterodyne_modes:
         raise ValueError(f"mode {mode} is not one of the heterodyne modes "
                          f"{batch.heterodyne_modes}")
+    if batch.count < 1:
+        raise ValueError("shot batch holds no shots; every mean needs at least one")
     i = batch.heterodyne_modes.index(mode)
-    _check_block("shots", batch, slice(None))
+
+    def sums(rows):
+        parts = np.ascontiguousarray(batch.values[rows, i]).view(np.float32).astype(np.float64)
+        power = np.square(parts).reshape(-1, 2).sum(axis=1)
+        return np.array([power.sum(), np.square(power).sum()])
+
+    power, power2 = _block_sums("shots", batch, _CHUNK, sums) / batch.count
     d = float(dark_noise_power(dark)[i]) + 1.0
-    power = np.abs(batch.values[:, i].astype(complex)) ** 2
-    return float(np.mean(power ** 2) - 4.0 * d * np.mean(power) + 2.0 * d * d)
+    return float(power2 - 4.0 * d * power + 2.0 * d * d)
 
 
 def bandwidth_gain_split(slow: MomentTable, fast: MomentTable,

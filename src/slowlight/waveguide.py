@@ -106,6 +106,9 @@ def dispersion(spec: WaveguideSpec, k) -> np.ndarray:
 def wavenumber(spec: WaveguideSpec, omega) -> np.ndarray:
     """Inverse of ``dispersion`` on the passband interior."""
     omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise ValueError(f"omega is not finite: {np.count_nonzero(~np.isfinite(omega))} "
+                         f"of {omega.size} entries are NaN or infinite")
     x = (omega - spec.center) / (2.0 * spec.hop_j)
     if np.any(np.abs(x) >= 1.0 - 1e-9):
         raise ValueError("frequency must lie strictly inside the passband")
@@ -134,6 +137,10 @@ def gamma_1d(g: float, hop_j: float, geometry: str = "end") -> float:
     geometry "side" (emitter hangs off one cell):  Gamma = g^2 / J.
     All quantities angular; the ratio convention makes the result unit-safe.
     """
+    if not np.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    if not (np.isfinite(hop_j) and hop_j > 0.0):
+        raise ValueError(f"hop_j must be finite and positive, got {hop_j!r}")
     if geometry == "end":
         return 2.0 * g * g / hop_j
     if geometry == "side":

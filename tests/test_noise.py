@@ -323,7 +323,11 @@ TONE = {"phi_bias": 0.2, "phi_ac": 0.05, "omega_mod": 2.0 * math.pi * 300e6, "ph
 DRIVE = {"spec": fluxcontrol.TransmonSpec.emitter(), "phi_bias": 0.2,
          "omega_mod": 2.0 * math.pi * 450e6, "t": np.arange(3) * 1e-9,
          "xi_target": np.array([0.0, 0.05, 0.1])}
-LATTICE = dynamics.LatticeSystem(waveguide.WaveguideSpec.device(), 2.0 * math.pi * 50e6)
+WAVEGUIDE = waveguide.WaveguideSpec.device()
+G = 2.0 * math.pi * 50e6
+LATTICE = dynamics.LatticeSystem(WAVEGUIDE, G)
+# inside the passband and off its center, where end_reflection reads the coupling
+OMEGA = WAVEGUIDE.center + 0.5 * WAVEGUIDE.hop_j
 # a one-mode heterodyne batch and its dark batch
 SHOTS = shots.ShotBatch(np.full((8, 1), 1.0 + 1.0j), ("",))
 DARK = shots.ShotBatch(np.full((8, 1), 0.5j), ("",), dark=True)
@@ -358,6 +362,16 @@ NON_FINITE_ENTRIES = {
         tomography.simulate_process_measurements(tomography.ideal_cz_chi(), noise=bad))),
     "evolve.horizon": ("horizon", lambda bad: dynamics.evolve(LATTICE, "emitter", bad)),
     "evolve.dt": ("dt", lambda bad: dynamics.evolve(LATTICE, "emitter", 1e-9, dt=bad)),
+    "wavenumber": ("omega", lambda bad: waveguide.wavenumber(WAVEGUIDE, bad)),
+    "group_delay_per_cell": ("omega", lambda bad: waveguide.group_delay_per_cell(WAVEGUIDE, bad)),
+    "gamma_1d.g": ("g", lambda bad: waveguide.gamma_1d(bad, WAVEGUIDE.hop_j)),
+    "gamma_1d.hop_j": ("hop_j", lambda bad: waveguide.gamma_1d(G, bad)),
+    "taper_reflection": ("omega", lambda bad: dynamics.taper_reflection(WAVEGUIDE, bad)),
+    "taper_transmittance": ("bandwidth", lambda bad: dynamics.taper_transmittance(WAVEGUIDE, bad)),
+    "taper_echo_train": ("n_echoes", lambda bad: dynamics.taper_echo_train(WAVEGUIDE, bad)),
+    "end_reflection.omega": ("omega", lambda bad: dynamics.end_reflection(WAVEGUIDE, bad, G)),
+    "end_reflection.coupling": ("coupling", lambda bad: (
+        dynamics.end_reflection(WAVEGUIDE, OMEGA, bad))),
 }
 
 
@@ -366,8 +380,9 @@ NON_FINITE_ENTRIES = {
 def test_entry_points_refuse_non_finite_inputs_by_name(entry, bad):
     """A NaN or infinite input is refused with a ValueError that names the
     argument and says it is not finite, instead of passing through as NaN
-    samples, NaN Kraus operators or NaN means, or being refused as out of
-    range."""
+    samples, NaN Kraus operators, NaN means, NaN wavenumbers, rates or
+    reflections, or an infinite bandwidth read as a flat spectrum, or being
+    refused as out of range."""
     name, call = NON_FINITE_ENTRIES[entry]
     with pytest.raises(ValueError, match=rf"\b{name}\b.*\bfinite\b"):
         call(bad)
@@ -406,6 +421,16 @@ OUT_OF_RANGE = {
         dynamics.evolve(LATTICE, "emitter", -1e-9))),
     "evolve.dt<0": ("dt must be finite and positive", lambda: (
         dynamics.evolve(LATTICE, "emitter", 1e-9, dt=-1e-11))),
+    "gamma_1d.hop_j=0": ("hop_j must be finite and positive", lambda: (
+        waveguide.gamma_1d(G, 0.0))),
+    "gamma_1d.hop_j<0": ("hop_j must be finite and positive", lambda: (
+        waveguide.gamma_1d(G, -WAVEGUIDE.hop_j))),
+    "taper_transmittance.bandwidth<0": ("bandwidth must be finite and non-negative", lambda: (
+        dynamics.taper_transmittance(WAVEGUIDE, -1e6))),
+    "taper_echo_train.n_echoes=-1": ("n_echoes must be a finite, non-negative whole number",
+                                     lambda: dynamics.taper_echo_train(WAVEGUIDE, -1)),
+    "taper_echo_train.n_echoes=2.5": ("n_echoes must be a finite, non-negative whole number",
+                                      lambda: dynamics.taper_echo_train(WAVEGUIDE, 2.5)),
 }
 
 
@@ -415,8 +440,10 @@ def test_entry_points_refuse_out_of_range_inputs_by_name(case):
     of zero S moments; cz_gates -3 skipped the depolarizer and 200 raised
     "negative eigenvalue"; a band with f_max below f_min gave 1e-12; a
     negative process noise gave noise-free means; a short t gave tracks of
-    another length than t; and evolve raised ZeroDivisionError or numpy's
-    "negative dimensions" for the rest."""
+    another length than t; evolve raised ZeroDivisionError or numpy's
+    "negative dimensions"; gamma_1d raised ZeroDivisionError at hop_j 0 and
+    gave a negative rate below it; a negative bandwidth read as 0; and
+    taper_echo_train gave no echoes for -1 and four for 2.5."""
     message, call = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=message):
         call()

@@ -519,22 +519,29 @@ def _stream_digest(batches) -> str:
     return digest.hexdigest()
 
 
-# sha256 of the shot and dark streams of a call of three shot chunks and
-# three dark chunks, the last of each partial, as drawn by serial per-chunk
-# synthesis with numpy 2.4
+# layout -> (qubit_bases, sha256 of the shot and dark streams of a call of
+# three shot chunks and three dark chunks, the last of each partial, as drawn
+# by serial per-chunk synthesis with numpy 2.4)
 GOLDEN_STREAMS = {
-    2: ("x", "60b4dfccb6e846ce19868245a086ba29ded0b2818a19da97eda06dbda097afad"),
-    1: ("y", "47b98c40c09ae9d6d5ef363a7935a30dfa57d2acb00a094253779f08756b560a"),
+    "2": ({2: "x"}, "60b4dfccb6e846ce19868245a086ba29ded0b2818a19da97eda06dbda097afad"),
+    "1": ({1: "y"}, "47b98c40c09ae9d6d5ef363a7935a30dfa57d2acb00a094253779f08756b560a"),
+    "1z2x": ({1: "z", 2: "x"},
+             "ce550dfc63fe55b6ad0a58dc3c9b71370fa2eb84514e18660b78f2d9e42dc975"),
+    "2y3z": ({2: "y", 3: "z"},
+             "7ca57d05cada9815ab4d4d1078e2bdc9c8f1bb81b6bdb1d4b15c1ba06749d362"),
+    "1x2y3z": ({1: "x", 2: "y", 3: "z"},
+               "3532962bdbceb3e288d8e34582cbefd65d66513a7a745f8bfba7ebfc7df6fc78"),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_STREAMS))
-def test_shot_streams_match_their_golden_digest(mode):
+@pytest.mark.parametrize("layout", sorted(GOLDEN_STREAMS))
+def test_shot_streams_match_their_golden_digest(layout):
     """A heterodyne-first (mode 2 read in x) and a qubit-first (mode 1 read
-    in y) layout keep every bit of both streams."""
-    basis, golden = GOLDEN_STREAMS[mode]
+    in y) layout, a qubit mode after another qubit mode, and a z read that
+    conditions the later modes keep every bit of both streams."""
+    bases, golden = GOLDEN_STREAMS[layout]
     batches = shots.synthesize_shots(_mixed_three_mode_state(), 0.5, 150_000, seed=23,
-                                     qubit_bases={mode: basis}, dark_count=140_000)
+                                     qubit_bases=bases, dark_count=140_000)
     assert _stream_digest(batches) == golden
 
 
