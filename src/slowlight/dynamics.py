@@ -16,18 +16,19 @@ zero, plus a correction confined to the four sites the controls act on.
 That correction is a 16 x 16 map per step, formed for blocks of steps at
 once, so a varying step costs three small matrix-vector products.
 
-`cz_phase` runs two branches, emitter in 'g' and in 'e', whose controls are
-equal until the CZ window opens.  That shared prefix, which holds the
-emission and nearly all of the varying steps, is stepped once; each
-branch then finishes alone.  Both records equal standalone `evolve` runs
-of the branch systems bit for bit.
+`cz_phase` runs two branches, emitter in 'g' and in 'e', on one step grid
+and with equal controls until the CZ window opens.  That shared prefix,
+which holds the emission and nearly all of the varying steps, is stepped
+once; each branch then finishes alone.  Both records equal standalone
+`evolve` runs of the branch systems bit for bit.  Every delay-line time
+here is a multiple of the band-center round trip `round_trip_delay`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .waveguide import WaveguideSpec, wavenumber
+from .waveguide import WaveguideSpec, round_trip_delay, wavenumber
 
 TWO_PI = 2.0 * np.pi
 
@@ -579,26 +580,28 @@ def _evolve_branches(reference: LatticeSystem, branch: LatticeSystem,
     """evolve(reference, 'emitter', horizon) and evolve(branch, 'emitter',
     horizon), stepping once through the steps the two share.
 
-    When both grids have one dt, the shared steps end at the last sample
-    boundary before the first step whose coefficients differ: up to there
-    both runs cut their steps at the same points, use the same step
-    matrices and give each varying step the same stage map, which depends
-    on that step's coefficients alone.  The branch then takes the
-    reference's state and records and each run finishes alone, so both
-    records equal the standalone runs bit for bit.
+    The shared steps end at the last sample boundary before the first step
+    whose coefficients differ: up to there both runs cut their steps at the
+    same points, use the same step matrices and give each varying step the
+    same stage map, which depends on that step's coefficients alone.  The
+    branch then takes the reference's state and records and each run
+    finishes alone, so both records equal the standalone runs bit for bit.
+    The two runs share one cache of step matrices, which holds for one dt
+    only, so two grids whose dt differ raise ValueError.
     """
     dt, t, coef = _grid(reference, horizon, None)
     ref = _Run(reference, _initial_state(reference, "emitter"), t, coef, dt,
                SAMPLES, {})
     dt_b, t_b, coef_b = _grid(branch, horizon, None)
-    shared = dt_b == dt
-    run = _Run(branch, _initial_state(branch, "emitter"), t_b, coef_b, dt_b,
-               SAMPLES, ref.cache if shared else {})
-    if shared:
-        differ = np.flatnonzero((coef != coef_b).any(axis=(0, 2)))
-        first = int(differ[0]) if len(differ) else ref.n_steps
-        ref.advance((max(first, 1) - 1) // ref.every * ref.every)
-        run.take_prefix(ref)
+    if dt_b != dt:
+        raise ValueError(f"the branches step on different grids, dt = {dt:.6e} s "
+                         f"and {dt_b:.6e} s; they cannot share a prefix")
+    run = _Run(branch, _initial_state(branch, "emitter"), t_b, coef_b, dt,
+               SAMPLES, ref.cache)
+    differ = np.flatnonzero((coef != coef_b).any(axis=(0, 2)))
+    first = int(differ[0]) if len(differ) else ref.n_steps
+    ref.advance((max(first, 1) - 1) // ref.every * ref.every)
+    run.take_prefix(ref)
     ref.advance(ref.n_steps)
     run.advance(run.n_steps)
     return ref.record(), run.record()
@@ -614,7 +617,12 @@ def _controlled(system: LatticeSystem, **controls) -> LatticeSystem:
 
 
 def _envelope(t_env, xi_env):
-    """The coupling scale (t_env, xi_env), held at zero outside its support."""
+    """The coupling scale (t_env, xi_env), held at zero outside its support;
+    an envelope outside [0, 1] raises ValueError."""
+    if np.any(xi_env > 1.0 + 1e-12):
+        raise ValueError("coupling envelope exceeds unity")
+    if np.any(xi_env < 0.0):
+        raise ValueError("coupling envelope must be non-negative")
     return lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0)
 
 
@@ -629,19 +637,16 @@ def emit_shaped(system_or_spec, t_env, xi_env, horizon=None,
 
     Accepts a full LatticeSystem, whose other controls are kept, or a
     WaveguideSpec plus the peak coupling `emitter_g`; the envelope (t_env,
-    xi_env) comes from flux-control, held at zero outside its support.
+    xi_env), in [0, 1], comes from flux-control, held at zero outside its
+    support.
     """
     t_env = np.asarray(t_env, dtype=float)
     xi_env = np.asarray(xi_env, dtype=float)
-    if np.any(xi_env > 1.0 + 1e-12):
-        raise ValueError("coupling envelope exceeds unity")
-    if np.any(xi_env < 0.0):
-        raise ValueError("coupling envelope must be non-negative")
     base = system_or_spec if isinstance(system_or_spec, LatticeSystem) \
         else LatticeSystem(system_or_spec, emitter_g)
     system = _controlled(base, coupling_scale=_envelope(t_env, xi_env))
     if horizon is None:
-        horizon = t_env[-1] + 3.0 * system.waveguide.n_cells / system.waveguide.hop_j
+        horizon = t_env[-1] + 3.0 * round_trip_delay(system.waveguide)
     return evolve(system, "emitter", horizon)
 
 
@@ -655,8 +660,7 @@ def mirror_scatter(system: LatticeSystem, t_env, xi_env, window,
     """
     gated = _controlled(system, mirror_detuning=_mirror_open(*window))
     if horizon is None:
-        round_trip = system.waveguide.n_cells / system.waveguide.hop_j
-        horizon = window[1] + 2.5 * round_trip
+        horizon = window[1] + 2.5 * round_trip_delay(system.waveguide)
     return emit_shaped(gated, t_env, xi_env, horizon=horizon)
 
 
@@ -664,68 +668,59 @@ def transmitted_fraction(record: OutputRecord, window) -> float:
     return record.energy_between(*window) / record.emitted_energy
 
 
-def _cz_system(system: LatticeSystem, emitter_state: str, t_env, xi_env,
-               cz_window, cz_detuning, mirror_window) -> LatticeSystem:
-    envelope = _envelope(t_env, xi_env)
-
-    def in_cz(t):
-        return (emitter_state == "e") & (cz_window[0] <= t) & (t <= cz_window[1])
-
+def _cz_system(system: LatticeSystem, emitter_state: str, envelope, cz_window,
+               mirror_window) -> LatticeSystem:
     def scale(t):
-        return np.where(in_cz(t), 1.0, envelope(t))
+        in_cz = (emitter_state == "e") & (cz_window[0] <= t) & (t <= cz_window[1])
+        return np.where(in_cz, 1.0, envelope(t))
 
-    def emitter_detuning(t):
-        return np.where(in_cz(t), cz_detuning, 0.0)
-
-    return _controlled(system, coupling_scale=scale, emitter_detuning=emitter_detuning,
+    return _controlled(system, coupling_scale=scale,
                        mirror_detuning=_mirror_open(*mirror_window))
 
 
-def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env,
-             cz_window=None, cz_detuning=0.0, mirror_window=None,
-             exit_window=None):
+def cz_phase(system: LatticeSystem, emitter_state: str, t_env, xi_env):
     """Conditional reflection of a photon bouncing off the emitter.
 
-    Full sequence: the shaped envelope (t_env, xi_env) emits the photon,
-    the mirror (resonant inside mirror_window) sends it back, and during
-    cz_window the emitter coupling is re-opened to its full emitter_g as a
-    square pulse, detuned by cz_detuning -- only when `emitter_state` is
-    'e', since in 'g' the returning photon finds no matching transition.
+    Full sequence: the shaped envelope (t_env, xi_env), in [0, 1], emits the
+    photon, the mirror sends it back, and during the CZ window the emitter
+    coupling is re-opened to its full emitter_g as a square pulse -- only
+    when `emitter_state` is 'e', since in 'g' the returning photon finds no
+    matching transition.  The system's emitter detuning is kept.  With c the
+    envelope's power-weighted center and tau = round_trip_delay, the
+    windows are fixed:
+
+      mirror resonant  [0, c + 0.85 tau]: from the start, as the pulse can
+                       be longer than the array, until just before the
+                       reflected front returns to it
+      CZ square pulse  [c + 0.45 tau, c + 1.65 tau]: around the whole
+                       reflection off the emitter
+      exit window      [c + 0.9 tau, c + 1.7 tau]: the main reflected pulse;
+                       the later taper echo is the same in both branches
+      horizon          c + 2.6 tau
 
     Returns (overlap, record).  The overlap is mode-matched against the 'g'
-    reference branch over the exit window of the main reflected pulse (the
-    later taper echo is the same in both branches and is excluded);
-    arg(overlap) is the conditional phase, so 'g' gives exactly 1 and 'e'
-    should give magnitude near one with phase pi.
-
-    Each branch is an evolve() run from the emitter over the same horizon.
-    For 'e' the two branches have equal controls until cz_window opens, and
-    the emission, where nearly all the non-cached steps fall, lies before
-    it: that shared prefix is stepped once and the branches fork at the
-    last sample boundary before their first differing step.  Both records
-    equal those of standalone evolve() runs of the branch systems bit for
-    bit, so the overlap does too.
+    reference branch over the exit window; arg(overlap) is the conditional
+    phase, so 'g' gives exactly 1 and 'e' should give magnitude near one
+    with phase pi.  For 'e' both branches are stepped by _evolve_branches:
+    their controls are equal until the CZ window opens, after the emission
+    that holds nearly all the non-cached steps, so that prefix is stepped
+    once.  Both records, so the overlap too, equal those of standalone
+    evolve() runs of the branch systems bit for bit.
     """
     if emitter_state not in ("g", "e"):
         raise ValueError("emitter_state must be 'g' or 'e'")
-    round_trip = system.waveguide.n_cells / system.waveguide.hop_j
+    round_trip = round_trip_delay(system.waveguide)
     t_env = np.asarray(t_env, dtype=float)
     xi_env = np.asarray(xi_env, dtype=float)
+    envelope = _envelope(t_env, xi_env)
     center = float(np.trapezoid(t_env * xi_env ** 2, t_env)
                    / np.trapezoid(xi_env ** 2, t_env))
-    # the pulse can be longer than the array, so the mirror stays resonant
-    # from the start and opens just before the reflected front returns to
-    # it; the square pulse brackets the whole reflection off the emitter
-    if mirror_window is None:
-        mirror_window = (0.0, center + 0.85 * round_trip)
-    if cz_window is None:
-        cz_window = (center + 0.45 * round_trip, center + 1.65 * round_trip)
-    if exit_window is None:
-        exit_window = (center + 0.9 * round_trip, center + 1.7 * round_trip)
+    mirror_window = (0.0, center + 0.85 * round_trip)
+    cz_window = (center + 0.45 * round_trip, center + 1.65 * round_trip)
+    exit_window = (center + 0.9 * round_trip, center + 1.7 * round_trip)
 
     def branch(state):
-        return _cz_system(system, state, t_env, xi_env, cz_window, cz_detuning,
-                          mirror_window)
+        return _cz_system(system, state, envelope, cz_window, mirror_window)
 
     horizon = center + 2.6 * round_trip
     if emitter_state == "g":
@@ -799,7 +794,8 @@ def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0):
 
     bandwidth = 0 gives the steady-state plane-wave value at band center.  A
     finite bandwidth (FWHM of the pulse power spectrum, Hz) averages |t|^2
-    over a Gaussian spectral weight about band center.
+    over a Gaussian spectral weight about band center, out to +-4 sigma; a
+    window that leaves the passband interior raises ValueError.
     """
     if not (np.isfinite(bandwidth) and bandwidth >= 0.0):
         raise ValueError(f"bandwidth must be finite and non-negative, got {bandwidth!r}")
@@ -809,8 +805,11 @@ def taper_transmittance(spec: WaveguideSpec, bandwidth: float = 0.0):
     else:
         sigma = TWO_PI * bandwidth / 2.3548
         lo, hi = spec.band_edges
-        w = np.linspace(max(lo + 1e-4 * (hi - lo), carrier - 4 * sigma),
-                        min(hi - 1e-4 * (hi - lo), carrier + 4 * sigma), 301)
+        edge = 1e-4 * (hi - lo)
+        if carrier - 4 * sigma < lo + edge or carrier + 4 * sigma > hi - edge:
+            raise ValueError(f"bandwidth {bandwidth:.4g} Hz puts the +-4 sigma window "
+                             "outside the passband interior")
+        w = np.linspace(carrier - 4 * sigma, carrier + 4 * sigma, 301)
         weight = np.exp(-0.5 * ((w - carrier) / sigma) ** 2)
         trans = 1.0 - np.abs(taper_reflection(spec, w)) ** 2
         t_val = float(np.trapezoid(weight * trans, w) / np.trapezoid(weight, w))
@@ -828,8 +827,7 @@ def taper_echo_train(spec: WaveguideSpec, n_echoes: int = 3):
     if not (isinstance(n_echoes, (int, np.integer)) and n_echoes >= 0):
         raise ValueError(f"n_echoes must be a finite, non-negative whole number, got {n_echoes!r}")
     r2 = abs(taper_reflection(spec, spec.center)) ** 2
-    t_round = spec.n_cells / spec.hop_j
-    times = np.arange(n_echoes + 1) * t_round
+    times = np.arange(n_echoes + 1) * round_trip_delay(spec)
     energies = (1.0 - r2) * r2 ** np.arange(n_echoes + 1)
     return times, energies
 
@@ -840,18 +838,19 @@ def end_reflection(spec: WaveguideSpec, omega, coupling: float) -> complex:
 
     With the qubit decoupled the bare end reflects with -1; the resonant
     qubit adds a 2k winding, which at band center is the pi of the
-    conditional gate.
+    conditional gate.  omega may be an array; the reflection is then taken
+    elementwise.
     """
     if not np.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling!r}")
     k = wavenumber(spec, omega)
     e = omega - spec.center
     j = spec.hop_j
-    if coupling == 0.0:
-        b1 = e
-    elif e == 0.0:
-        return -np.exp(2j * k)
-    else:
-        b1 = e - coupling ** 2 / e
     phase = np.exp(1j * k)
-    return np.exp(2j * k) * (b1 - j * phase) / (j / phase - b1)
+    if coupling == 0.0:
+        return np.exp(2j * k) * (e - j * phase) / (j / phase - e)
+    # at e = 0 the qubit pins the end site, which reflects with -exp(2ik)
+    off = e != 0.0
+    b1 = e - coupling ** 2 / np.where(off, e, 1.0)
+    return np.where(off, np.exp(2j * k) * (b1 - j * phase) / (j / phase - b1),
+                    -np.exp(2j * k))[()]

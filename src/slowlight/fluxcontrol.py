@@ -20,6 +20,8 @@ import numpy as np
 from scipy.special import erf
 
 TWO_PI = 2.0 * np.pi
+# flux samples over one modulation cycle in the cycle-mean frequency
+_CYCLE_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,9 @@ def sideband_spectrum(spec, tone: FluxTone, samples_per_period=64) -> SidebandSp
                             dc_shift=w_mean - float(curve(tone.phi_bias)))
 
 
-def _cycle_mean(curve, phi_bias, phi_dc, phi_ac, samples=512):
+def _cycle_mean(curve, phi_bias, phi_dc, phi_ac):
     """Mean transition frequency over one modulation cycle (vectorized)."""
-    theta = (np.arange(samples) + 0.5) * (TWO_PI / samples)
+    theta = (np.arange(_CYCLE_SAMPLES) + 0.5) * (TWO_PI / _CYCLE_SAMPLES)
     phi = (np.asarray(phi_bias) + np.asarray(phi_dc))[..., None] \
         + np.asarray(phi_ac)[..., None] * np.sin(theta)
     return np.asarray(curve(phi)).mean(axis=-1)

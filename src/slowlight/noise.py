@@ -334,8 +334,7 @@ def error_budget(name: str = "cluster4_2d",
     steps = protocol.published_circuit(name)
     fed = sorted({s.photon for s in steps if s.kind == "cz_feedback"})
     gates = sum(1 for s in steps if s.kind == "cz_feedback")
-    ideal_state = protocol.target_state(name)
-    target = ideal_state.photons()
+    target = protocol._target_photons(steps)
 
     rho_deph = dephased_protocol_run(steps, noise)
     f_deph = float(np.real(target.conj() @ rho_deph.matrix @ target))
@@ -347,7 +346,7 @@ def error_budget(name: str = "cluster4_2d",
     loss_stack = replace(stack, thermal_pop=0.0, residual_f=0.0, cz_depol=0.0)
     f_loss = fidelity_after(rho_deph, loss_stack)
     f_all = fidelity_after(rho_deph, stack)
-    ideal = ideal_state.photon_density()
+    ideal = protocol.DensityMatrix.from_pure(target)
     standalone_loss = fidelity_after(ideal, loss_stack)
     standalone_ctrl = fidelity_after(ideal, replace(stack, loss=0.0))
 

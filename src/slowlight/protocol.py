@@ -425,13 +425,17 @@ def published_circuit(name: str):
     return steps
 
 
+def _target_photons(steps) -> np.ndarray:
+    """Photon register of the ideal run of `steps`, leading amplitude made
+    real."""
+    vec = compile_and_run(steps).photons()
+    lead = vec[np.argmax(np.abs(vec) > _AMP_TOL)]
+    return vec * (abs(lead) / lead)
+
+
 def target_state(name: str) -> PureState:
     """Ideal state of a published circuit, leading amplitude made real."""
-    state = compile_and_run(published_circuit(name))
-    vec = state.photons()
-    lead = vec[np.argmax(np.abs(vec) > _AMP_TOL)]
-    vec = vec * (abs(lead) / lead)
-    return PureState.from_photonic(vec)
+    return PureState.from_photonic(_target_photons(published_circuit(name)))
 
 
 def target_graph(name: str):
@@ -441,13 +445,10 @@ def target_graph(name: str):
     return TARGET_GRAPHS[name]
 
 
-def stabilizer_expectations(state, edges, n_photons: int | None = None) -> np.ndarray:
+def stabilizer_expectations(state, edges) -> np.ndarray:
     """<X_v Z_neighbours> for every vertex of the graph, 1-based edges."""
     obj = coerce_state(state)
-    dim = obj.shape[0]
-    n = _photon_count(dim)
-    if n_photons is not None and n_photons != n:
-        raise ValueError(f"state has {n} photons, expected {n_photons}")
+    n = _photon_count(obj.shape[0])
     edges0 = [(a - 1, b - 1) for (a, b) in edges]
     for (a, b) in edges0:
         if not (0 <= a < n and 0 <= b < n):

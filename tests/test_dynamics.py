@@ -34,7 +34,7 @@ G_MIRROR = TWO_PI * 57.0e6
 # peak envelope for the shaped pulses: scales the e-f rate down to the
 # 40.8 MHz working point
 XI_PULSE = np.sqrt(40.8 / 145.6)
-ROUND_TRIP = SPEC.n_cells / SPEC.hop_j
+ROUND_TRIP = round_trip_delay(SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +339,7 @@ def test_mirror_switching_mid_run_matches_the_scalar_loop(monkeypatch, mirror_sy
     _assert_matches_oracle(rec, system, initial, horizon)
 
 
-def _cz_branches(monkeypatch, system, t_env, xi_env, **kwargs):
+def _cz_branches(monkeypatch, system, t_env, xi_env):
     """Run cz_phase(system, 'e', ...) and return its overlap and record with
     the g and e branch systems and the horizon they were stepped over."""
     calls = []
@@ -350,7 +350,7 @@ def _cz_branches(monkeypatch, system, t_env, xi_env, **kwargs):
         return run_branches(reference, branch, horizon)
 
     monkeypatch.setattr(dynamics, "_evolve_branches", recording)
-    overlap, rec = cz_phase(system, "e", t_env, xi_env, **kwargs)
+    overlap, rec = cz_phase(system, "e", t_env, xi_env)
     (branches, horizon), = calls
     return overlap, rec, branches, horizon
 
@@ -363,20 +363,11 @@ def test_cz_excited_branch_matches_the_scalar_loop(monkeypatch, mirror_system, p
     _assert_matches_oracle(rec, system, initial, horizon)
 
 
-@pytest.mark.parametrize("t_ramp, kwargs", [
-    (80e-9, {}),
-    (25e-9, {}),
-    # the square pulse is on from the start: the branches share no step
-    (80e-9, {"cz_window": (0.0, 400e-9)}),
-    # a square pulse detuned past the fastest rate needs a finer step, so
-    # the grids differ
-    (80e-9, {"cz_detuning": TWO_PI * 200e6}),
-], ids=["pulse80", "ramp25", "nothing_shared", "unequal_steps"])
-def test_cz_branches_equal_standalone_runs_bit_for_bit(monkeypatch, mirror_system,
-                                                       t_ramp, kwargs):
+@pytest.mark.parametrize("t_ramp", [80e-9, 25e-9], ids=["pulse80", "ramp25"])
+def test_cz_branches_equal_standalone_runs_bit_for_bit(monkeypatch, mirror_system, t_ramp):
     t_env, xi_env = erf_envelope(t_ramp, 0.0, XI_PULSE, 2.7 * t_ramp, 0.2e-9)
     overlap, rec, (reference, branch), horizon = _cz_branches(
-        monkeypatch, mirror_system, t_env, xi_env, **kwargs)
+        monkeypatch, mirror_system, t_env, xi_env)
     alone_g = evolve(reference, "emitter", horizon)
     alone_e = evolve(branch, "emitter", horizon)
     center = np.trapezoid(t_env * xi_env ** 2, t_env) \
@@ -387,6 +378,48 @@ def test_cz_branches_equal_standalone_runs_bit_for_bit(monkeypatch, mirror_syste
     assert np.array_equal(rec.final_state, alone_e.final_state)
     assert rec.emitted_energy == alone_e.emitted_energy
     assert (rec.steps, rec.cached_steps) == (alone_e.steps, alone_e.cached_steps)
+
+
+def _ramped(t_env, xi_env, **controls):
+    return LatticeSystem(
+        SPEC, G_EF, 0.0, G_MIRROR,
+        coupling_scale=lambda t: np.interp(t, t_env, xi_env, left=0.0, right=0.0),
+        mirror_detuning=lambda t: np.where(t <= 40e-9, 0.0, FAR_DETUNED), **controls)
+
+
+def test_branches_that_share_no_step_equal_standalone_runs_bit_for_bit():
+    # the branch's coupling is on from t = 0, so the two runs fork at step 0
+    t_env, xi_env = erf_envelope(15e-9, 0.33, XI_PULSE, 30e-9, 0.1e-9)
+    reference = _ramped(t_env, xi_env)
+    branch = _ramped(t_env, np.full_like(xi_env, XI_PULSE))
+    assert reference.coupling_scale(0.0) != branch.coupling_scale(0.0)
+    horizon = 80e-9
+    records = dynamics._evolve_branches(reference, branch, horizon)
+    for rec, system in zip(records, (reference, branch)):
+        alone = evolve(system, "emitter", horizon)
+        assert np.array_equal(rec.a_out, alone.a_out)
+        assert np.array_equal(rec.populations, alone.populations)
+        assert np.array_equal(rec.final_state, alone.final_state)
+        assert rec.emitted_energy == alone.emitted_energy
+        assert (rec.steps, rec.cached_steps) == (alone.steps, alone.cached_steps)
+
+
+def test_branches_on_different_grids_are_refused():
+    # a 200 MHz emitter detuning is past the fastest static rate, so that
+    # branch needs a finer step; one cache of step matrices cannot serve both
+    t_env, xi_env = erf_envelope(15e-9, 0.33, XI_PULSE, 30e-9, 0.1e-9)
+    reference = _ramped(t_env, xi_env)
+    branch = _ramped(t_env, xi_env, emitter_detuning=TWO_PI * 200e6)
+    with pytest.raises(ValueError, match="different grids"):
+        dynamics._evolve_branches(reference, branch, 80e-9)
+
+
+def test_cz_phase_refuses_an_envelope_outside_the_unit_interval(mirror_system):
+    t = np.linspace(0.0, 30e-9, 300)
+    with pytest.raises(ValueError, match="exceeds unity"):
+        cz_phase(mirror_system, "e", t, np.full_like(t, 1.2))
+    with pytest.raises(ValueError, match="non-negative"):
+        cz_phase(mirror_system, "e", t, np.full_like(t, -0.1))
 
 
 def test_mirror_edge_inside_the_emission_matches_the_scalar_loop(mirror_system):
@@ -650,6 +683,16 @@ def test_cz_narrowband_reflection_oracle():
         omega = SPEC.center + TWO_PI * off_hz
         r = end_reflection(SPEC, omega, G_EF) / end_reflection(SPEC, omega, 0.0)
         assert abs(abs(cmath.phase(r)) - np.pi) < 0.05
+
+
+def test_end_reflection_of_an_array_is_taken_elementwise():
+    # band center, where the coupled qubit pins the end, among offsets
+    omega = SPEC.center + np.concatenate(
+        ([0.0], TWO_PI * np.linspace(-18.2e6, 18.2e6, 21), [SPEC.hop_j / 2.0]))
+    for coupling in (G_EF, 0.0):
+        each = np.array([end_reflection(SPEC, w, coupling) for w in omega])
+        np.testing.assert_allclose(end_reflection(SPEC, omega, coupling), each,
+                                   rtol=0.0, atol=1e-15)
 
 
 def _wavepacket_transmission(spec, sigma=10.0):

@@ -427,6 +427,10 @@ OUT_OF_RANGE = {
         waveguide.gamma_1d(G, -WAVEGUIDE.hop_j))),
     "taper_transmittance.bandwidth<0": ("bandwidth must be finite and non-negative", lambda: (
         dynamics.taper_transmittance(WAVEGUIDE, -1e6))),
+    "taper_transmittance.bandwidth=41MHz": ("bandwidth .* outside the passband", lambda: (
+        dynamics.taper_transmittance(WAVEGUIDE, 41e6))),
+    "taper_transmittance.bandwidth=1GHz": ("bandwidth .* outside the passband", lambda: (
+        dynamics.taper_transmittance(WAVEGUIDE, 1e9))),
     "taper_echo_train.n_echoes=-1": ("n_echoes must be a finite, non-negative whole number",
                                      lambda: dynamics.taper_echo_train(WAVEGUIDE, -1)),
     "taper_echo_train.n_echoes=2.5": ("n_echoes must be a finite, non-negative whole number",
@@ -442,7 +446,8 @@ def test_entry_points_refuse_out_of_range_inputs_by_name(case):
     negative process noise gave noise-free means; a short t gave tracks of
     another length than t; evolve raised ZeroDivisionError or numpy's
     "negative dimensions"; gamma_1d raised ZeroDivisionError at hop_j 0 and
-    gave a negative rate below it; a negative bandwidth read as 0; and
+    gave a negative rate below it; a negative bandwidth read as 0, and one
+    past 40 MHz averaged over a window clipped to the passband; and
     taper_echo_train gave no echoes for -1 and four for 2.5."""
     message, call = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=message):

@@ -45,7 +45,6 @@ UNREAD = {
     "tomography.project_cptp",          # Direction 11: entry point of the CPTP projection
     "waveguide.dispersion",             # closed-form oracle: the band's dispersion
     "waveguide.gamma_1d",               # closed-form oracle: Markovian emission rate
-    "waveguide.round_trip_delay",       # Direction 12: delay-line schedule check
 }
 
 
