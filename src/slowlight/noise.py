@@ -1,5 +1,5 @@
 """Error channels: 1/f emitter dephasing averaged exactly, photon loss,
-control errors, readout confusion, and the composed infidelity budget.
+control errors, readout assignment error, and the composed infidelity budget.
 
 Dephasing model: the emitter detuning delta(t) is a stationary Gaussian
 process with a 1/f power spectrum on [f_min, f_max] and RMS `amplitude`.
@@ -41,8 +41,8 @@ DEFAULT_T2_STAR = 561e-9
 DEFAULT_F_MIN = 50.0
 DEFAULT_F_MAX = 1e8
 
-READOUT_CONFUSION = np.array([[0.976, 0.024],
-                              [0.024, 0.976]])
+# probability that a qubit readout assigns the outcome it was prepared in
+READOUT_FIDELITY = 0.976
 
 # the pair form of the exact average is quadratic in the history count; the
 # published circuits have at most 32 histories
@@ -74,6 +74,9 @@ class OneOverFSpec:
             raise ValueError("noise.f_max must exceed noise.f_min")
         if self.amplitude < 0.0:
             raise ValueError("noise.amplitude must be non-negative")
+        t2 = self.calibrated_t2
+        if t2 is not None and not (math.isfinite(t2) and t2 > 0.0):
+            raise ValueError(f"noise.calibrated_t2 must be None or finite and positive, got {t2!r}")
 
 
 @dataclass(frozen=True)
@@ -270,43 +273,30 @@ def apply_channels(rho, stack: ChannelStack, fed_back_photons=(),
     return protocol.DensityMatrix(0.5 * (mat + mat.conj().T))
 
 
-def _confusion_matrix(confusion) -> np.ndarray:
-    """confusion as a float array; ValueError unless every entry is in [0, 1]."""
-    c = np.asarray(confusion, dtype=float)
-    # NaN fails both comparisons, so this also refuses a non-finite entry
-    if not np.all((c >= 0.0) & (c <= 1.0)):
-        raise ValueError(f"confusion must hold probabilities in [0, 1], got {c.tolist()}")
-    return c
+def _readout_fidelity(fidelity) -> float:
+    """fidelity as a float; ValueError unless it is a finite assignment
+    fidelity in (0.5, 1]."""
+    fidelity = float(fidelity)
+    # NaN fails the comparison, so this also refuses a non-finite value
+    if not 0.5 < fidelity <= 1.0:
+        raise ValueError(f"readout fidelity must lie in (0.5, 1], got {fidelity!r}")
+    return fidelity
 
 
-def confuse_readout(outcomes, confusion, seed: int = 0) -> np.ndarray:
-    """Flip +-1 single-shot qubit labels with the confusion probabilities.
+def confuse_readout(outcomes, fidelity: float, seed: int = 0) -> np.ndarray:
+    """Flip each +-1 single-shot qubit outcome with probability 1 - fidelity.
 
-    Raises ValueError if an entry of the confusion matrix is NaN, infinite or
-    outside [0, 1].
+    This is the shot-level form of the 2F - 1 factor by which
+    tomography.PrepModel shrinks every correlator with a nontrivial Pauli.
+    Raises ValueError if fidelity is not finite or outside (0.5, 1], or if
+    an outcome is not +-1.
     """
-    c = _confusion_matrix(confusion)
+    fidelity = _readout_fidelity(fidelity)
     outcomes = np.asarray(outcomes)
+    if not np.all(np.abs(outcomes) == 1):
+        raise ValueError("readout outcomes must be +1 or -1")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-    draws = rng.random(outcomes.shape)
-    flip_plus = draws < (1.0 - c[0, 0])
-    flip_minus = draws < (1.0 - c[1, 1])
-    flipped = np.where(outcomes > 0, np.where(flip_plus, -1, 1), np.where(flip_minus, 1, -1))
-    return flipped
-
-
-def correct_readout(conditioned, confusion) -> np.ndarray:
-    """Invert the confusion matrix on stacked conditional moments.
-
-    conditioned rows are (p(+1) <m>|+1, p(-1) <m>|-1) as produced by the
-    erroneous assignment; any number of moment columns is allowed.  Raises
-    ValueError if the confusion matrix is singular or has an entry that is
-    NaN, infinite or outside [0, 1].
-    """
-    c = _confusion_matrix(confusion)
-    if abs(np.linalg.det(c)) < 1e-12:
-        raise ValueError("confusion matrix is singular")
-    return np.linalg.solve(c, np.asarray(conditioned))
+    return np.where(rng.random(outcomes.shape) < 1.0 - fidelity, -outcomes, outcomes)
 
 
 def loss_only_fidelity(loss: float) -> float:

@@ -86,6 +86,8 @@ class ProtocolStep:
             value = getattr(self, label)
             if not math.isfinite(value):
                 raise ValueError(f"step.{label} must be finite, got {value!r}")
+        if self.duration < 0.0:
+            raise ValueError(f"step.duration must be non-negative, got {self.duration!r}")
 
 
 def rotation(transition: str, angle: float, axis_phase: float = 0.0,
@@ -99,17 +101,19 @@ def rotation(transition: str, angle: float, axis_phase: float = 0.0,
 def emit(photon: int, duration: float | None = None) -> ProtocolStep:
     """Emission window; photon 1 defaults to the slow high-fidelity
     135 ns window and later photons to the fast 30 ns bins."""
+    photon = qops.require_index(photon, "photon")
     if photon < 1:
         raise ValueError("photon indices start at 1")
     if duration is None:
         duration = EMIT_SLOW if photon == 1 else EMIT_FAST
-    return ProtocolStep("emit", photon=int(photon), duration=duration)
+    return ProtocolStep("emit", photon=photon, duration=duration)
 
 
 def cz_feedback(photon: int, duration: float = SCATTER_TIME) -> ProtocolStep:
+    photon = qops.require_index(photon, "photon")
     if photon < 1:
         raise ValueError("photon indices start at 1")
-    return ProtocolStep("cz_feedback", photon=int(photon), duration=duration)
+    return ProtocolStep("cz_feedback", photon=photon, duration=duration)
 
 
 def mirror_gate(action: str) -> ProtocolStep:

@@ -9,6 +9,7 @@ of photon k (photon 0 is the most significant bit).
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -152,6 +153,14 @@ def require_finite(array, name: str) -> np.ndarray:
         raise ValueError(f"{name} is not finite: {np.count_nonzero(~np.isfinite(array))} "
                          f"of {array.size} entries are NaN or infinite")
     return array
+
+
+def require_index(value, name: str) -> int:
+    """value as an int; raise ValueError naming it unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 import os
 import struct
 import threading
@@ -419,10 +418,7 @@ def _block_sums(kind: str, batch: ShotBatch, block: int, sums) -> np.ndarray:
 
 
 def _shot_count(name: str, value) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    value = qops.require_index(value, name)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return value
@@ -512,8 +508,9 @@ class MomentTable:
     one value per signature in signatures() order, qops.moment_layout's
     product layout, which is also tuple order; every mean averages count
     shots, so its variance is variance / count.  The constructor checks the
-    lengths, finite means and variances, variances >= 0 and count >= 1;
-    mean() and variance() raise KeyError for a signature outside the layout.
+    lengths, finite means and variances, variances >= 0 and an integer
+    count >= 1; mean() and variance() raise KeyError for a signature outside
+    the layout.
     """
 
     mode_bases: tuple
@@ -525,7 +522,7 @@ class MomentTable:
         self.mode_bases = tuple(self.mode_bases)
         self.means = np.asarray(self.means, dtype=complex)
         self.variances = np.asarray(self.variances, dtype=float)
-        self.count = int(self.count)
+        self.count = qops.require_index(self.count, "moment table count")
         size = len(qops.moment_layout(self.mode_bases)[0])
         if self.means.shape != (size,) or self.variances.shape != (size,):
             raise ValueError(f"a table over mode_bases {self.mode_bases} holds {size} moments, "

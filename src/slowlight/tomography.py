@@ -85,7 +85,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zheevr
 
 from . import qops
-from .noise import amplitude_damping_kraus
+from .noise import _readout_fidelity, amplitude_damping_kraus
 from .protocol import DensityMatrix, _photon_count, _state_matrix
 from .shots import MomentTable
 
@@ -100,8 +100,7 @@ VARIANCE_FLOOR = 1e-12
 
 PAULI_LABELS_2Q = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 
-_SINGLE = {"I": qops.ID2, "X": qops.SX, "Y": qops.SY, "Z": qops.SZ}
-_PAULIS_2Q = np.stack([np.kron(_SINGLE[l[0]], _SINGLE[l[1]]) for l in PAULI_LABELS_2Q])
+_PAULIS_2Q = np.stack([np.kron(qops.PAULIS[l[0]], qops.PAULIS[l[1]]) for l in PAULI_LABELS_2Q])
 
 # photon-side operator basis for the correlator grid: I, a+, a, a+a
 _PHOTON_OPS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -463,9 +462,10 @@ class PrepModel:
 
     Each input state is built as loss after prep after thermal pin: the
     emitter starts with a small thermal excited population, the ideal prep
-    unitary acts, then the photon passes the lossy waveguide.  Emitter
-    readout infidelity shrinks every correlator with a nontrivial Pauli by
-    the usual confusion factor 2F - 1.
+    unitary acts, then the photon passes the lossy waveguide.  An emitter
+    readout that assigns the right outcome with probability F shrinks every
+    correlator with a nontrivial Pauli by 2F - 1; noise.confuse_readout is
+    the same error at the level of single shots.  The default model is ideal.
     """
 
     loss: float = 0.0
@@ -477,8 +477,7 @@ class PrepModel:
             raise ValueError("loss must be in [0, 1)")
         if not 0.0 <= self.thermal_pop < 1.0:
             raise ValueError("thermal population must be in [0, 1)")
-        if not 0.5 < self.readout_fidelity <= 1.0:
-            raise ValueError("readout fidelity must be in (0.5, 1]")
+        _readout_fidelity(self.readout_fidelity)
 
 
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -494,9 +493,8 @@ _PREP_SINGLE = (
 )
 
 
-def prep_states(model: PrepModel | None = None) -> np.ndarray:
+def prep_states(model: PrepModel = PrepModel()) -> np.ndarray:
     """The 16 two-qubit input states of the QPT grid, shape (16, 4, 4)."""
-    model = model or PrepModel()
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0
     x_emitter = np.kron(qops.SX, qops.ID2).astype(complex)
@@ -513,23 +511,22 @@ def prep_states(model: PrepModel | None = None) -> np.ndarray:
 
 
 def _correlator_ops() -> np.ndarray:
-    ops = [np.kron(_SINGLE[p], qops.single_mode_moment(*op))
+    ops = [np.kron(qops.PAULIS[p], qops.single_mode_moment(*op))
            for p, op in CORRELATOR_LABELS]
     return np.stack(ops)
 
 
 @lru_cache(maxsize=8)
-def _process_design(model: PrepModel | None):
+def _process_design(model: PrepModel):
     """Design matrix mapping vec(chi) to the 240 correlator means.
 
-    Cached per prep model (a frozen dataclass, or None for ideal preps), so
-    simulating a grid and fitting it build the design once; the cached
-    array is read-only.
+    Cached per prep model (a frozen dataclass), so simulating a grid and
+    fitting it build the design once; the cached array is read-only.
     """
     states = prep_states(model)
     measure = _correlator_ops()
     shrink = np.array([
-        2.0 * (model.readout_fidelity if model else 1.0) - 1.0 if p != "I" else 1.0
+        2.0 * model.readout_fidelity - 1.0 if p != "I" else 1.0
         for p, _ in CORRELATOR_LABELS
     ])
     # Tr(O_j P_n rho_i P_m+) = sum_ac (P_n rho_i)[a, c] (P_m+ O_j)[c, a], rows
@@ -542,7 +539,7 @@ def _process_design(model: PrepModel | None):
     return design
 
 
-def simulate_process_measurements(chi: np.ndarray, model: PrepModel | None = None,
+def simulate_process_measurements(chi: np.ndarray, model: PrepModel = PrepModel(),
                                   noise: float = 0.0, seed: int = 0):
     """Synthetic correlator grid for a known process under a SPAM model.
 
@@ -673,17 +670,17 @@ def cptp_residual(chi: np.ndarray) -> float:
 
 
 def mle_process(means: np.ndarray, variances: np.ndarray,
-                model: PrepModel | None = None):
+                model: PrepModel = PrepModel()):
     """Fit a CPTP chi matrix to the 16 x 15 correlator grid.
 
-    Passing the true prep and readout model corrects SPAM; passing None fits
-    against ideal preparations and shows the uncorrected bias.  The fit is
-    the state fit's monotone projected-gradient loop on the cached 240 x 256
-    process design: one product with the design and one with its adjoint
-    per iteration, stopping once an accepted step moves chi by less than
-    PROCESS_STOP_TOL in Frobenius norm, whatever the scale of the variances,
-    or raising RuntimeError after MAX_ITERS.  Each
-    candidate is projected onto CPTP by the dual Newton method of
+    Passing the true prep and readout model corrects SPAM; the default
+    PrepModel() fits against ideal preparations and shows the uncorrected
+    bias.  The fit is the state fit's monotone projected-gradient loop on
+    the cached 240 x 256 process design: one product with the design and one
+    with its adjoint per iteration, stopping once an accepted step moves chi
+    by less than PROCESS_STOP_TOL in Frobenius norm, whatever the scale of
+    the variances, or raising RuntimeError after MAX_ITERS.  Each candidate
+    is projected onto CPTP by the dual Newton method of
     :func:`project_cptp`, started from the previous projection's dual
     point, which changes little between iterations.
 

@@ -265,36 +265,44 @@ def test_budget_nearly_additive(budget):
 
 
 def test_confusion_identity_and_round_trip():
+    """Flipping each outcome with probability 1 - F scales the mean outcome
+    by the 2F - 1 that the process design applies, within 4 binomial sd."""
     rng = np.random.default_rng(9)
     true = np.where(rng.random(200_000) < 0.7, 1, -1)
-    assert np.array_equal(noise.confuse_readout(true, np.eye(2), seed=5), true)
-    flipped = noise.confuse_readout(true, noise.READOUT_CONFUSION, seed=5)
-    assert np.mean(flipped == true) > 0.9
-    measured = np.array([np.mean(flipped > 0), np.mean(flipped < 0)])
-    corrected = noise.correct_readout(measured, noise.READOUT_CONFUSION)
-    assert abs(corrected[0] - 0.7) < 0.01
-    assert abs(corrected[1] - 0.3) < 0.01
+    assert np.array_equal(noise.confuse_readout(true, 1.0, seed=5), true)
+    f = noise.READOUT_FIDELITY
+    # the factor by which the design at F scales the ideal design's rows
+    # with a nontrivial Pauli
+    shaded = tomography._process_design(tomography.PrepModel(readout_fidelity=f))
+    ideal = tomography._process_design(tomography.PrepModel())
+    rows = np.tile([p != "I" for p, _ in tomography.CORRELATOR_LABELS], 16)
+    shrink = np.vdot(ideal[rows], shaded[rows]).real / np.vdot(ideal[rows], ideal[rows]).real
+    assert abs(shrink - (2.0 * f - 1.0)) < 1e-12
+    for seed in (5, 6):
+        flipped = noise.confuse_readout(true, f, seed=seed)
+        assert set(np.unique(flipped)) == {-1, 1}
+        sd = math.sqrt(4.0 * f * (1.0 - f) / true.size)
+        assert abs(np.mean(flipped) - shrink * np.mean(true)) < 4.0 * sd
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1.2, -0.1])
+def test_confuse_readout_stream_is_pinned():
+    """One Philox draw per outcome, keyed (seed, 1): the stream the symmetric
+    confusion matrix diag(0.976) drew before the fidelity form replaced it."""
+    x = np.where(np.random.default_rng(3).random(5000) < 0.4, 1, -1)
+    draws = np.random.Generator(np.random.Philox(key=[5, 1])).random(x.shape)
+    expected = np.where(draws < 1 - 0.976, -x, x)
+    assert np.array_equal(noise.confuse_readout(x, noise.READOUT_FIDELITY, seed=5), expected)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 0.5, 1.2, -0.1])
 def test_confusion_must_hold_probabilities(entry):
-    """A NaN confusion matrix once returned labels, and corrected moments
-    with a NaN, without an error."""
-    confusion = noise.READOUT_CONFUSION.copy()
-    confusion[0, 0] = entry
-    with pytest.raises(ValueError, match=r"confusion must hold probabilities in \[0, 1\]"):
-        noise.confuse_readout(np.ones(8, dtype=int), confusion)
-    with pytest.raises(ValueError, match=r"confusion must hold probabilities in \[0, 1\]"):
-        noise.correct_readout(np.array([0.5, 0.5]), confusion)
-
-
-def test_readout_correction_algebra():
-    c = np.array([[0.95, 0.08], [0.05, 0.92]])
-    true = np.array([[0.42, -0.1, 0.3], [0.18, 0.05, -0.2]])
-    corrected = noise.correct_readout(c @ true, c)
-    assert np.max(np.abs(corrected - true)) < 1e-12
-    with pytest.raises(ValueError, match="singular"):
-        noise.correct_readout(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+    """A NaN readout error once returned labels without an error; the shot
+    form and the design form refuse the same fidelities."""
+    message = r"readout fidelity must lie in \(0\.5, 1\]"
+    with pytest.raises(ValueError, match=message):
+        noise.confuse_readout(np.ones(8, dtype=int), entry)
+    with pytest.raises(ValueError, match=message):
+        tomography.PrepModel(readout_fidelity=entry)
 
 
 def test_spec_validation_errors():
@@ -372,6 +380,8 @@ NON_FINITE_ENTRIES = {
     "end_reflection.omega": ("omega", lambda bad: dynamics.end_reflection(WAVEGUIDE, bad, G)),
     "end_reflection.coupling": ("coupling", lambda bad: (
         dynamics.end_reflection(WAVEGUIDE, OMEGA, bad))),
+    "OneOverFSpec.calibrated_t2": ("calibrated_t2", lambda bad: (
+        noise.OneOverFSpec(amplitude=1e6, calibrated_t2=bad))),
 }
 
 
@@ -435,6 +445,16 @@ OUT_OF_RANGE = {
                                      lambda: dynamics.taper_echo_train(WAVEGUIDE, -1)),
     "taper_echo_train.n_echoes=2.5": ("n_echoes must be a finite, non-negative whole number",
                                       lambda: dynamics.taper_echo_train(WAVEGUIDE, 2.5)),
+    "emit.photon=1.5": ("photon must be an integer", lambda: protocol.emit(1.5)),
+    "cz_feedback.photon=2.7": ("photon must be an integer", lambda: protocol.cz_feedback(2.7)),
+    "ProtocolStep.duration<0": ("step.duration must be non-negative", lambda: (
+        protocol.emit(1, duration=-1e-9))),
+    "MomentTable.count=7.8": ("count must be an integer", lambda: (
+        shots.MomentTable(("",), np.zeros(4), np.ones(4), 7.8))),
+    "OneOverFSpec.calibrated_t2<0": ("calibrated_t2 must be None or finite and positive", lambda: (
+        noise.OneOverFSpec(amplitude=1e6, calibrated_t2=-1.0))),
+    "confuse_readout.outcome=0": ("outcomes must be", lambda: (
+        noise.confuse_readout(np.array([1, 0, -1]), noise.READOUT_FIDELITY))),
 }
 
 
@@ -447,8 +467,12 @@ def test_entry_points_refuse_out_of_range_inputs_by_name(case):
     another length than t; evolve raised ZeroDivisionError or numpy's
     "negative dimensions"; gamma_1d raised ZeroDivisionError at hop_j 0 and
     gave a negative rate below it; a negative bandwidth read as 0, and one
-    past 40 MHz averaged over a window clipped to the passband; and
-    taper_echo_train gave no echoes for -1 and four for 2.5."""
+    past 40 MHz averaged over a window clipped to the passband;
+    taper_echo_train gave no echoes for -1 and four for 2.5; emit(1.5) and
+    cz_feedback(2.7) compiled as photons 1 and 2; a negative emission window
+    gave negative step times; a table count of 7.8 read as 7; a calibrated
+    T2* of -1 was reported as the budget's t2_star_s; and an outcome of 0
+    read as -1."""
     message, call = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=message):
         call()

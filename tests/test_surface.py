@@ -23,9 +23,8 @@ UNREAD = {
     "dynamics.mirror_scatter",          # Direction 6: run report
     "dynamics.pulse_bandwidth",         # Direction 6: run report
     "dynamics.transmitted_fraction",    # Direction 6: run report
-    "noise.READOUT_CONFUSION",          # Direction 9: readout model
+    "noise.READOUT_FIDELITY",           # Direction 9: readout model
     "noise.confuse_readout",            # Direction 9: readout model
-    "noise.correct_readout",            # Direction 9: readout model
     "noise.depolarizing_kraus",         # test oracle: Kraus form of the control depolarizer
     "noise.echo_envelope",              # closed-form oracle: refocused dephasing
     "noise.ramsey_envelope",            # closed-form oracle: the envelope calibration solves for
